@@ -1,7 +1,9 @@
-//! Upstream HTTP client: keep-alive connection pooling, buffered
-//! request/response exchange for fan-out and control traffic, and a
+//! Upstream side of the router: a keep-alive connection pool per worker,
+//! buffered request/response exchange for fan-out and control traffic, a
 //! streaming relay for large bodies (CSV exports) that must not be
-//! buffered in router memory.
+//! buffered in router memory, and the health probe. The HTTP itself —
+//! request rendering, response codec, the connection — is
+//! [`sam_serve::http`]'s.
 //!
 //! Retry safety is framed here: [`ConnPool::exchange`] buffers the whole
 //! upstream response before the router writes a byte to the client, so a
@@ -10,199 +12,13 @@
 //! signals by failing before any client write.
 
 use crate::worker::WorkerHealth;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::Mutex;
+use sam_serve::http::{self, build_request, Conn, Response};
+use sam_serve::sync::Lock;
+use std::io::Write;
 use std::time::Duration;
-
-/// Largest buffered upstream response body (64 MiB). Fan-out targets
-/// (`/metrics`, `/models`, job status) are far smaller; anything bigger
-/// must go through [`relay`].
-pub const MAX_BUFFERED_RESPONSE: usize = 64 << 20;
 
 /// Idle sockets kept per worker.
 const POOL_CAPACITY: usize = 8;
-
-/// A fully buffered upstream response.
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// Upstream status code.
-    pub status: u16,
-    /// Response headers in wire order (names lowercased).
-    pub headers: Vec<(String, String)>,
-    /// De-framed body bytes (chunked transfer decoding already applied).
-    pub body: Vec<u8>,
-}
-
-impl Response {
-    /// First header value for `name` (case-insensitive lookup; names are
-    /// stored lowercased).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Body as UTF-8 (lossy — diagnostics only need best effort).
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
-    }
-}
-
-/// Build the raw bytes of one HTTP/1.1 request to an upstream worker.
-/// `extra_headers` come after the computed `Host`/`Content-Length`; the
-/// connection header is always `keep-alive` (the pool decides reuse).
-pub fn build_request(
-    method: &str,
-    path: &str,
-    extra_headers: &[(String, String)],
-    body: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256 + body.len());
-    out.extend_from_slice(format!("{method} {path} HTTP/1.1\r\n").as_bytes());
-    out.extend_from_slice(b"Host: worker\r\n");
-    out.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
-    for (name, value) in extra_headers {
-        out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-    }
-    out.extend_from_slice(b"Connection: keep-alive\r\n\r\n");
-    out.extend_from_slice(body);
-    out
-}
-
-/// Parsed response head: status plus headers (names lowercased).
-#[derive(Debug, Clone)]
-pub struct RespHead {
-    /// Status code from the status line.
-    pub status: u16,
-    /// Headers in wire order, names lowercased.
-    pub headers: Vec<(String, String)>,
-}
-
-impl RespHead {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Declared `Content-Length`, if present and parsable.
-    pub fn content_length(&self) -> Option<usize> {
-        self.header("content-length")?.trim().parse().ok()
-    }
-
-    /// Whether the body uses chunked transfer encoding.
-    pub fn chunked(&self) -> bool {
-        self.header("transfer-encoding")
-            .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    }
-
-    /// Whether the upstream will close the connection after this response.
-    pub fn close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.to_ascii_lowercase().contains("close"))
-    }
-}
-
-fn io_bad(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Read one response head (status line + headers) from `reader`.
-///
-/// # Errors
-///
-/// Transport errors, or `InvalidData` on malformed framing.
-pub fn read_head<R: BufRead>(reader: &mut R) -> std::io::Result<RespHead> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "upstream closed before the status line",
-        ));
-    }
-    let status = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io_bad(format!("bad upstream status line: {}", line.trim())))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    Ok(RespHead { status, headers })
-}
-
-/// Read a response body per the head's framing: `Content-Length`, chunked
-/// (decoded), or read-to-close.
-///
-/// # Errors
-///
-/// Transport errors, `InvalidData` on malformed chunk framing or a body
-/// above [`MAX_BUFFERED_RESPONSE`].
-pub fn read_body<R: BufRead>(reader: &mut R, head: &RespHead) -> std::io::Result<Vec<u8>> {
-    if head.chunked() {
-        return read_chunked_body(reader);
-    }
-    if let Some(len) = head.content_length() {
-        if len > MAX_BUFFERED_RESPONSE {
-            return Err(io_bad("upstream response too large to buffer"));
-        }
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-        return Ok(body);
-    }
-    let mut body = Vec::new();
-    reader
-        .take(MAX_BUFFERED_RESPONSE as u64 + 1)
-        .read_to_end(&mut body)?;
-    if body.len() > MAX_BUFFERED_RESPONSE {
-        return Err(io_bad("upstream response too large to buffer"));
-    }
-    Ok(body)
-}
-
-fn read_chunked_body<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
-            return Err(io_bad("upstream closed mid-chunk"));
-        }
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| io_bad(format!("bad chunk size: {}", size_line.trim())))?;
-        if size == 0 {
-            // Trailer section: consume through the blank line.
-            loop {
-                let mut trailer = String::new();
-                if reader.read_line(&mut trailer)? == 0 || trailer.trim().is_empty() {
-                    break;
-                }
-            }
-            return Ok(body);
-        }
-        if body.len() + size > MAX_BUFFERED_RESPONSE {
-            return Err(io_bad("upstream chunked response too large to buffer"));
-        }
-        let start = body.len();
-        body.resize(start + size, 0);
-        reader.read_exact(&mut body[start..])?;
-        let mut crlf = [0u8; 2];
-        reader.read_exact(&mut crlf)?;
-        if &crlf != b"\r\n" {
-            return Err(io_bad("missing chunk-data CRLF"));
-        }
-    }
-}
 
 /// A keep-alive connection pool to one worker address. The address is
 /// mutable because a restarted worker binds a fresh ephemeral port — the
@@ -210,8 +26,8 @@ fn read_chunked_body<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>> {
 /// drops every (now dead) idle socket.
 #[derive(Debug)]
 pub struct ConnPool {
-    addr: Mutex<String>,
-    idle: Mutex<Vec<TcpStream>>,
+    addr: Lock<String>,
+    idle: Lock<Vec<Conn>>,
     connect_timeout: Duration,
     io_timeout: Duration,
 }
@@ -221,8 +37,8 @@ impl ConnPool {
     /// timeouts.
     pub fn new(addr: String, connect_timeout: Duration, io_timeout: Duration) -> ConnPool {
         ConnPool {
-            addr: Mutex::new(addr),
-            idle: Mutex::new(Vec::new()),
+            addr: Lock::new(addr),
+            idle: Lock::new(Vec::new()),
             connect_timeout,
             io_timeout,
         }
@@ -230,83 +46,48 @@ impl ConnPool {
 
     /// Current upstream address.
     pub fn addr(&self) -> String {
-        self.addr.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.addr.lock().clone()
     }
 
     /// Point the pool at a new address (worker restarted on a fresh port)
     /// and drop all idle sockets to the old one.
     pub fn reset(&self, addr: String) {
-        *self.addr.lock().unwrap_or_else(|e| e.into_inner()) = addr;
-        self.idle.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        *self.addr.lock() = addr;
+        self.clear();
     }
 
     /// Drop all idle sockets (the worker died; they are all stale).
     pub fn clear(&self) {
-        self.idle.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        self.idle.lock().clear();
     }
 
-    fn checkout(&self) -> std::io::Result<(TcpStream, bool)> {
-        if let Some(stream) = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop() {
-            return Ok((stream, true));
-        }
-        Ok((self.connect()?, false))
+    /// An idle connection, or a fresh one that connects on first use. A
+    /// pooled socket the worker's idle timeout has since closed is the
+    /// connection's problem: [`Conn::send`] retries once on a fresh one.
+    fn checkout(&self) -> Conn {
+        let idle = self.idle.lock().pop();
+        idle.unwrap_or_else(|| Conn::new(self.addr(), self.connect_timeout, self.io_timeout))
     }
 
-    fn connect(&self) -> std::io::Result<TcpStream> {
-        let addr = self.addr();
-        let sock_addr = addr
-            .parse::<std::net::SocketAddr>()
-            .map_err(|e| io_bad(format!("bad worker address {addr:?}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, self.connect_timeout)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        stream.set_nodelay(true).ok();
-        Ok(stream)
-    }
-
-    fn checkin(&self, stream: TcpStream) {
-        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-        if idle.len() < POOL_CAPACITY {
-            idle.push(stream);
+    fn checkin(&self, conn: Conn) {
+        let mut idle = self.idle.lock();
+        if conn.is_open() && idle.len() < POOL_CAPACITY {
+            idle.push(conn);
         }
     }
 
-    /// Send one request and buffer the whole response. A transport failure
-    /// on a **reused** socket is transparently retried once on a fresh
-    /// connection (the idle socket may simply have been closed by the
-    /// worker's idle timeout); a failure on a fresh connection is the
-    /// caller's problem — the worker is actually unreachable.
+    /// Send one request and buffer the whole response. A failure here
+    /// means the worker is actually unreachable (a merely stale pooled
+    /// socket was already retried) — the caller's problem.
     ///
     /// # Errors
     ///
     /// Connect/transport errors and malformed upstream framing.
     pub fn exchange(&self, request: &[u8]) -> std::io::Result<Response> {
-        let (stream, reused) = self.checkout()?;
-        match self.exchange_on(stream, request) {
-            Ok(resp) => Ok(resp),
-            Err(err) if reused => {
-                let fresh = self.connect()?;
-                self.exchange_on(fresh, request).map_err(|_| err)
-            }
-            Err(err) => Err(err),
-        }
-    }
-
-    fn exchange_on(&self, mut stream: TcpStream, request: &[u8]) -> std::io::Result<Response> {
-        stream.write_all(request)?;
-        stream.flush()?;
-        let mut reader = BufReader::new(stream);
-        let head = read_head(&mut reader)?;
-        let body = read_body(&mut reader, &head)?;
-        let close = head.close();
-        if !close {
-            self.checkin(reader.into_inner());
-        }
-        Ok(Response {
-            status: head.status,
-            headers: head.headers,
-            body,
-        })
+        let mut conn = self.checkout();
+        let response = conn.exchange(request)?;
+        self.checkin(conn);
+        Ok(response)
     }
 }
 
@@ -331,114 +112,45 @@ pub fn relay<W: Write>(
     client: &mut W,
     client_keep_alive: bool,
 ) -> std::io::Result<(u16, bool)> {
-    let (stream, reused) = pool.checkout()?;
-    let mut reader = BufReader::new(stream);
-    let head = match send_and_read_head(&mut reader, request) {
-        Ok(head) => head,
-        Err(err) if reused => {
-            let fresh = self_connect(pool)?;
-            reader = BufReader::new(fresh);
-            send_and_read_head(&mut reader, request).map_err(|_| err)?
-        }
-        Err(err) => return Err(err),
-    };
+    let mut conn = pool.checkout();
+    let (head, reader) = conn.send(request)?;
     let chunked = head.chunked();
     let content_length = head.content_length();
-    let upstream_close = head.close();
     // Read-to-close upstream framing forces closing the client side too —
     // there is no other way to delimit the relayed body.
     let until_eof = !chunked && content_length.is_none();
     let keep_client = client_keep_alive && !until_eof;
 
-    write!(
-        client,
-        "HTTP/1.1 {} {}\r\n",
-        head.status,
-        sam_serve::http::reason(head.status)
-    )?;
-    for (name, value) in &head.headers {
-        if name == "connection" {
-            continue;
-        }
-        write!(client, "{name}: {value}\r\n")?;
-    }
-    write!(
-        client,
-        "Connection: {}\r\n\r\n",
-        if keep_client { "keep-alive" } else { "close" }
-    )?;
+    let headers: Vec<(&str, &str)> = head
+        .headers
+        .iter()
+        .filter(|(name, _)| name != "connection")
+        .map(|(name, value)| (name.as_str(), value.as_str()))
+        .collect();
+    http::write_head(client, head.status, &headers, keep_client)?;
 
     if chunked {
-        copy_chunked(&mut reader, client)?;
+        http::copy_chunked(reader, client, true, usize::MAX)?;
     } else if let Some(len) = content_length {
-        copy_exact(&mut reader, client, len as u64)?;
+        http::copy_exact(reader, client, len as u64)?;
     } else {
-        std::io::copy(&mut reader, client)?;
+        std::io::copy(reader, client)?;
     }
     client.flush()?;
-    if !upstream_close && !until_eof {
-        pool.checkin(reader.into_inner());
+    if !head.close() {
+        pool.checkin(conn);
     }
     Ok((head.status, !keep_client))
-}
-
-fn self_connect(pool: &ConnPool) -> std::io::Result<TcpStream> {
-    pool.connect()
-}
-
-fn send_and_read_head(
-    reader: &mut BufReader<TcpStream>,
-    request: &[u8],
-) -> std::io::Result<RespHead> {
-    let stream = reader.get_mut();
-    stream.write_all(request)?;
-    stream.flush()?;
-    read_head(reader)
-}
-
-fn copy_exact<R: BufRead, W: Write>(reader: &mut R, out: &mut W, len: u64) -> std::io::Result<()> {
-    let copied = std::io::copy(&mut reader.take(len), out)?;
-    if copied != len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "upstream closed mid-body",
-        ));
-    }
-    Ok(())
-}
-
-/// Copy a chunked body verbatim (re-framing chunk by chunk) through to the
-/// terminal chunk, preserving the upstream chunk boundaries.
-fn copy_chunked<R: BufRead, W: Write>(reader: &mut R, out: &mut W) -> std::io::Result<()> {
-    loop {
-        let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
-            return Err(io_bad("upstream closed mid-chunk"));
-        }
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| io_bad(format!("bad chunk size: {}", size_line.trim())))?;
-        out.write_all(size_line.as_bytes())?;
-        if size == 0 {
-            loop {
-                let mut trailer = String::new();
-                let n = reader.read_line(&mut trailer)?;
-                out.write_all(trailer.as_bytes())?;
-                if n == 0 || trailer.trim().is_empty() {
-                    return Ok(());
-                }
-            }
-        }
-        copy_exact(reader, out, size as u64 + 2)?;
-    }
 }
 
 /// One health probe: `GET /debug/buildinfo` answered 200 with at least
 /// `want_models` models loaded means [`WorkerHealth::Healthy`]; a 200 with
 /// fewer models means the worker is up but still loading
 /// ([`WorkerHealth::Starting`]); anything else is [`WorkerHealth::Down`].
-pub fn probe(pool: &ConnPool, want_models: usize) -> WorkerHealth {
-    let request = build_request("GET", "/debug/buildinfo", &[], b"");
-    match pool.exchange(&request) {
+/// `timeout` bounds the connect and each read.
+pub fn probe(addr: &str, timeout: Duration, want_models: usize) -> WorkerHealth {
+    let request = build_request("GET", "/debug/buildinfo", &[("Connection", "close")], b"");
+    match Conn::new(addr, timeout, timeout).exchange(&request) {
         Ok(resp) if resp.status == 200 => {
             let loaded = serde_json::parse_value(&resp.text())
                 .ok()
@@ -450,17 +162,17 @@ pub fn probe(pool: &ConnPool, want_models: usize) -> WorkerHealth {
                 WorkerHealth::Starting
             }
         }
-        Ok(_) => WorkerHealth::Down,
-        Err(_) => WorkerHealth::Down,
+        _ => WorkerHealth::Down,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::TcpListener;
 
-    /// One-shot upstream: accepts connections forever, answers each request
+    /// Canned upstream: accepts connections forever, answers each request
     /// on a connection with the next canned response (cycling), honouring
     /// keep-alive.
     fn canned_server(responses: Vec<Vec<u8>>) -> String {
@@ -470,34 +182,8 @@ mod tests {
             let mut next = 0usize;
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
-                loop {
-                    // Read one request (headers only; tolerate bodies via
-                    // Content-Length).
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut line = String::new();
-                    if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                        break;
-                    }
-                    let mut content_length = 0usize;
-                    loop {
-                        let mut header = String::new();
-                        if reader.read_line(&mut header).unwrap_or(0) == 0
-                            || header.trim().is_empty()
-                        {
-                            break;
-                        }
-                        if let Some(v) = header
-                            .to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(str::trim)
-                        {
-                            content_length = v.parse().unwrap_or(0);
-                        }
-                    }
-                    let mut body = vec![0u8; content_length];
-                    if reader.read_exact(&mut body).is_err() {
-                        break;
-                    }
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                while let Ok(Some(_)) = http::read_request(&mut reader) {
                     let resp = &responses[next % responses.len()];
                     next += 1;
                     if stream.write_all(resp).is_err() {
@@ -563,11 +249,7 @@ mod tests {
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                while reader.read_line(&mut line).unwrap_or(0) > 2 {
-                    line.clear();
-                }
+                let _ = http::read_request(&mut BufReader::new(stream.try_clone().unwrap()));
                 let _ = stream.write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok",
                 );
@@ -602,7 +284,7 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("transfer-encoding: chunked\r\n"));
         let body_at = text.find("\r\n\r\n").unwrap() + 4;
-        let decoded = sam_serve::http::decode_chunked(&text.as_bytes()[body_at..]).unwrap();
+        let decoded = http::decode_chunked(&text.as_bytes()[body_at..]).unwrap();
         assert_eq!(decoded, b"r1,ar2,b");
     }
 
@@ -629,25 +311,21 @@ mod tests {
 
     #[test]
     fn probe_maps_buildinfo_to_health() {
+        let timeout = Duration::from_secs(2);
         let healthy = canned_server(vec![
             b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"models\":2}"
                 .to_vec(),
         ]);
-        assert_eq!(probe(&pool_for(&healthy), 2), WorkerHealth::Healthy);
+        assert_eq!(probe(&healthy, timeout, 2), WorkerHealth::Healthy);
         let loading = canned_server(vec![
             b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"models\":1}"
                 .to_vec(),
         ]);
-        assert_eq!(probe(&pool_for(&loading), 2), WorkerHealth::Starting);
+        assert_eq!(probe(&loading, timeout, 2), WorkerHealth::Starting);
         let erroring = canned_server(vec![
             b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}".to_vec(),
         ]);
-        assert_eq!(probe(&pool_for(&erroring), 1), WorkerHealth::Down);
-        let unreachable = ConnPool::new(
-            "127.0.0.1:1".to_string(),
-            Duration::from_millis(200),
-            Duration::from_millis(200),
-        );
-        assert_eq!(probe(&unreachable, 1), WorkerHealth::Down);
+        assert_eq!(probe(&erroring, timeout, 1), WorkerHealth::Down);
+        assert_eq!(probe("127.0.0.1:1", timeout, 1), WorkerHealth::Down);
     }
 }

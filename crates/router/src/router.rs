@@ -11,16 +11,17 @@
 //! idempotent requests once against a recovered worker.
 
 use crate::metrics::RouterMetrics;
-use crate::proxy::{self, build_request, ConnPool, Response};
+use crate::proxy::{self, ConnPool};
 use crate::ring::HashRing;
 use crate::worker::{
     job_id_base, restart_backoff, slot_for_job, spawn_worker, ModelSpec, WorkerHealth, WorkerSpec,
 };
-use sam_serve::http::{self, Request};
+use sam_serve::http::{self, build_request, Acceptor, Request, Response};
 use sam_serve::sync::Lock;
+use sam_serve::ServeError;
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::Child;
@@ -28,6 +29,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a client connection may sit idle between requests before the
+/// router closes it (silently, like a worker does).
+const CLIENT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Router tunables.
 #[derive(Debug, Clone)]
@@ -168,15 +173,13 @@ struct RouterState {
     /// until the move commits.
     moving: Lock<BTreeSet<String>>,
     metrics: RouterMetrics,
-    shutting_down: AtomicBool,
-    conn_threads: Lock<Vec<JoinHandle<()>>>,
+    shutting_down: Arc<AtomicBool>,
 }
 
 /// A running router. Dropping it shuts it down and kills managed workers.
 pub struct Router {
     state: Arc<RouterState>,
-    addr: SocketAddr,
-    accept_thread: Lock<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
     health_thread: Lock<Option<JoinHandle<()>>>,
 }
 
@@ -234,8 +237,7 @@ impl Router {
             placement: Lock::new(placement),
             moving: Lock::new(BTreeSet::new()),
             metrics: RouterMetrics::new(),
-            shutting_down: AtomicBool::new(false),
-            conn_threads: Lock::new(Vec::new()),
+            shutting_down: Arc::new(AtomicBool::new(false)),
         });
 
         // Spawn every managed worker before accepting traffic; a spawn
@@ -253,26 +255,27 @@ impl Router {
         }
 
         let listener = TcpListener::bind(&state.config.addr)?;
-        let addr = listener.local_addr()?;
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::Builder::new()
-            .name("sam-router-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
+        let conn_state = Arc::clone(&state);
+        let acceptor = Acceptor::spawn(
+            listener,
+            "sam-router",
+            Arc::clone(&state.shutting_down),
+            move |stream| handle_connection(stream, &conn_state),
+        )?;
         let health_state = Arc::clone(&state);
         let health_thread = std::thread::Builder::new()
             .name("sam-router-health".to_string())
             .spawn(move || health_loop(&health_state))?;
         Ok(Router {
             state,
-            addr,
-            accept_thread: Lock::new(Some(accept_thread)),
+            acceptor,
             health_thread: Lock::new(Some(health_thread)),
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Snapshot of slot → runtime, for tests and the CLI.
@@ -319,20 +322,13 @@ impl Router {
         leave_worker(&self.state, slot, replace)
     }
 
-    /// Graceful shutdown: stop accepting, join handlers, kill managed
-    /// workers (their journals make this safe — accepted jobs resume on
-    /// the next start from the same stores). Idempotent; runs on drop.
+    /// Graceful shutdown: stop accepting, join handlers (idle keep-alive
+    /// connections are closed within a poll tick), kill managed workers
+    /// (their journals make this safe — accepted jobs resume on the next
+    /// start from the same stores). Idempotent; runs on drop.
     pub fn shutdown(&self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
         if let Some(handle) = self.health_thread.lock().take() {
-            let _ = handle.join();
-        }
-        let conns: Vec<_> = self.state.conn_threads.lock().drain(..).collect();
-        for handle in conns {
             let _ = handle.join();
         }
         for worker in self.state.workers.lock().values() {
@@ -492,34 +488,15 @@ fn supervise(state: &Arc<RouterState>, worker: &Arc<WorkerRuntime>) {
             return;
         }
     }
-    let probe_pool = ConnPool::new(
-        worker.pool.addr(),
-        Duration::from_millis(state.config.probe_timeout_ms.max(1)),
-        Duration::from_millis(state.config.probe_timeout_ms.max(1)),
-    );
-    let health = proxy::probe(&probe_pool, placed_count(state, worker.slot));
-    worker.set_health(health);
+    worker.set_health(probe_worker(state, worker));
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    for conn in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let conn_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sam-router-conn".to_string())
-            .spawn(move || handle_connection(&stream, &conn_state));
-        if let Ok(handle) = spawned {
-            let mut threads = state.conn_threads.lock();
-            threads.retain(|h| !h.is_finished());
-            threads.push(handle);
-        }
-    }
+fn probe_worker(state: &RouterState, worker: &WorkerRuntime) -> WorkerHealth {
+    proxy::probe(
+        &worker.pool.addr(),
+        Duration::from_millis(state.config.probe_timeout_ms.max(1)),
+        placed_count(state, worker.slot),
+    )
 }
 
 /// Client-side writer that records whether any byte has gone out — the
@@ -543,29 +520,22 @@ impl<W: Write> Write for TrackedWriter<W> {
 }
 
 fn handle_connection(stream: &TcpStream, state: &Arc<RouterState>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let mut reader = BufReader::new(read_half);
     let mut writer = std::io::BufWriter::new(stream);
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => break,
-            Err(e) => {
-                let body = serde_json::to_string(&json!({"error": e.to_string()}))
-                    .unwrap_or_else(|_| "{}".to_string());
-                let _ = http::write_json_response(&mut writer, e.status(), &body, false);
-                break;
-            }
-        };
-        let keep_alive = request.keep_alive && !state.shutting_down.load(Ordering::SeqCst);
-        match handle_request(state, &request, &mut writer, keep_alive) {
-            Ok(false) => continue,
-            Ok(true) | Err(_) => break,
-        }
-    }
+    http::serve_connection(
+        stream,
+        &state.shutting_down,
+        CLIENT_IDLE_TIMEOUT,
+        usize::MAX,
+        |_started, request: Result<Request, ServeError>, keep_alive| match request {
+            Ok(request) => handle_request(state, &request, &mut writer, keep_alive),
+            Err(e) => respond_json(
+                &mut writer,
+                e.status(),
+                &json!({"error": e.to_string()}),
+                keep_alive,
+            ),
+        },
+    );
 }
 
 /// Whether a request may safely be sent twice (the router's single-retry
@@ -592,24 +562,17 @@ fn respond_upstream<W: Write>(
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
-    let content_type = resp.header("content-type").unwrap_or("application/json");
-    write!(
+    let retry = resp
+        .header("retry-after")
+        .map(|after| ("Retry-After", after));
+    http::write_response(
         out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         resp.status,
-        http::reason(resp.status),
-        resp.body.len(),
+        resp.header("content-type").unwrap_or("application/json"),
+        retry.as_slice(),
+        &resp.body,
+        keep_alive,
     )?;
-    if let Some(retry) = resp.header("retry-after") {
-        write!(out, "Retry-After: {retry}\r\n")?;
-    }
-    write!(
-        out,
-        "Connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    out.write_all(&resp.body)?;
-    out.flush()?;
     Ok(!keep_alive)
 }
 
@@ -689,12 +652,7 @@ fn proxy_to_slot<W: Write>(
             );
         }
     }
-    let upstream_request = build_request(
-        &request.method,
-        &request.path,
-        &forward_headers(request),
-        request.body.as_bytes(),
-    );
+    let upstream_request = render_upstream(request);
     match worker.pool.exchange(&upstream_request) {
         Ok(resp) => {
             state.metrics.proxied_ok.inc();
@@ -722,19 +680,24 @@ fn proxy_to_slot<W: Write>(
     }
 }
 
-/// Headers worth forwarding upstream (content negotiation + resume).
-fn forward_headers(request: &Request) -> Vec<(String, String)> {
+/// Render `request` for the upstream worker, forwarding the headers that
+/// matter there (content negotiation + resume).
+fn render_upstream(request: &Request) -> Vec<u8> {
+    let accept = request.accept_encoding.join(", ");
+    let range = request.range_start.map(|start| format!("bytes={start}-"));
     let mut headers = Vec::new();
-    if !request.accept_encoding.is_empty() {
-        headers.push((
-            "Accept-Encoding".to_string(),
-            request.accept_encoding.join(", "),
-        ));
+    if !accept.is_empty() {
+        headers.push(("Accept-Encoding", accept.as_str()));
     }
-    if let Some(start) = request.range_start {
-        headers.push(("Range".to_string(), format!("bytes={start}-")));
+    if let Some(range) = &range {
+        headers.push(("Range", range.as_str()));
     }
-    headers
+    build_request(
+        &request.method,
+        &request.path,
+        &headers,
+        request.body.as_bytes(),
+    )
 }
 
 /// Stream a large-body route (job export) through without buffering. Falls
@@ -767,12 +730,7 @@ fn relay_to_slot<W: Write>(
             keep_alive,
         );
     }
-    let upstream_request = build_request(
-        &request.method,
-        &request.path,
-        &forward_headers(request),
-        request.body.as_bytes(),
-    );
+    let upstream_request = render_upstream(request);
     let mut tracked = TrackedWriter {
         inner: out,
         wrote: false,
@@ -823,7 +781,14 @@ fn handle_request<W: Write>(
         ("GET", "/metrics") => {
             if query_param(query, "format") == Some("prometheus") {
                 let body = sam_obs::Registry::global().render_prometheus();
-                http::write_text_response(out, 200, &body, keep_alive)?;
+                http::write_response(
+                    out,
+                    200,
+                    http::PROMETHEUS_TEXT,
+                    &[],
+                    body.as_bytes(),
+                    keep_alive,
+                )?;
                 Ok(!keep_alive)
             } else {
                 respond_json(out, 200, &merged_metrics(state), keep_alive)
@@ -1330,12 +1295,7 @@ fn join_worker(state: &Arc<RouterState>) -> Result<usize, String> {
 fn wait_for_probe(state: &RouterState, worker: &WorkerRuntime) -> bool {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let probe_pool = ConnPool::new(
-            worker.pool.addr(),
-            Duration::from_millis(state.config.probe_timeout_ms.max(1)),
-            Duration::from_millis(state.config.probe_timeout_ms.max(1)),
-        );
-        let health = proxy::probe(&probe_pool, placed_count(state, worker.slot));
+        let health = probe_worker(state, worker);
         worker.set_health(health.clone());
         if matches!(health, WorkerHealth::Healthy) {
             return true;

@@ -13,8 +13,6 @@ use sam_router::worker::{ModelSpec, WorkerHealth, WorkerSpec};
 use sam_serve::{ServeConfig, Server};
 use sam_storage::{paper_example, DatabaseStats};
 use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn train_model(seed: u64) -> TrainedSam {
@@ -42,26 +40,14 @@ fn start_worker(model: &str, seed: u64) -> Server {
 
 /// One-shot HTTP exchange returning `(status, headers, body)`.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status token")
-        .parse()
-        .expect("numeric status");
-    (status, head.to_string(), payload.to_string())
+    let response =
+        sam_serve::http::request(addr, method, path, &[], body.as_bytes()).expect("exchange");
+    let head: Vec<String> = response
+        .headers
+        .iter()
+        .map(|(name, value)| format!("{name}: {value}"))
+        .collect();
+    (response.status, head.join("\r\n"), response.text())
 }
 
 fn wait_all_healthy(router: &Router, deadline: Duration) {
@@ -245,5 +231,54 @@ fn routes_fan_out_and_degrade_with_retry_after() {
     assert_eq!(status, 200, "surviving shard must keep serving: {payload}");
 
     router.shutdown();
+    alpha.shutdown();
+}
+
+/// An idle keep-alive client must cost the router nothing: no stray
+/// response is ever written into the idle connection (the client's next
+/// read is a clean EOF, zero bytes), and `shutdown()` does not wait out the
+/// idle timeout for it.
+#[test]
+fn idle_keep_alive_client_gets_clean_eof_and_does_not_stall_shutdown() {
+    use sam_serve::http::{build_request, read_body, Conn};
+    use std::io::Read;
+
+    let alpha = start_worker("alpha", 11);
+    let router = Router::start(RouterConfig {
+        workers: 1,
+        models: vec![pinned("alpha", 0)],
+        specs: vec![WorkerSpec {
+            external_addr: Some(alpha.addr().to_string()),
+            ..WorkerSpec::default()
+        }],
+        health_interval_ms: 50,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    wait_all_healthy(&router, Duration::from_secs(10));
+
+    let timeout = Duration::from_secs(60);
+    let mut conn = Conn::new(router.addr(), timeout, timeout);
+    let (head, reader) = conn
+        .send(&build_request("GET", "/healthz", &[], b""))
+        .expect("first request");
+    assert_eq!(head.status, 200);
+    read_body(reader, &head).expect("healthz body");
+
+    // The connection now sits idle, keep-alive negotiated.
+    let started = Instant::now();
+    router.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "an idle client held shutdown for {:?}",
+        started.elapsed()
+    );
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("clean close");
+    assert!(
+        rest.is_empty(),
+        "router wrote into an idle connection: {}",
+        String::from_utf8_lossy(&rest)
+    );
     alpha.shutdown();
 }

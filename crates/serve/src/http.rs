@@ -1,5 +1,11 @@
-//! Minimal HTTP/1.1 framing over `std::io` — request parsing, framed JSON /
-//! text responses, and chunked transfer encoding for streamed bodies.
+//! The wire layer: the only code in the workspace that speaks HTTP/1.1, in
+//! either direction. This module holds the codec both directions share —
+//! request parsing, framed JSON / text responses, chunked transfer encoding
+//! in and out, and the bounded line reader every socket-facing parser goes
+//! through. [`client`] is the client half (response codec, keep-alive
+//! [`Conn`], one-shot [`request`]); [`listener`] is the server half (accept
+//! loop and keep-alive connection loop) that `sam-serve` and `sam-router`
+//! both run.
 //!
 //! Connections are **persistent by default** (HTTP/1.1 keep-alive): the
 //! parser records the negotiated connection state on each [`Request`] and
@@ -15,7 +21,15 @@
 //! the streamed relation is.
 
 use crate::error::ServeError;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+pub mod client;
+pub mod listener;
+
+pub use client::{
+    build_request, read_body, read_head, request, Conn, RespHead, Response, MAX_BUFFERED_RESPONSE,
+};
+pub use listener::{serve_connection, Acceptor};
 
 /// Largest accepted request body (1 MiB) — estimates and job submissions
 /// are small; anything bigger is a client error. The limit applies to the
@@ -28,7 +42,8 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// decompression-bomb guard for `Content-Encoding: gzip|deflate` uploads.
 pub const MAX_DECODED_BODY_BYTES: usize = 64 << 20;
 
-/// Largest accepted header section (64 KiB across all header lines).
+/// Largest accepted head — request or status line plus every header line —
+/// in either direction (64 KiB).
 pub const MAX_HEADER_BYTES: usize = 64 << 10;
 
 /// Buffered bytes per chunk emitted by [`ChunkedWriter`] (64 KiB). This is
@@ -103,6 +118,35 @@ fn parse_accept_encoding(value: &str) -> Vec<String> {
     tokens
 }
 
+pub(crate) fn io_bad(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Read one `\n`-terminated line of a request or response head into `line`
+/// (cleared first), spending at most `budget` bytes on it. Every line a
+/// socket-facing parser reads — request line, status line, header,
+/// chunk-size line, trailer — goes through here, so a peer that never sends
+/// `\n` cannot grow `line` past the budget. Returns the bytes consumed (0 at
+/// end-of-stream).
+///
+/// # Errors
+///
+/// Transport errors; `InvalidData` when the budget runs out before the line
+/// ends, or the line is not UTF-8.
+pub(crate) fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    line: &mut String,
+    budget: &mut usize,
+) -> std::io::Result<usize> {
+    line.clear();
+    let n = reader.by_ref().take(*budget as u64).read_line(line)?;
+    if n == *budget && !line.ends_with('\n') {
+        return Err(io_bad("header section too large"));
+    }
+    *budget -= n;
+    Ok(n)
+}
+
 /// Read and parse one HTTP/1.1 request from `reader`.
 ///
 /// Returns `Ok(None)` on clean end-of-stream before any byte of a request —
@@ -110,19 +154,22 @@ fn parse_accept_encoding(value: &str) -> Vec<String> {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] on malformed framing: garbled request line,
-/// oversized header section, a `Content-Length` above [`MAX_BODY_BYTES`]
-/// (rejected *before* reading the body, so oversized uploads get an
-/// immediate 400 instead of a slow drain), or a body shorter than declared.
-/// [`ServeError::Internal`] on transport I/O errors. After any error the
-/// connection must be closed: request framing can no longer be trusted.
+/// [`ServeError::BadRequest`] on malformed framing: garbled request line, a
+/// head above [`MAX_HEADER_BYTES`] (no line is ever buffered past that), a
+/// `Content-Length` above [`MAX_BODY_BYTES`] (rejected *before* reading the
+/// body, so oversized uploads get an immediate 400 instead of a slow
+/// drain), or a body shorter than declared. [`ServeError::Internal`] on
+/// transport I/O errors. After any error the connection must be closed:
+/// request framing can no longer be trusted.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ServeError> {
     let bad = |m: &str| ServeError::BadRequest(m.to_string());
+    let read_err = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::InvalidData => ServeError::BadRequest(e.to_string()),
+        _ => ServeError::Internal(format!("read request head: {e}")),
+    };
+    let mut budget = MAX_HEADER_BYTES;
     let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| ServeError::Internal(format!("read request line: {e}")))?;
-    if n == 0 {
+    if read_head_line(reader, &mut line, &mut budget).map_err(read_err)? == 0 {
         return Ok(None);
     }
     if line.trim().is_empty() {
@@ -146,20 +193,12 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Serve
     let mut accept_encoding = Vec::new();
     let mut content_encoding: Option<String> = None;
     let mut range_start = None;
-    let mut header_bytes = 0usize;
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| ServeError::Internal(format!("read header: {e}")))?;
-        if n == 0 || header.trim().is_empty() {
+        let n = read_head_line(reader, &mut line, &mut budget).map_err(read_err)?;
+        if n == 0 || line.trim().is_empty() {
             break;
         }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(bad("header section too large"));
-        }
-        if let Some((name, value)) = header.split_once(':') {
+        if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
@@ -232,31 +271,46 @@ fn decode_request_body(buf: Vec<u8>, coding: Option<&str>) -> Result<Vec<u8>, Se
     Ok(decoded)
 }
 
-fn connection_token(keep_alive: bool) -> &'static str {
-    if keep_alive {
-        "keep-alive"
-    } else {
-        "close"
+/// `Content-Type` of the Prometheus text exposition (`GET /metrics?format=prometheus`).
+pub const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4";
+
+/// Render a response head: status line, `headers`, then the `Connection`
+/// header echoing the negotiated state. Every response this workspace
+/// emits — framed, chunked or relayed — starts here.
+fn render_head(status: u16, headers: &[(&str, &str)], keep_alive: bool) -> Vec<u8> {
+    let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
+    for (name, value) in headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
     }
+    head.push_str(if keep_alive {
+        "Connection: keep-alive\r\n\r\n"
+    } else {
+        "Connection: close\r\n\r\n"
+    });
+    head.into_bytes()
 }
 
-/// Write a JSON response with the given status and serialised body, echoing
-/// the negotiated connection state.
+/// Write the head of a response whose body the caller frames itself (a
+/// relayed upstream body, a chunked stream).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
-pub fn write_json_response<W: Write>(
+pub fn write_head<W: Write>(
     out: &mut W,
     status: u16,
-    body: &str,
+    headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_json_response_with_headers(out, status, body, &[], keep_alive)
+    out.write_all(&render_head(status, headers, keep_alive))
 }
 
-/// [`write_json_response`] with additional response headers (name, value)
-/// — e.g. the `Content-Range: bytes */N` a 416 answer carries.
+/// Write one complete `Content-Length`-framed response, echoing the
+/// negotiated connection state. `extra_headers` follow the computed ones —
+/// e.g. the `Content-Range: bytes */N` a 416 answer carries.
 ///
 /// Degradation statuses (429 Overloaded, 503 Shutting Down / draining,
 /// 504 Deadline Exceeded) automatically carry `Retry-After: 1` unless the
@@ -267,101 +321,57 @@ pub fn write_json_response<W: Write>(
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
-pub fn write_json_response_with_headers<W: Write>(
+pub fn write_response<W: Write>(
     out: &mut W,
     status: u16,
-    body: &str,
+    content_type: &str,
     extra_headers: &[(&str, &str)],
+    body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        reason(status),
-        body.len(),
-    )?;
+    let length = body.len().to_string();
+    let mut headers = vec![("Content-Type", content_type), ("Content-Length", &length)];
     if matches!(status, 429 | 503 | 504)
         && !extra_headers
             .iter()
             .any(|(name, _)| name.eq_ignore_ascii_case("retry-after"))
     {
-        write!(out, "Retry-After: 1\r\n")?;
+        headers.push(("Retry-After", "1"));
     }
-    for (name, value) in extra_headers {
-        write!(out, "{name}: {value}\r\n")?;
-    }
-    write!(
-        out,
-        "Connection: {}\r\n\r\n{body}",
-        connection_token(keep_alive)
-    )?;
+    headers.extend_from_slice(extra_headers);
+    let mut response = render_head(status, &headers, keep_alive);
+    response.extend_from_slice(body);
+    out.write_all(&response)?;
     out.flush()
 }
 
-/// Write a plain-text response (Prometheus exposition uses text/plain with
-/// the format version parameter), echoing the negotiated connection state.
+/// [`write_response`] for a serialised JSON body.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
-pub fn write_text_response<W: Write>(
+pub fn write_json_response<W: Write>(
     out: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
-        reason(status),
-        body.len(),
-        connection_token(keep_alive),
-    )?;
-    out.flush()
-}
-
-/// Write the status line + headers of a chunked streaming response. The
-/// body follows through a [`ChunkedWriter`] over the same stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_chunked_header<W: Write>(
-    out: &mut W,
-    status: u16,
-    content_type: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_chunked_header_encoded(out, status, content_type, None, keep_alive)
-}
-
-/// Like [`write_chunked_header`], with an optional `Content-Encoding`
-/// header for compressed streams (the chunked framing wraps the *encoded*
-/// bytes, per RFC 9112 — content coding applies before transfer coding).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_chunked_header_encoded<W: Write>(
-    out: &mut W,
-    status: u16,
-    content_type: &str,
-    content_encoding: Option<&str>,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_chunked_headers(
+    write_response(
         out,
         status,
-        content_type,
-        content_encoding,
-        None,
+        "application/json",
+        &[],
+        body.as_bytes(),
         keep_alive,
     )
 }
 
-/// Like [`write_chunked_header_encoded`], additionally carrying a
-/// `Content-Range` header for 206 partial-content streams (ranged
-/// responses are always identity-coded, so the two options are mutually
+/// Write the head of a chunked streaming response; the body follows
+/// through a [`ChunkedWriter`] over the same stream. `content_encoding`
+/// marks a compressed stream (the chunked framing wraps the *encoded*
+/// bytes, per RFC 9112 — content coding applies before transfer coding);
+/// `content_range` is the `Content-Range` of a 206 partial-content stream
+/// (ranged responses are always identity-coded, so the two are mutually
 /// exclusive in practice).
 ///
 /// # Errors
@@ -375,25 +385,16 @@ pub fn write_chunked_headers<W: Write>(
     content_range: Option<&str>,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
-        reason(status),
-    )?;
+    let mut headers = vec![("Content-Type", content_type)];
     if let Some(coding) = content_encoding {
-        write!(
-            out,
-            "Content-Encoding: {coding}\r\nVary: Accept-Encoding\r\n"
-        )?;
+        headers.push(("Content-Encoding", coding));
+        headers.push(("Vary", "Accept-Encoding"));
     }
     if let Some(range) = content_range {
-        write!(out, "Content-Range: {range}\r\n")?;
+        headers.push(("Content-Range", range));
     }
-    write!(
-        out,
-        "Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-        connection_token(keep_alive),
-    )
+    headers.push(("Transfer-Encoding", "chunked"));
+    write_head(out, status, &headers, keep_alive)
 }
 
 /// [`Write`] adapter that frames everything written through it as HTTP/1.1
@@ -411,7 +412,7 @@ pub struct ChunkedWriter<'a, W: Write> {
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Wrap `inner`; headers (with `Transfer-Encoding: chunked`) must
-    /// already have been written via [`write_chunked_header`].
+    /// already have been written via [`write_chunked_headers`].
     pub fn new(inner: &'a mut W) -> Self {
         ChunkedWriter {
             inner,
@@ -467,38 +468,96 @@ impl<W: Write> Write for ChunkedWriter<'_, W> {
     }
 }
 
-/// Decode an HTTP/1.1 chunked body back into bytes (test + client helper).
+/// Copy exactly `len` body bytes from `reader` to `out`.
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] on malformed chunk framing (bad size line,
-/// truncated chunk, missing terminal chunk).
-pub fn decode_chunked(raw: &[u8]) -> Result<Vec<u8>, ServeError> {
-    let bad = |m: &str| ServeError::BadRequest(m.to_string());
-    let mut out = Vec::new();
-    let mut rest = raw;
-    loop {
-        let line_end = rest
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| bad("missing chunk-size CRLF"))?;
-        let size_line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| bad("chunk size is not UTF-8"))?
-            .trim();
-        let size = usize::from_str_radix(size_line, 16).map_err(|_| bad("invalid chunk size"))?;
-        rest = &rest[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if rest.len() < size + 2 {
-            return Err(bad("truncated chunk"));
-        }
-        out.extend_from_slice(&rest[..size]);
-        if &rest[size..size + 2] != b"\r\n" {
-            return Err(bad("missing chunk-data CRLF"));
-        }
-        rest = &rest[size + 2..];
+/// Transport errors; `UnexpectedEof` if the peer closes first.
+pub fn copy_exact<R: BufRead, W: Write>(
+    reader: &mut R,
+    out: &mut W,
+    len: u64,
+) -> std::io::Result<()> {
+    if std::io::copy(&mut reader.by_ref().take(len), out)? != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "peer closed mid-body",
+        ));
     }
+    Ok(())
+}
+
+/// Read one chunked body from `reader` through its terminal chunk and
+/// trailer section — the only chunk-size parser in the workspace. With
+/// `verbatim` the framing (size lines, CRLFs, trailers) is copied to `out`
+/// along with the data, chunk boundaries preserved, which is what a relay
+/// wants; without it only the decoded data is. `max_data` caps the summed
+/// chunk sizes and is checked before a chunk's bytes are read, so `out` never
+/// grows past it on the peer's say-so.
+///
+/// # Errors
+///
+/// Transport errors; `InvalidData` on a bad size line, a missing chunk-data
+/// CRLF, or chunk sizes that sum past `max_data` (or past `usize`).
+pub fn copy_chunked<R: BufRead, W: Write>(
+    reader: &mut R,
+    out: &mut W,
+    verbatim: bool,
+    max_data: usize,
+) -> std::io::Result<()> {
+    let mut line = String::new();
+    let mut total = 0usize;
+    loop {
+        let mut budget = MAX_HEADER_BYTES;
+        if read_head_line(reader, &mut line, &mut budget)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "peer closed mid-chunk",
+            ));
+        }
+        let size = usize::from_str_radix(line.trim(), 16)
+            .map_err(|_| io_bad(format!("bad chunk size: {}", line.trim())))?;
+        if verbatim {
+            out.write_all(line.as_bytes())?;
+        }
+        if size == 0 {
+            // Trailer section: through the blank line.
+            loop {
+                let n = read_head_line(reader, &mut line, &mut budget)?;
+                if verbatim {
+                    out.write_all(line.as_bytes())?;
+                }
+                if n == 0 || line.trim().is_empty() {
+                    return Ok(());
+                }
+            }
+        }
+        total = total
+            .checked_add(size)
+            .filter(|total| *total <= max_data)
+            .ok_or_else(|| io_bad("chunked body too large"))?;
+        copy_exact(reader, out, size as u64)?;
+        let mut crlf = [0u8; 2];
+        reader.read_exact(&mut crlf)?;
+        if &crlf != b"\r\n" {
+            return Err(io_bad("missing chunk-data CRLF"));
+        }
+        if verbatim {
+            out.write_all(&crlf)?;
+        }
+    }
+}
+
+/// Decode a complete chunked body held in memory (tests that kept the raw
+/// stream to assert on chunk boundaries use this to get the payload back).
+///
+/// # Errors
+///
+/// As [`copy_chunked`]: malformed or truncated chunk framing.
+pub fn decode_chunked(mut raw: &[u8]) -> std::io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    copy_chunked(&mut raw, &mut out, false, usize::MAX)?;
+    Ok(out)
 }
 
 /// Canonical reason phrases for the statuses this server emits.
@@ -600,13 +659,13 @@ mod tests {
     #[test]
     fn chunked_header_carries_content_encoding() {
         let mut out = Vec::new();
-        write_chunked_header_encoded(&mut out, 200, "text/csv", Some("gzip"), true).unwrap();
+        write_chunked_headers(&mut out, 200, "text/csv", Some("gzip"), None, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Encoding: gzip\r\n"));
         assert!(text.contains("Vary: Accept-Encoding\r\n"));
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         let mut out = Vec::new();
-        write_chunked_header(&mut out, 200, "text/csv", false).unwrap();
+        write_chunked_headers(&mut out, 200, "text/csv", None, None, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(!text.contains("Content-Encoding"));
     }
@@ -733,8 +792,8 @@ mod tests {
         assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
         // A caller-supplied Retry-After wins over the automatic one.
         let mut out = Vec::new();
-        write_json_response_with_headers(&mut out, 503, "{}", &[("Retry-After", "7")], false)
-            .unwrap();
+        let retry = [("Retry-After", "7")];
+        write_response(&mut out, 503, "application/json", &retry, b"{}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Retry-After: 7\r\n"));
         assert!(!text.contains("Retry-After: 1\r\n"));
@@ -748,7 +807,7 @@ mod tests {
             .unwrap()
             .contains("Connection: keep-alive\r\n"));
         let mut out = Vec::new();
-        write_text_response(&mut out, 200, "x 1", true).unwrap();
+        write_response(&mut out, 200, PROMETHEUS_TEXT, &[], b"x 1", true).unwrap();
         assert!(String::from_utf8(out)
             .unwrap()
             .contains("Connection: keep-alive\r\n"));

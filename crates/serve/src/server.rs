@@ -2,12 +2,10 @@
 //! journal replay, and graceful shutdown.
 //!
 //! Built on `std::net::TcpListener` with one thread per connection. Each
-//! connection serves **many requests** (HTTP/1.1 keep-alive): the handler
-//! loops read → route → respond until the client sends
-//! `Connection: close`, the idle timeout passes between requests, the
-//! per-connection request cap is reached, or the server starts draining
-//! (in-flight requests always finish; their response carries
-//! `Connection: close`). Endpoints:
+//! connection serves **many requests** (HTTP/1.1 keep-alive) through the
+//! shared connection loop in [`crate::http::listener`], fed
+//! [`ServeConfig::idle_timeout_ms`] and [`ServeConfig::max_conn_requests`].
+//! Endpoints:
 //!
 //! | Route | Effect |
 //! |---|---|
@@ -43,13 +41,12 @@ use crate::batcher::{Batcher, EstimateJob};
 use crate::cache::{EstimateCache, EstimateKey};
 use crate::compress::{Coding, Encoder};
 use crate::error::ServeError;
-use crate::http::{self, ChunkedWriter, Request};
+use crate::http::{self, Acceptor, ChunkedWriter, Request};
 use crate::jobs::{JobRegistry, JobState};
 use crate::journal::{Journal, ReplayState, ReplayedTrain, RollbackRecord, TrainReplayState};
 use crate::metrics::ServeMetrics;
 use crate::quality::{QualityConfig, QualityMonitor, QualityTask};
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::sync::Lock;
 use crate::training::{self, TrainJob, TrainRegistry, TrainSpec, TrainState};
 use sam_core::{GenerationConfig, JoinKeyStrategy};
 use sam_nn::BackendKind;
@@ -59,13 +56,11 @@ use sam_storage::csv::write_csv;
 use sam_storage::jsonl::write_jsonl;
 use sam_storage::{csv::read_csv, Database, DatabaseStats, Table};
 use serde_json::{json, Value};
-use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Upper bound on progressive-sampling paths per estimate request.
@@ -75,11 +70,6 @@ const MAX_FOJ_SAMPLES: usize = 5_000_000;
 /// Grace period past a request's deadline before the handler gives up
 /// waiting for the worker's own 504 (avoids racing the worker).
 const DEADLINE_GRACE: Duration = Duration::from_millis(100);
-/// Poll tick while waiting for the next request on an idle keep-alive
-/// connection; bounds how long shutdown waits on idle connections.
-const IDLE_POLL_TICK: Duration = Duration::from_millis(100);
-/// Read timeout once a request has started arriving.
-const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -191,12 +181,11 @@ struct ServerState {
     /// Completed estimates keyed on (model, version, canonical query,
     /// samples, seed); consulted before the batcher.
     cache: EstimateCache,
-    shutting_down: AtomicBool,
+    shutting_down: Arc<AtomicBool>,
     /// Quiesced by a router rebalance (`POST /admin/drain`): new
     /// generate/train work answers 503 until `POST /admin/resume`, while
     /// reads keep working.
     draining: AtomicBool,
-    conn_threads: Lock<Vec<JoinHandle<()>>>,
     /// Monotonic per-request trace id, attached to span output (and the
     /// estimate response body) for request ↔ trace correlation.
     next_trace_id: AtomicU64,
@@ -211,8 +200,7 @@ struct ServerState {
 /// A running server. Dropping it shuts it down gracefully.
 pub struct Server {
     state: Arc<ServerState>,
-    addr: SocketAddr,
-    accept_thread: Lock<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl Server {
@@ -225,9 +213,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ServeError::Internal(format!("bind {}: {e}", config.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Internal(format!("local_addr: {e}")))?;
         let metrics = Arc::new(ServeMetrics::default());
         let journal = match &config.journal_dir {
             Some(dir) => Some(Arc::new(Journal::open_with(
@@ -277,29 +262,27 @@ impl Server {
             metrics,
             batcher,
             cache,
-            shutting_down: AtomicBool::new(false),
+            shutting_down: Arc::new(AtomicBool::new(false)),
             draining: AtomicBool::new(false),
-            conn_threads: Lock::new(Vec::new()),
             next_trace_id: AtomicU64::new(0),
             flight,
             slow,
             quality,
         });
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::Builder::new()
-            .name("sam-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state))
-            .map_err(|e| ServeError::Internal(format!("spawn accept loop: {e}")))?;
-        Ok(Server {
-            state,
-            addr,
-            accept_thread: Lock::new(Some(accept_thread)),
-        })
+        let conn_state = Arc::clone(&state);
+        let acceptor = Acceptor::spawn(
+            listener,
+            "sam-serve",
+            Arc::clone(&state.shutting_down),
+            move |stream| handle_connection(stream, &conn_state),
+        )
+        .map_err(|e| ServeError::Internal(format!("spawn accept loop: {e}")))?;
+        Ok(Server { state, acceptor })
     }
 
     /// The bound address (useful with ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// The model registry, for programmatic loading (CLI, tests).
@@ -582,16 +565,7 @@ impl Server {
     /// from its checkpoint on the next replay). Idempotent; also runs on
     /// drop.
     pub fn shutdown(&self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the blocking accept so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
-        }
-        let conns: Vec<_> = self.state.conn_threads.lock().drain(..).collect();
-        for handle in conns {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
         self.state.batcher.shutdown();
         self.state.jobs.drain();
         self.state.trains.drain();
@@ -633,28 +607,6 @@ fn load_persisted_results(
     // replay must stay cheap even for large results.
     Database::new(schema.clone(), tables, false)
         .map_err(|e| ServeError::Internal(format!("rebuild database for job {id}: {e}")))
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    for conn in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let conn_state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("sam-serve-conn".to_string())
-            .spawn(move || handle_connection(&stream, &conn_state));
-        if let Ok(handle) = spawned {
-            let mut threads = state.conn_threads.lock();
-            // Reap finished handlers so the vec stays bounded on long runs.
-            threads.retain(|h| !h.is_finished());
-            threads.push(handle);
-        }
-    }
 }
 
 /// Serialization of a streamed relation export.
@@ -727,154 +679,113 @@ impl Telemetry {
     }
 }
 
-/// Why the connection loop stopped waiting for request bytes.
-enum IdleOutcome {
-    /// First byte of the next request is buffered.
-    RequestReady,
-    /// Client closed, idle deadline passed, server is draining, or the
-    /// transport failed — close the connection.
-    Close,
-}
-
-/// Wait (in short poll ticks, so shutdown is observed promptly) until the
-/// next request starts arriving or the connection should close.
-fn wait_for_request(
-    stream: &TcpStream,
-    reader: &mut std::io::BufReader<&TcpStream>,
-    state: &ServerState,
-    idle_timeout: Duration,
-) -> IdleOutcome {
-    let idle_deadline = Instant::now() + idle_timeout;
-    let _ = stream.set_read_timeout(Some(IDLE_POLL_TICK));
-    loop {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return IdleOutcome::Close;
-        }
-        match reader.fill_buf() {
-            Ok([]) => return IdleOutcome::Close, // clean EOF
-            Ok(_) => return IdleOutcome::RequestReady,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= idle_deadline {
-                    return IdleOutcome::Close;
-                }
-            }
-            Err(_) => return IdleOutcome::Close,
-        }
-    }
-}
-
 fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
     state.metrics.http_connections.inc();
-    // Responses are written in several small pieces (status line, headers,
-    // chunks); without TCP_NODELAY, Nagle holds each piece for the client's
-    // delayed ACK (~40ms) on long-lived keep-alive connections.
-    let _ = stream.set_nodelay(true);
-    let idle_timeout = Duration::from_millis(state.config.idle_timeout_ms.max(1));
-    let max_requests = state.config.max_conn_requests.max(1);
-    let mut reader = std::io::BufReader::new(stream);
-    let mut served = 0usize;
-    while let IdleOutcome::RequestReady = wait_for_request(stream, &mut reader, state, idle_timeout)
-    {
-        let _ = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
-        state.metrics.http_requests.inc();
-        let trace_id = state.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
-        sam_obs::set_trace_id(Some(trace_id));
-        served += 1;
-        let started = Instant::now();
-        let mut telemetry = Telemetry::new();
-        let (reply, keep_alive) = match http::read_request(&mut reader) {
-            Ok(Some(request)) => {
-                let _span = sam_obs::span!("request", method = request.method, path = request.path);
-                // The server may close even when the client asked to keep
-                // the connection: request cap reached or drain started.
-                let keep = request.keep_alive
-                    && served < max_requests
-                    && !state.shutting_down.load(Ordering::SeqCst);
-                (route(&request, state, &mut telemetry), keep)
-            }
-            Ok(None) => break, // clean EOF mid-negotiation
-            // Framing can't be trusted after a parse error: answer and close.
-            Err(e) => (
-                Reply::Json(e.status(), json!({"error": e.to_string()})),
-                false,
-            ),
-        };
-        let status = match &reply {
-            Reply::Json(status, _) | Reply::Text(status, _) => *status,
-            Reply::Export { range: None, .. } => 200,
-            Reply::Export { range: Some(_), .. } => 206,
-            Reply::RangeNotSatisfiable { .. } => 416,
-        };
-        let mut writer = stream;
-        let io = match reply {
-            Reply::Json(status, body) => {
-                let text = serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string());
-                http::write_json_response(&mut writer, status, &text, keep_alive)
-            }
-            Reply::Text(status, text) => {
-                http::write_text_response(&mut writer, status, &text, keep_alive)
-            }
-            Reply::Export {
-                db,
-                table_index,
-                format,
-                coding,
-                range,
-            } => stream_export(
-                &mut writer,
-                &db,
-                table_index,
-                format,
-                coding,
-                range,
-                keep_alive,
-                state,
-            ),
-            Reply::RangeNotSatisfiable { total } => {
-                let body = serde_json::to_string(&json!({
-                    "error": format!("range start beyond representation end ({total} bytes)"),
-                }))
-                .unwrap_or_else(|_| "{}".to_string());
-                http::write_json_response_with_headers(
-                    &mut writer,
-                    416,
-                    &body,
-                    &[("Content-Range", &format!("bytes */{total}"))],
-                    keep_alive,
-                )
-            }
-        };
-        // Flight events include response-write time: that's the latency the
-        // client saw, which is what a post-mortem cares about.
-        let latency = started.elapsed();
-        state.flight.record(
-            trace_id,
-            telemetry.endpoint,
-            telemetry.model_version,
-            telemetry.batch_size,
-            telemetry.cache,
-            latency.as_nanos() as u64,
+    http::serve_connection(
+        stream,
+        &state.shutting_down,
+        Duration::from_millis(state.config.idle_timeout_ms.max(1)),
+        state.config.max_conn_requests.max(1),
+        |started, request, keep_alive| handle_request(stream, state, started, request, keep_alive),
+    );
+}
+
+/// Route one parsed (or unparseable) request, write the reply echoing
+/// `keep_alive`, and record its telemetry.
+fn handle_request(
+    stream: &TcpStream,
+    state: &Arc<ServerState>,
+    started: Instant,
+    request: Result<Request, ServeError>,
+    keep_alive: bool,
+) -> std::io::Result<bool> {
+    state.metrics.http_requests.inc();
+    let trace_id = state.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
+    sam_obs::set_trace_id(Some(trace_id));
+    let mut telemetry = Telemetry::new();
+    let reply = match request {
+        Ok(request) => {
+            let _span = sam_obs::span!("request", method = request.method, path = request.path);
+            route(&request, state, &mut telemetry)
+        }
+        Err(e) => Reply::Json(e.status(), json!({"error": e.to_string()})),
+    };
+    let status = match &reply {
+        Reply::Json(status, _) | Reply::Text(status, _) => *status,
+        Reply::Export { range: None, .. } => 200,
+        Reply::Export { range: Some(_), .. } => 206,
+        Reply::RangeNotSatisfiable { .. } => 416,
+    };
+    let mut writer = stream;
+    let io = match reply {
+        Reply::Json(status, body) => {
+            let text = serde_json::to_string(&body).unwrap_or_else(|_| "{}".to_string());
+            http::write_json_response(&mut writer, status, &text, keep_alive)
+        }
+        Reply::Text(status, text) => http::write_response(
+            &mut writer,
             status,
-        );
-        if telemetry.endpoint == Endpoint::Estimate
-            && latency >= Duration::from_millis(state.config.slow_query_ms.max(1))
-        {
-            let (model, detail) = telemetry.slow_detail.unwrap_or_default();
-            state.slow.push(SlowEntry {
-                ts_ms: sam_obs::flight::unix_ms(),
-                trace_id,
-                latency_ms: latency.as_secs_f64() * 1e3,
-                model,
-                detail,
-            });
+            http::PROMETHEUS_TEXT,
+            &[],
+            text.as_bytes(),
+            keep_alive,
+        ),
+        Reply::Export {
+            db,
+            table_index,
+            format,
+            coding,
+            range,
+        } => stream_export(
+            &mut writer,
+            &db,
+            table_index,
+            format,
+            coding,
+            range,
+            keep_alive,
+            state,
+        ),
+        Reply::RangeNotSatisfiable { total } => {
+            let body = serde_json::to_string(&json!({
+                "error": format!("range start beyond representation end ({total} bytes)"),
+            }))
+            .unwrap_or_else(|_| "{}".to_string());
+            http::write_response(
+                &mut writer,
+                416,
+                "application/json",
+                &[("Content-Range", &format!("bytes */{total}"))],
+                body.as_bytes(),
+                keep_alive,
+            )
         }
-        if io.is_err() || !keep_alive {
-            break;
-        }
+    };
+    // Flight events include response-write time: that's the latency the
+    // client saw, which is what a post-mortem cares about.
+    let latency = started.elapsed();
+    state.flight.record(
+        trace_id,
+        telemetry.endpoint,
+        telemetry.model_version,
+        telemetry.batch_size,
+        telemetry.cache,
+        latency.as_nanos() as u64,
+        status,
+    );
+    if telemetry.endpoint == Endpoint::Estimate
+        && latency >= Duration::from_millis(state.config.slow_query_ms.max(1))
+    {
+        let (model, detail) = telemetry.slow_detail.unwrap_or_default();
+        state.slow.push(SlowEntry {
+            ts_ms: sam_obs::flight::unix_ms(),
+            trace_id,
+            latency_ms: latency.as_secs_f64() * 1e3,
+            model,
+            detail,
+        });
     }
+    io.map(|()| false)
 }
 
 /// Stream one relation as a chunked body in the requested format, through

@@ -6,8 +6,6 @@ use sam_query::{label_workload, WorkloadGenerator};
 use sam_serve::{ServeConfig, Server};
 use sam_storage::{paper_example, DatabaseStats};
 use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Train a small model on the paper's Figure-3 database.
@@ -33,34 +31,15 @@ fn tiny_model(arch_seed: u64) -> TrainedSam {
     Sam::fit(db.schema(), &stats, &workload, &config).unwrap()
 }
 
-/// Blocking one-shot HTTP client: send a request (downgrading to
-/// `Connection: close` so reading to EOF frames the response), read the
-/// full response.
+/// Blocking one-shot HTTP client (`Connection: close`) over the shared
+/// wire layer.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Value) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
+    let response =
+        sam_serve::http::request(addr, method, path, &[], body.as_bytes()).expect("exchange");
+    (
+        response.status,
+        serde_json::parse_value(&response.text()).expect("JSON body"),
     )
-    .expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &str) -> (u16, Value) {
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let json = raw.split("\r\n\r\n").nth(1).expect("body");
-    (status, serde_json::parse_value(json).expect("JSON body"))
 }
 
 fn start_server(config: ServeConfig) -> Server {

@@ -16,9 +16,8 @@
 use crate::error::WorkgenError;
 use sam_metrics::{LatencyHistogram, LatencySnapshot};
 use sam_query::query::Query;
+use sam_serve::http::{build_request, Conn};
 use sam_storage::jsonl::push_json_str;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -225,8 +224,9 @@ impl ServerCounters {
 /// module reports on. `None` on any transport or parse problem — a load
 /// run must not fail because the scrape did.
 pub fn scrape_server_counters(addr: &str, timeout: Duration) -> Option<ServerCounters> {
-    let body = http_get_body(addr, "/metrics", timeout).ok()?;
-    let doc = serde_json::parse_value(&body).ok()?;
+    let request = build_request("GET", "/metrics", &[("Connection", "close")], b"");
+    let response = Conn::new(addr, timeout, timeout).exchange(&request).ok()?;
+    let doc = serde_json::parse_value(&response.text()).ok()?;
     // A router's merged /metrics sums counters across shards in f64, so
     // the fields may come back as floats — accept either representation.
     let field = |key: &str| {
@@ -245,33 +245,6 @@ pub fn scrape_server_counters(addr: &str, timeout: Duration) -> Option<ServerCou
     })
 }
 
-/// Minimal one-shot `GET` returning the response body as text.
-fn http_get_body(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut reader = BufReader::new(stream);
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    reader.get_mut().write_all(request.as_bytes())?;
-    // Headers, then (Connection: close) the body runs to EOF.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed inside headers",
-            ));
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-    }
-    let mut body = String::new();
-    reader.read_to_string(&mut body)?;
-    Ok(body)
-}
-
 /// Pre-rendered request: the full HTTP bytes for one trace entry.
 fn render_request(config: &LoadConfig, query: &Query, seed: u64) -> Vec<u8> {
     let mut body = String::with_capacity(160);
@@ -283,131 +256,12 @@ fn render_request(config: &LoadConfig, query: &Query, seed: u64) -> Vec<u8> {
         ",\"samples\":{},\"seed\":{},\"timeout_ms\":{}}}",
         config.samples, seed, config.timeout_ms
     ));
-    let mut out = Vec::with_capacity(body.len() + 128);
-    out.extend_from_slice(b"POST /estimate HTTP/1.1\r\n");
-    out.extend_from_slice(format!("Host: {}\r\n", config.addr).as_bytes());
-    out.extend_from_slice(b"Connection: keep-alive\r\n");
-    out.extend_from_slice(b"Content-Type: application/json\r\n");
-    out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-    out.extend_from_slice(body.as_bytes());
-    out
-}
-
-/// A keep-alive connection that lazily (re)connects.
-struct ClientConn {
-    addr: String,
-    timeout: Duration,
-    reader: Option<BufReader<TcpStream>>,
-}
-
-impl ClientConn {
-    fn new(addr: &str, timeout: Duration) -> ClientConn {
-        ClientConn {
-            addr: addr.to_string(),
-            timeout,
-            reader: None,
-        }
-    }
-
-    fn ensure(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
-        if self.reader.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true)?;
-            self.reader = Some(BufReader::new(stream));
-        }
-        Ok(self.reader.as_mut().expect("just ensured"))
-    }
-
-    /// One request/response exchange; returns the status code.
-    fn exchange(&mut self, request: &[u8]) -> std::io::Result<u16> {
-        let reader = self.ensure()?;
-        reader.get_mut().write_all(request)?;
-        let (status, close) = read_response(reader)?;
-        if close {
-            self.reader = None; // server announced the close; reconnect next time
-        }
-        Ok(status)
-    }
-
-    fn drop_conn(&mut self) {
-        self.reader = None;
-    }
-}
-
-/// Read one HTTP/1.1 response, discarding the body. Returns
-/// `(status, connection_closing)`.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, bool)> {
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let mut content_length: Option<usize> = None;
-    let mut chunked = false;
-    let mut close = false;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed inside headers",
-            ));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            match name.as_str() {
-                "content-length" => {
-                    content_length = Some(value.parse().map_err(|_| bad("bad content-length"))?);
-                }
-                "transfer-encoding" if value.eq_ignore_ascii_case("chunked") => chunked = true,
-                "connection" if value.eq_ignore_ascii_case("close") => close = true,
-                _ => {}
-            }
-        }
-    }
-    let mut sink = Vec::new();
-    if chunked {
-        // Discard chunks until the terminating zero-size chunk.
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed inside chunked body",
-                ));
-            }
-            let size =
-                usize::from_str_radix(line.trim(), 16).map_err(|_| bad("bad chunk size line"))?;
-            sink.resize(size + 2, 0); // chunk data + trailing CRLF
-            reader.read_exact(&mut sink)?;
-            if size == 0 {
-                break;
-            }
-        }
-    } else if let Some(n) = content_length {
-        sink.resize(n, 0);
-        reader.read_exact(&mut sink)?;
-    } else {
-        // No framing: the body runs to EOF and the connection dies with it.
-        reader.read_to_end(&mut sink)?;
-        close = true;
-    }
-    Ok((status, close))
+    build_request(
+        "POST",
+        "/estimate",
+        &[("Content-Type", "application/json")],
+        body.as_bytes(),
+    )
 }
 
 /// Shared run state across worker threads.
@@ -430,7 +284,9 @@ struct RunState {
 /// Worker `i` owns one keep-alive connection; workers pull scheduled
 /// requests from a shared counter, sleep until each request's scheduled
 /// instant, and time it from that instant. A transport error costs that
-/// one request (counted in `errors`) and the connection is re-established.
+/// one request (counted in `errors`) and the connection is re-established;
+/// a pooled socket the server merely idle-closed is re-dialled by
+/// [`Conn`] without costing the request.
 ///
 /// # Errors
 ///
@@ -519,7 +375,7 @@ pub fn run_load_with_seeds(
             let addr = config.addr.clone();
             let timeout = Duration::from_millis(config.timeout_ms.max(1));
             std::thread::spawn(move || {
-                let mut conn = ClientConn::new(&addr, timeout);
+                let mut conn = Conn::new(&addr, timeout, timeout);
                 loop {
                     let k = state.next.fetch_add(1, Ordering::Relaxed);
                     if k >= scheduled {
@@ -532,7 +388,7 @@ pub fn run_load_with_seeds(
                     }
                     let (request, trace_class) = &requests[(k % requests.len() as u64) as usize];
                     match conn.exchange(request) {
-                        Ok(status) => {
+                        Ok(response) => {
                             // Latency from the *scheduled* start: queueing
                             // behind a busy connection is part of the number.
                             let lat = due.elapsed();
@@ -541,7 +397,7 @@ pub fn run_load_with_seeds(
                             global_latency.record(lat);
                             state.completed.fetch_add(1, Ordering::Relaxed);
                             state.class_completed[*trace_class].fetch_add(1, Ordering::Relaxed);
-                            let class = match status {
+                            let class = match response.status {
                                 200..=299 => 0,
                                 400..=499 => 1,
                                 _ => 2,
@@ -551,7 +407,6 @@ pub fn run_load_with_seeds(
                         Err(_) => {
                             state.errors.fetch_add(1, Ordering::Relaxed);
                             state.class_errors[*trace_class].fetch_add(1, Ordering::Relaxed);
-                            conn.drop_conn();
                         }
                     }
                 }
@@ -713,7 +568,7 @@ mod tests {
 
     #[test]
     fn mixed_run_reports_both_classes_against_canned_server() {
-        use std::io::Write as _;
+        use std::io::{BufReader, Write as _};
         use std::net::TcpListener;
 
         // Minimal canned HTTP server: reads each request's headers + body and
@@ -726,31 +581,7 @@ mod tests {
                 let stream = stream.expect("accept");
                 conns.push(std::thread::spawn(move || {
                     let mut reader = BufReader::new(stream);
-                    loop {
-                        let mut content_length = 0usize;
-                        let mut line = String::new();
-                        loop {
-                            line.clear();
-                            match reader.read_line(&mut line) {
-                                Ok(0) | Err(_) => return,
-                                Ok(_) => {}
-                            }
-                            let trimmed = line.trim_end();
-                            if trimmed.is_empty() {
-                                break;
-                            }
-                            if let Some(v) = trimmed
-                                .to_ascii_lowercase()
-                                .strip_prefix("content-length:")
-                                .map(|v| v.trim().to_string())
-                            {
-                                content_length = v.parse().unwrap_or(0);
-                            }
-                        }
-                        let mut body = vec![0u8; content_length];
-                        if reader.read_exact(&mut body).is_err() {
-                            return;
-                        }
+                    while let Ok(Some(_)) = sam_serve::http::read_request(&mut reader) {
                         let response = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
                              Content-Length: 2\r\n\r\n{}";
                         if reader.get_mut().write_all(response.as_bytes()).is_err() {

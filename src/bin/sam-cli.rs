@@ -592,52 +592,23 @@ fn train_cmd(args: &Args) -> Result<(), String> {
 
 // ------------------------------------------------- remote training client
 
-/// One-shot HTTP/1.1 exchange over a fresh connection (`Connection: close`,
-/// so the body is simply everything after the header block). Returns
-/// `(status, body)`.
-fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> Result<(u16, String), String> {
-    use std::io::Read;
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .map_err(|e| e.to_string())?;
-    let mut request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(b"\r\n");
-    request.extend_from_slice(body);
-    stream.write_all(&request).map_err(|e| e.to_string())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| e.to_string())?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed HTTP response from {addr}"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}"))?;
-    Ok((status, payload.to_string()))
-}
-
-/// [`http_request`] with bounded retries for *transient connection
-/// failures* — connects that are refused or reset before any response
-/// arrives, which `http_request` reports as `connect {addr}: …`. Those are
-/// exactly what a worker restart or a router failover window looks like
-/// from the client. Each retry backs off exponentially with jitter
-/// (equal-jitter: delay in `[base/2, base]`, base doubling from 100 ms,
-/// capped at 5 s). Anything the server actually answered — including
-/// rejections — is returned as-is, so terminal HTTP errors keep their
-/// non-zero exit and are never resubmitted.
+/// One request on a fresh connection of the shared client
+/// ([`sam::serve::http::Conn`]), with bounded retries for *transient
+/// transport failures* — what a worker restart or a router failover window
+/// looks like from outside. Which failures are retried is decided by
+/// `io::ErrorKind`, never by message text:
+///
+/// * a connect that never reached the server is retried for any request;
+/// * a failure after the request went out (reset, EOF or timeout
+///   mid-response) is retried only for `GET` — the `--follow` polls are
+///   idempotent, but a `POST /train` whose body was sent may already have
+///   been accepted, and resubmitting would train twice;
+/// * malformed responses and unusable addresses are never retried.
+///
+/// Each retry backs off exponentially with jitter (equal-jitter: delay in
+/// `[base/2, base]`, base doubling from 100 ms, capped at 5 s). Anything the
+/// server actually answered — including rejections — is returned as-is, so
+/// terminal HTTP errors keep their non-zero exit and are never resubmitted.
 fn http_request_with_retry(
     addr: &str,
     method: &str,
@@ -645,25 +616,34 @@ fn http_request_with_retry(
     body: &[u8],
     retries: u32,
 ) -> Result<(u16, String), String> {
+    use sam::serve::http::{build_request, Conn};
+    use std::io::ErrorKind;
+    use std::time::Duration;
+    let request = build_request(method, path, &[("Connection", "close")], body);
     let mut attempt = 0u32;
     loop {
-        match http_request(addr, method, path, body) {
-            Ok(result) => return Ok(result),
-            Err(e) if attempt < retries && e.starts_with("connect ") => {
-                let base = 100u64.saturating_mul(1u64 << attempt.min(6)).min(5_000);
-                let nanos = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| u64::from(d.subsec_nanos()))
-                    .unwrap_or(0);
-                let delay = base / 2 + nanos % (base / 2 + 1);
-                attempt += 1;
-                eprintln!(
-                    "transient connection failure ({e}); retry {attempt}/{retries} in {delay} ms"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
-            Err(e) => return Err(e),
+        let mut conn = Conn::new(addr, Duration::from_secs(10), Duration::from_secs(60));
+        let (err, sent) = match conn.connect() {
+            Err(e) => (e, false),
+            Ok(()) => match conn.exchange(&request) {
+                Ok(response) => return Ok((response.status, response.text())),
+                Err(e) => (e, true),
+            },
+        };
+        let transient = !matches!(err.kind(), ErrorKind::InvalidData | ErrorKind::InvalidInput)
+            && (!sent || method == "GET");
+        if !transient || attempt >= retries {
+            return Err(format!("{method} {path} on {addr}: {err}"));
         }
+        let base = 100u64.saturating_mul(1u64 << attempt.min(6)).min(5_000);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| u64::from(d.subsec_nanos()))
+            .unwrap_or(0);
+        let delay = base / 2 + nanos % (base / 2 + 1);
+        attempt += 1;
+        eprintln!("transient transport failure ({err}); retry {attempt}/{retries} in {delay} ms");
+        std::thread::sleep(Duration::from_millis(delay));
     }
 }
 
@@ -671,8 +651,9 @@ fn http_request_with_retry(
 /// train-as-a-service client. Uploads the workload to `POST /train`, prints
 /// the job id, and with `--follow true` polls `GET /jobs/{id}` until the job
 /// reaches a terminal state (promoted / rejected / failed / cancelled).
-/// Transient connection failures (server restarting, failover window) are
-/// retried up to `--retries` times with jittered exponential backoff.
+/// Transient transport failures (server restarting, failover window) are
+/// retried up to `--retries` times with jittered exponential backoff; see
+/// [`http_request_with_retry`] for which ones.
 fn train_remote(args: &Args) -> Result<(), String> {
     let addr = args.required("addr")?;
     let retries: u32 = args.num("retries", 3u32)?;

@@ -6,10 +6,9 @@
 //! by default because a timing gate under a debug build measures nothing.
 
 use sam::prelude::*;
+use sam::serve::http::{build_request, Conn};
 use sam::serve::{ServeConfig, Server};
 use sam::storage::paper_example;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const BURST: usize = 300;
@@ -55,12 +54,8 @@ fn train_demo_model() -> (TrainedSam, String) {
 /// distinct seeds (cache misses, so the full estimate path runs each
 /// time); returns the median request latency.
 fn burst_median(addr: std::net::SocketAddr, sql: &str, n: usize, seed_base: u64) -> Duration {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut reader = BufReader::new(stream);
+    let timeout = Duration::from_secs(30);
+    let mut conn = Conn::new(addr, timeout, timeout);
     let mut latencies = Vec::with_capacity(n);
     for i in 0..n {
         let body = format!(
@@ -68,38 +63,13 @@ fn burst_median(addr: std::net::SocketAddr, sql: &str, n: usize, seed_base: u64)
             serde_json::to_string(&serde_json::json!(sql)).unwrap(),
             seed_base + i as u64
         );
-        let request = format!(
-            "POST /estimate HTTP/1.1\r\nHost: gate\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
+        let request = build_request("POST", "/estimate", &[], body.as_bytes());
         let started = Instant::now();
-        reader.get_mut().write_all(request.as_bytes()).unwrap();
-        read_one_response(&mut reader);
+        conn.exchange(&request).expect("connection died");
         latencies.push(started.elapsed());
     }
     latencies.sort();
     latencies[latencies.len() / 2]
-}
-
-/// Read one content-length-framed HTTP response and discard it.
-fn read_one_response(reader: &mut BufReader<TcpStream>) {
-    let mut line = String::new();
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        assert!(reader.read_line(&mut line).unwrap() > 0, "connection died");
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
 }
 
 fn start_server(trained: TrainedSam, quality_sample: f64, flight_capacity: usize) -> Server {

@@ -19,10 +19,7 @@
 
 use sam::prelude::*;
 use sam::router::{ModelSpec, Router, RouterConfig, WorkerHealth, WorkerSpec};
-use sam::serve::http::decode_chunked;
 use serde_json::Value as Json;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,27 +27,13 @@ use std::time::{Duration, Instant};
 
 const GENERATE_BODY: &str = r#"{"model": "alpha", "foj_samples": 20000, "batch": 64, "seed": 11}"#;
 
-fn request(addr: &str, method: &str, path: &str, body: &str) -> Option<(u16, String, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .ok()?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: f\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .ok()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).ok()?;
-    let split = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = String::from_utf8_lossy(&raw[..split]).to_string();
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, head, raw[split + 4..].to_vec()))
+fn request(addr: &str, method: &str, path: &str, body: &str) -> Option<(u16, Vec<u8>)> {
+    let response = sam::serve::http::request(addr, method, path, &[], body.as_bytes()).ok()?;
+    Some((response.status, response.body))
 }
 
 fn json_request(addr: &str, method: &str, path: &str, body: &str) -> Option<(u16, Json)> {
-    let (status, _, body) = request(addr, method, path, body)?;
+    let (status, body) = request(addr, method, path, body)?;
     let text = std::str::from_utf8(&body).ok()?;
     Some((status, serde_json::parse_value(text).ok()?))
 }
@@ -185,7 +168,7 @@ impl SurvivorPoller {
             let body = r#"{"model":"beta","sql":"SELECT COUNT(*) FROM A","samples":16,"seed":5}"#;
             while !t_stop.load(Ordering::SeqCst) {
                 match request(&addr, "POST", "/estimate", body) {
-                    Some((200, _, _)) => {
+                    Some((200, _)) => {
                         t_ok.fetch_add(1, Ordering::SeqCst);
                     }
                     _ => {
@@ -271,7 +254,9 @@ fn assert_job_resumes_bit_for_bit(addr: &str, id: u64, reference: &Database, lab
         std::thread::sleep(Duration::from_millis(100));
     }
     for table in reference.tables() {
-        let (status, head, body) = request(
+        // The shared client de-frames a chunked export, and fails the
+        // exchange if the stream is not well-formed through its end.
+        let (status, exported) = request(
             addr,
             "GET",
             &format!("/jobs/{id}/export?relation={}", table.name()),
@@ -279,11 +264,6 @@ fn assert_job_resumes_bit_for_bit(addr: &str, id: u64, reference: &Database, lab
         )
         .expect("export exchange");
         assert_eq!(status, 200, "{label}: export {}", table.name());
-        let exported = if head.to_ascii_lowercase().contains("chunked") {
-            decode_chunked(&body).expect("well-formed chunked stream")
-        } else {
-            body
-        };
         let mut want = Vec::new();
         sam::storage::csv::write_csv(table, &mut want).unwrap();
         assert_eq!(

@@ -5,47 +5,26 @@
 //! a crash costs wall time, never results.
 
 use sam::prelude::*;
-use sam::serve::http::decode_chunked;
+use sam::serve::http::Response;
 use serde_json::Value as Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// One-shot request (`Connection: close`); returns status, raw header
-/// block, and raw body bytes (still chunk-framed for chunked responses).
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: crash\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    let head = String::from_utf8_lossy(&raw[..split]).to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    (status, head, raw[split + 4..].to_vec())
+/// One-shot request (`Connection: close`) through the shared client.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
+    sam::serve::http::request(addr, method, path, &[], body.as_bytes()).expect("exchange")
 }
 
 fn json_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
-    let (status, _, body) = request(addr, method, path, body);
-    let text = std::str::from_utf8(&body).expect("UTF-8 body");
-    (status, serde_json::parse_value(text).expect("JSON body"))
+    let response = request(addr, method, path, body);
+    let text = std::str::from_utf8(&response.body).expect("UTF-8 body");
+    (
+        response.status,
+        serde_json::parse_value(text).expect("JSON body"),
+    )
 }
 
 /// Train a tiny model on the Figure-3 database and persist it for the CLI.
@@ -200,19 +179,22 @@ fn killed_server_resumes_job_and_export_matches_fresh_run() {
     // Every exported relation must match a fresh same-seed run exactly.
     let reference = fresh_generate(&model_path, &gen_config);
     for table in reference.tables() {
-        let (status, head, body) = request(
+        let response = request(
             addr,
             "GET",
             &format!("/jobs/{id}/export?relation={}", table.name()),
             "",
         );
-        assert_eq!(status, 200, "export {}", table.name());
-        assert!(
-            head.to_ascii_lowercase()
-                .contains("transfer-encoding: chunked"),
-            "{head}"
+        assert_eq!(response.status, 200, "export {}", table.name());
+        assert_eq!(
+            response.header("transfer-encoding"),
+            Some("chunked"),
+            "{:?}",
+            response.headers
         );
-        let exported = decode_chunked(&body).expect("well-formed chunked stream");
+        // The shared client only returns a body whose chunked stream was
+        // well-formed through the terminal chunk.
+        let exported = response.body;
         let mut want = Vec::new();
         sam::storage::csv::write_csv(table, &mut want).unwrap();
         assert_eq!(

@@ -9,31 +9,12 @@ use sam::prelude::*;
 use sam::serve::{ServeConfig, Server};
 use sam::storage::paper_example;
 use serde_json::Value as Json;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn http_raw(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).expect("body").to_string();
-    (status, payload)
+    let response =
+        sam::serve::http::request(addr, method, path, &[], body.as_bytes()).expect("exchange");
+    (response.status, response.text())
 }
 
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {

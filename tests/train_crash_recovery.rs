@@ -8,32 +8,18 @@
 use sam::prelude::*;
 use serde_json::Value as Json;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn json_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: crash\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
+    let response =
+        sam::serve::http::request(addr, method, path, &[], body.as_bytes()).expect("exchange");
+    (
+        response.status,
+        serde_json::parse_value(&response.text()).expect("JSON body"),
     )
-    .expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = raw.split("\r\n\r\n").nth(1).expect("body");
-    (status, serde_json::parse_value(body).expect("JSON body"))
 }
 
 /// A deliberately weak incumbent (one epoch, width 2): the retrained
