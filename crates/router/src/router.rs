@@ -16,7 +16,9 @@ use crate::ring::HashRing;
 use crate::worker::{
     job_id_base, restart_backoff, slot_for_job, spawn_worker, ModelSpec, WorkerHealth, WorkerSpec,
 };
-use sam_serve::http::{self, build_request, Acceptor, Request, Response};
+use sam_serve::http::{
+    self, build_request, query_param, split_target, Acceptor, Request, Response,
+};
 use sam_serve::sync::Lock;
 use sam_serve::ServeError;
 use serde_json::{json, Value};
@@ -634,7 +636,7 @@ fn proxy_to_slot<W: Write>(
             keep_alive,
         );
     }
-    let (path_only, _) = split_path(&request.path);
+    let (path_only, _) = split_target(&request.path);
     let idempotent = is_idempotent(&request.method, path_only);
     if !matches!(worker.health(), WorkerHealth::Healthy) {
         // Give a recovering shard one grace window before failing
@@ -754,20 +756,6 @@ fn relay_to_slot<W: Write>(
     }
 }
 
-fn split_path(path: &str) -> (&str, &str) {
-    match path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path, ""),
-    }
-}
-
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query.split('&').find_map(|pair| {
-        let (k, v) = pair.split_once('=')?;
-        (k == key).then_some(v)
-    })
-}
-
 fn handle_request<W: Write>(
     state: &Arc<RouterState>,
     request: &Request,
@@ -775,7 +763,7 @@ fn handle_request<W: Write>(
     keep_alive: bool,
 ) -> std::io::Result<bool> {
     state.metrics.requests.inc();
-    let (path, query) = split_path(&request.path);
+    let (path, query) = split_target(&request.path);
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => respond_json(out, 200, &healthz_json(state), keep_alive),
         ("GET", "/metrics") => {
@@ -1463,12 +1451,5 @@ mod tests {
         let config = RouterConfig::default();
         assert_eq!(config.workers, 2);
         assert!(config.restart_backoff_ms < config.restart_backoff_cap_ms);
-    }
-
-    #[test]
-    fn query_param_parses() {
-        assert_eq!(query_param("model=m&x=1", "model"), Some("m"));
-        assert_eq!(query_param("model=m", "x"), None);
-        assert_eq!(query_param("", "x"), None);
     }
 }

@@ -84,6 +84,22 @@ impl Request {
     }
 }
 
+/// Split a request target into its path and raw query string (`""` when
+/// there is no `?`). [`Request::path`] carries the target as sent; every
+/// router in the workspace splits it here.
+pub fn split_target(target: &str) -> (&str, &str) {
+    target.split_once('?').unwrap_or((target, ""))
+}
+
+/// Value of `key` in a raw query string (`a=1&b=2`), if present. No
+/// percent-decoding; the first match wins.
+pub fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+    query.split('&').find_map(|pair| {
+        let (k, v) = pair.split_once('=')?;
+        (k == key).then_some(v)
+    })
+}
+
 /// Parse a `Range` header value of the open-ended single-range form
 /// `bytes=N-` into `N`. Every other shape (closed ranges, suffix ranges,
 /// multiple ranges, non-byte units) yields `None` — the caller then serves
@@ -156,9 +172,11 @@ pub(crate) fn read_head_line<R: BufRead>(
 ///
 /// [`ServeError::BadRequest`] on malformed framing: garbled request line, a
 /// head above [`MAX_HEADER_BYTES`] (no line is ever buffered past that), a
-/// `Content-Length` above [`MAX_BODY_BYTES`] (rejected *before* reading the
-/// body, so oversized uploads get an immediate 400 instead of a slow
-/// drain), or a body shorter than declared. [`ServeError::Internal`] on
+/// head cut off by end-of-stream before its blank line (nothing is ever
+/// dispatched from a truncated head), a `Content-Length` above
+/// [`MAX_BODY_BYTES`] (rejected *before* reading the body, so oversized
+/// uploads get an immediate 400 instead of a slow drain), or a body shorter
+/// than declared. [`ServeError::Internal`] on
 /// transport I/O errors. After any error the connection must be closed:
 /// request framing can no longer be trusted.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ServeError> {
@@ -194,8 +212,12 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Serve
     let mut content_encoding: Option<String> = None;
     let mut range_start = None;
     loop {
-        let n = read_head_line(reader, &mut line, &mut budget).map_err(read_err)?;
-        if n == 0 || line.trim().is_empty() {
+        if read_head_line(reader, &mut line, &mut budget).map_err(read_err)? == 0 {
+            // The peer died mid-head: a request is only complete — and only
+            // safe to dispatch — once its blank line has arrived.
+            return Err(bad("request head cut short before the blank line"));
+        }
+        if line.trim().is_empty() {
             break;
         }
         if let Some((name, value)) = line.split_once(':') {
@@ -590,6 +612,18 @@ pub fn reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn query_param_parses() {
+        assert_eq!(query_param("model=m&x=1", "model"), Some("m"));
+        assert_eq!(query_param("model=m", "x"), None);
+        assert_eq!(query_param("", "x"), None);
+        assert_eq!(
+            split_target("/metrics?format=json"),
+            ("/metrics", "format=json")
+        );
+        assert_eq!(split_target("/metrics"), ("/metrics", ""));
+    }
 
     #[test]
     fn parses_post_with_body() {

@@ -1,12 +1,21 @@
-//! Asynchronous generation jobs.
+//! Background jobs: the one table, thread wrapper and status document that
+//! generation (`POST /generate`) and training (`POST /train`) share.
 //!
-//! `POST /generate` is accepted immediately: generation runs on its own
-//! thread through [`TrainedSam::generate_controlled`], which reports stage +
-//! progress and honours cancellation via [`JobControl`]. Clients poll
-//! `GET /jobs/{id}` and stream finished relations from
+//! A job is accepted immediately and runs on its own thread. Generation goes
+//! through [`TrainedSam::generate_controlled`], which reports stage +
+//! progress and honours cancellation via [`JobControl`]; training lives in
+//! [`crate::training`] and honours the same handle at epoch boundaries.
+//! Clients poll `GET /jobs/{id}` and stream finished relations from
 //! `GET /jobs/{id}/export` (the record keeps the generated [`Database`]
 //! alive for exactly that). Shutdown *drains*: [`JobRegistry::drain`] joins
 //! every job thread, so accepted jobs always reach a terminal state.
+//!
+//! `JobRegistry::start` is the only place a job thread is spawned. It
+//! owns what every kind of job needs around its work: the record in the
+//! table, the submitting request's trace id, the journal's `running` /
+//! `failed` / `cancelled` events, panic containment, the per-kind counters,
+//! and the terminal state. The work itself — `run_job` here,
+//! `training::run_train_job` there — only returns a [`JobState`].
 //!
 //! With a [`Journal`] attached, every lifecycle transition is appended to
 //! the on-disk log and completed results are persisted as CSV, which is
@@ -25,16 +34,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Terminal or running state of a generation job.
+/// Terminal or running state of a job. `Done` is generation's success
+/// state; `Promoted` / `Rejected` are training's two verdicts.
 pub enum JobState {
-    /// Still generating (see [`JobControl`] for stage/progress).
+    /// Still working (see [`JobControl`] for stage/progress).
     Running,
-    /// Finished successfully.
+    /// Generation finished successfully.
     Done {
         /// Result summary served at `GET /jobs/{id}`.
         summary: Value,
         /// The generated database, held for streamed export.
         db: Arc<Database>,
+    },
+    /// Training candidate won shadow evaluation and now serves as `version`.
+    Promoted {
+        /// Version minted for the candidate in the model registry.
+        version: u64,
+        /// Evaluation summary (candidate/incumbent p95, gate, wall time).
+        summary: Value,
+    },
+    /// Training candidate lost shadow evaluation; the incumbent keeps
+    /// serving.
+    Rejected {
+        /// Evaluation summary explaining the verdict.
+        summary: Value,
     },
     /// Failed with an error message.
     Failed(String),
@@ -42,27 +65,75 @@ pub enum JobState {
     Cancelled,
 }
 
-/// One generation job: control handle plus current state.
+/// The training-only part of a [`JobRecord`]: what the `training` object,
+/// `stage` and `progress` of a training job's status document are drawn from.
+#[derive(Clone, Copy)]
+pub(crate) struct TrainProgress {
+    pub(crate) epoch: u64,
+    pub(crate) total_epochs: u64,
+    /// Loss of the last completed epoch; NaN before the first.
+    pub(crate) loss: f64,
+    /// `accepted` → `training` → `evaluating` → `finished`.
+    pub(crate) stage: &'static str,
+}
+
+impl TrainProgress {
+    pub(crate) fn new(epoch: u64, total_epochs: u64, stage: &'static str) -> TrainProgress {
+        TrainProgress {
+            epoch,
+            total_epochs,
+            loss: f64::NAN,
+            stage,
+        }
+    }
+}
+
+/// One background job: control handle plus current state.
 pub struct JobRecord {
     /// Job id (unique per server, stable across journal replays).
     pub id: u64,
-    /// Model name the job runs against.
+    /// Model name the job runs against (for training: the model retrained).
     pub model: String,
-    /// Model version pinned at submission.
+    /// Model version pinned at submission (for training: the incumbent the
+    /// candidate competes against).
     pub version: u64,
     /// Cooperative cancel / progress handle shared with the job thread.
     pub control: JobControl,
+    /// `Some` exactly for training jobs.
+    pub(crate) training: Option<Lock<TrainProgress>>,
     state: Lock<JobState>,
 }
 
 impl JobRecord {
+    /// A running record; `training` makes it a training job.
+    pub(crate) fn new(
+        id: u64,
+        model: &str,
+        version: u64,
+        training: Option<TrainProgress>,
+    ) -> JobRecord {
+        JobRecord {
+            id,
+            model: model.to_string(),
+            version,
+            control: JobControl::new(),
+            training: training.map(Lock::new),
+            state: Lock::new(JobState::Running),
+        }
+    }
+
+    /// Whether this is a training job (it has no relations to export).
+    pub fn is_training(&self) -> bool {
+        self.training.is_some()
+    }
+
     /// Whether the job reached a terminal state.
     pub fn is_finished(&self) -> bool {
         !matches!(*self.state.lock(), JobState::Running)
     }
 
-    /// The generated database, once the job is done (`None` while running
-    /// or after failure/cancellation).
+    /// The generated database, once a generation job is done (`None` while
+    /// running, after failure/cancellation, and for training jobs).
     pub fn result_database(&self) -> Option<Arc<Database>> {
         match &*self.state.lock() {
             JobState::Done { db, .. } => Some(Arc::clone(db)),
@@ -70,36 +141,71 @@ impl JobRecord {
         }
     }
 
-    /// Short state label (`running` / `done` / `failed` / `cancelled`),
-    /// for error messages and logs.
+    /// Short state label (`running` / `done` / `promoted` / `rejected` /
+    /// `failed` / `cancelled`), for error messages and logs.
     pub fn state_label(&self) -> &'static str {
-        match &*self.state.lock() {
-            JobState::Running => "running",
-            JobState::Done { .. } => "done",
-            JobState::Failed(_) => "failed",
-            JobState::Cancelled => "cancelled",
-        }
+        state_label(&self.state.lock())
     }
 
-    /// Status document served at `GET /jobs/{id}`.
+    /// Status document served at `GET /jobs/{id}`: one envelope for both
+    /// kinds, plus a `training` object (and epoch-exact `progress`) on
+    /// training jobs.
     pub fn status_json(&self) -> Value {
         let state = self.state.lock();
-        let (label, result, error) = match &*state {
-            JobState::Running => ("running", Value::Null, Value::Null),
-            JobState::Done { summary, .. } => ("done", summary.clone(), Value::Null),
-            JobState::Failed(msg) => ("failed", Value::Null, Value::String(msg.clone())),
-            JobState::Cancelled => ("cancelled", Value::Null, Value::Null),
+        let (version, result, error) = match &*state {
+            JobState::Done { summary, .. } | JobState::Rejected { summary } => {
+                (self.version, summary.clone(), Value::Null)
+            }
+            JobState::Promoted { version, summary } => (*version, summary.clone(), Value::Null),
+            JobState::Failed(msg) => (self.version, Value::Null, Value::String(msg.clone())),
+            JobState::Running | JobState::Cancelled => (self.version, Value::Null, Value::Null),
         };
-        json!({
+        let (stage, progress, training) = match &self.training {
+            None => (
+                self.control.stage().to_string(),
+                self.control.progress(),
+                None,
+            ),
+            Some(t) => {
+                let t = *t.lock();
+                let total = t.total_epochs.max(1);
+                let training = json!({
+                    "epoch": t.epoch,
+                    "total_epochs": total,
+                    "loss": if t.loss.is_nan() { Value::Null } else { json!(t.loss) },
+                });
+                (
+                    t.stage.to_string(),
+                    (t.epoch as f64 / total as f64).min(1.0),
+                    Some(training),
+                )
+            }
+        };
+        let mut doc = json!({
             "id": self.id,
             "model": self.model.clone(),
-            "model_version": self.version,
-            "state": label,
-            "stage": self.control.stage().to_string(),
-            "progress": self.control.progress(),
+            "model_version": version,
+            "state": state_label(&state),
+            "stage": stage,
+            "progress": progress,
             "result": result,
             "error": error,
-        })
+        });
+        if let (Some(training), Value::Object(fields)) = (training, &mut doc) {
+            fields.push(("training".to_string(), training));
+        }
+        doc
+    }
+}
+
+fn state_label(state: &JobState) -> &'static str {
+    match state {
+        JobState::Running => "running",
+        JobState::Done { .. } => "done",
+        JobState::Promoted { .. } => "promoted",
+        JobState::Rejected { .. } => "rejected",
+        JobState::Failed(_) => "failed",
+        JobState::Cancelled => "cancelled",
     }
 }
 
@@ -117,26 +223,25 @@ fn summary_json(db: &Database, foj_samples: usize, wall_seconds: f64) -> Value {
     })
 }
 
-/// Concurrent job table. All methods take `&self`.
+/// Concurrent job table for generation and training jobs alike. All
+/// methods take `&self`.
 #[derive(Default)]
 pub struct JobRegistry {
     next_id: AtomicU64,
     jobs: Lock<HashMap<u64, Arc<JobRecord>>>,
     handles: Lock<Vec<JoinHandle<()>>>,
     journal: Option<Arc<Journal>>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl JobRegistry {
-    /// Empty registry without journaling.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty registry; with `Some(journal)`, every job lifecycle event is
-    /// appended to it and completed results are persisted as CSV.
-    pub fn with_journal(journal: Option<Arc<Journal>>) -> Self {
+    /// Empty registry counting on `metrics`; with `Some(journal)`, every job
+    /// lifecycle event is appended to it and completed results are
+    /// persisted as CSV.
+    pub fn new(journal: Option<Arc<Journal>>, metrics: Arc<ServeMetrics>) -> Self {
         JobRegistry {
             journal,
+            metrics,
             ..Self::default()
         }
     }
@@ -153,98 +258,132 @@ impl JobRegistry {
     }
 
     /// Mint a fresh id from the shared job-id space. Generation jobs,
-    /// training jobs ([`crate::training::TrainRegistry`]), and rollback
-    /// audit records all draw from this one counter, so `GET /jobs/{id}`
-    /// and the journal are unambiguous about what an id names.
+    /// training jobs, and rollback audit records all draw from this one
+    /// counter, so `GET /jobs/{id}` and the journal are unambiguous about
+    /// what an id names.
     pub fn allocate_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Start a generation job on its own thread; returns the job id.
-    pub fn spawn(
-        &self,
-        entry: Arc<ModelEntry>,
-        config: GenerationConfig,
-        metrics: Arc<ServeMetrics>,
-    ) -> u64 {
+    pub fn spawn(&self, entry: Arc<ModelEntry>, config: GenerationConfig) -> u64 {
         let id = self.allocate_id();
         if let Some(journal) = &self.journal {
             journal.accepted(id, &entry.name, entry.version, &config);
         }
-        self.spawn_with_id(id, entry, config, metrics);
+        self.spawn_with_id(id, entry, config);
         id
     }
 
     /// Re-spawn a journal-replayed interrupted job under its original id.
     /// The recorded config carries the RNG seed, so the regenerated
     /// database is bit-for-bit what the interrupted run would have produced.
-    pub fn respawn(
-        &self,
-        id: u64,
-        entry: Arc<ModelEntry>,
-        config: GenerationConfig,
-        metrics: Arc<ServeMetrics>,
-    ) {
-        self.reserve_through(id);
+    pub fn respawn(&self, id: u64, entry: Arc<ModelEntry>, config: GenerationConfig) {
         if let Some(journal) = &self.journal {
             journal.resumed(id);
         }
-        self.spawn_with_id(id, entry, config, metrics);
+        self.spawn_with_id(id, entry, config);
     }
 
-    fn spawn_with_id(
-        &self,
-        id: u64,
-        entry: Arc<ModelEntry>,
-        config: GenerationConfig,
-        metrics: Arc<ServeMetrics>,
-    ) {
-        let record = Arc::new(JobRecord {
-            id,
-            model: entry.name.clone(),
-            version: entry.version,
-            control: JobControl::new(),
-            state: Lock::new(JobState::Running),
-        });
-        self.jobs.lock().insert(id, Arc::clone(&record));
-        metrics.jobs_started.inc();
+    fn spawn_with_id(&self, id: u64, entry: Arc<ModelEntry>, config: GenerationConfig) {
+        self.start(
+            JobRecord::new(id, &entry.name, entry.version, None),
+            move |record, journal| run_job(&entry.trained, &config, record, journal),
+        );
+    }
+
+    /// The one spawn path: put `record` in the table and run `work` (handed
+    /// the record and the journal, if any) on a named thread, wrapped in
+    /// everything generation and training share.
+    /// Before the work: the per-kind started counter, the submitting
+    /// request's trace id, the journal's `running` event. After it: a
+    /// panic becomes `Failed` (+ `worker_panics`) instead of an abandoned
+    /// `Running` record that would poll as in-flight forever; `failed` and
+    /// `cancelled` are journalled (success events are commit records the
+    /// work writes itself, after persisting what they promise); the
+    /// per-kind terminal counter is bumped — `jobs_finished` for
+    /// generation, `trains_promoted|rejected|failed` for training, a
+    /// cancelled train counting as failed — and only then does the state
+    /// become visible, so a client that polls a terminal state finds the
+    /// counters already moved.
+    pub(crate) fn start<F>(&self, record: JobRecord, work: F)
+    where
+        F: FnOnce(&JobRecord, Option<&Journal>) -> JobState + Send + 'static,
+    {
+        self.reserve_through(record.id);
+        let record = Arc::new(record);
+        self.jobs.lock().insert(record.id, Arc::clone(&record));
+        let metrics = Arc::clone(&self.metrics);
+        let (thread, what, started) = match record.training {
+            Some(_) => ("train", "training", &metrics.trains_started),
+            None => ("job", "generation", &metrics.jobs_started),
+        };
+        started.inc();
         let journal = self.journal.clone();
         // Carry the submitting request's trace id onto the job thread so the
-        // job's generation spans correlate with the POST /generate request.
+        // job's spans correlate with the POST that started it.
         let trace_id = sam_obs::current_trace_id();
         let handle = std::thread::Builder::new()
-            .name(format!("sam-serve-job-{id}"))
+            .name(format!("sam-serve-{thread}-{}", record.id))
             .spawn(move || {
                 sam_obs::set_trace_id(trace_id);
-                run_job(
-                    &entry.trained,
-                    &config,
-                    &record,
-                    &metrics,
-                    journal.as_deref(),
-                )
+                if let Some(journal) = &journal {
+                    journal.running(record.id);
+                }
+                let work = std::panic::AssertUnwindSafe(|| work(&record, journal.as_deref()));
+                let outcome = std::panic::catch_unwind(work).unwrap_or_else(|payload| {
+                    metrics.worker_panics.inc();
+                    let cause = crate::sync::panic_message(payload.as_ref());
+                    JobState::Failed(format!("{what} panicked: {cause}"))
+                });
+                if let Some(journal) = &journal {
+                    match &outcome {
+                        JobState::Failed(msg) => journal.failed(record.id, msg),
+                        JobState::Cancelled => journal.cancelled(record.id),
+                        _ => {}
+                    }
+                }
+                match (&record.training, &outcome) {
+                    (None, _) => metrics.jobs_finished.inc(),
+                    (Some(_), JobState::Promoted { .. }) => metrics.trains_promoted.inc(),
+                    (Some(_), JobState::Rejected { .. }) => metrics.trains_rejected.inc(),
+                    (Some(_), _) => metrics.trains_failed.inc(),
+                }
+                if let Some(t) = &record.training {
+                    t.lock().stage = "finished";
+                }
+                *record.state.lock() = outcome;
             })
-            .expect("spawn generation job");
+            .expect("spawn job thread");
         self.handles.lock().push(handle);
     }
 
-    /// Insert a job record already in a terminal state (journal replay of
-    /// completed / failed / cancelled jobs). No thread is spawned.
+    /// Insert a generation job record already in a terminal state (journal
+    /// replay of completed / failed / cancelled jobs). No thread is spawned.
     pub fn insert_terminal(&self, id: u64, model: &str, version: u64, state: JobState) {
+        self.restore(id, model, version, false, state);
+    }
+
+    /// [`insert_terminal`](Self::insert_terminal) for either kind: a
+    /// restored `training` job reads as one finished epoch of one
+    /// (`stage: finished`).
+    pub(crate) fn restore(
+        &self,
+        id: u64,
+        model: &str,
+        version: u64,
+        training: bool,
+        state: JobState,
+    ) {
         self.reserve_through(id);
-        let control = JobControl::new();
+        let progress = training.then(|| TrainProgress::new(1, 1, "finished"));
+        let record = JobRecord::new(id, model, version, progress);
         if matches!(state, JobState::Done { .. }) {
-            control.set_stage(JobStage::Finished);
-            control.set_progress(1, 1);
+            record.control.set_stage(JobStage::Finished);
+            record.control.set_progress(1, 1);
         }
-        let record = Arc::new(JobRecord {
-            id,
-            model: model.to_string(),
-            version,
-            control,
-            state: Lock::new(state),
-        });
-        self.jobs.lock().insert(id, record);
+        *record.state.lock() = state;
+        self.jobs.lock().insert(id, Arc::new(record));
     }
 
     /// Look up a job by id.
@@ -252,19 +391,15 @@ impl JobRegistry {
         self.jobs.lock().get(&id).cloned()
     }
 
-    /// Request cancellation; returns false for unknown ids.
+    /// Request cancellation (generation stops at its next chunk boundary,
+    /// training at its next epoch boundary); returns false for unknown ids.
     pub fn cancel(&self, id: u64) -> bool {
-        match self.get(id) {
-            Some(record) => {
-                record.control.cancel();
-                true
-            }
-            None => false,
-        }
+        self.get(id).map(|record| record.control.cancel()).is_some()
     }
 
     /// Join every job thread (drain semantics — jobs run to completion or to
-    /// their next cancellation check; none are abandoned mid-write).
+    /// their next cancellation check; none are abandoned mid-write. For a
+    /// long train, request cancellation first).
     pub fn drain(&self) {
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
         for h in handles {
@@ -273,45 +408,21 @@ impl JobRegistry {
     }
 }
 
+/// The generation work: generate, persist, commit.
 fn run_job(
     trained: &TrainedSam,
     config: &GenerationConfig,
     record: &JobRecord,
-    metrics: &ServeMetrics,
     journal: Option<&Journal>,
-) {
+) -> JobState {
     // Deterministic worker-kill points for the sharded-serving failover
     // tests: before any work, after generation (results in memory only),
     // and after results are persisted-and-committed. A journal replay must
     // recover the accepted job bit-for-bit from each of them.
     sam_fault::crash_point("serve.job.pre_run");
-    if let Some(journal) = journal {
-        journal.running(record.id);
-    }
-    // A panicking generation must still reach a terminal state: an abandoned
-    // `Running` record would poll as in-flight forever and block `drain` on
-    // restart-time accounting. Contain the panic and fail the job instead.
-    let generated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        trained.generate_controlled(config, &record.control)
-    }));
-    let generated = match generated {
-        Ok(result) => result,
-        Err(payload) => {
-            metrics.worker_panics.inc();
-            let msg = format!(
-                "generation panicked: {}",
-                crate::sync::panic_message(payload.as_ref())
-            );
-            if let Some(journal) = journal {
-                journal.failed(record.id, &msg);
-            }
-            *record.state.lock() = JobState::Failed(msg);
-            metrics.jobs_finished.inc();
-            return;
-        }
-    };
+    let generated = trained.generate_controlled(config, &record.control);
     sam_fault::crash_point("serve.job.generated");
-    let outcome = match generated {
+    match generated {
         Ok((db, report)) => {
             let summary = summary_json(&db, report.foj_samples, report.wall_seconds);
             if let Some(journal) = journal {
@@ -334,19 +445,7 @@ fn run_job(
                 db: Arc::new(db),
             }
         }
-        Err(SamError::Cancelled) => {
-            if let Some(journal) = journal {
-                journal.cancelled(record.id);
-            }
-            JobState::Cancelled
-        }
-        Err(e) => {
-            if let Some(journal) = journal {
-                journal.failed(record.id, &e.to_string());
-            }
-            JobState::Failed(e.to_string())
-        }
-    };
-    *record.state.lock() = outcome;
-    metrics.jobs_finished.inc();
+        Err(SamError::Cancelled) => JobState::Cancelled,
+        Err(e) => JobState::Failed(e.to_string()),
+    }
 }

@@ -122,6 +122,11 @@ pub struct ReplayedTrain {
     pub id: u64,
     /// Registry name of the model being retrained.
     pub model: String,
+    /// The incumbent's version at submission — what `GET /jobs/{id}`
+    /// reports as `model_version` unless the job was promoted. Logs written
+    /// before the `train_accepted` event carried it fall back to a
+    /// `rejected` summary's `incumbent_version`, else 0.
+    pub version: u64,
     /// The full training spec recorded at accept time — opaque to the
     /// journal; the training subsystem serialises and re-parses it.
     pub spec: Value,
@@ -141,16 +146,28 @@ pub struct RollbackRecord {
     pub model: String,
 }
 
-/// Everything [`Journal::replay_full`] reconstructs, in one pass.
-#[derive(Debug, Clone, Default)]
-pub struct Replay {
-    /// Generation jobs, sorted by id.
-    pub jobs: Vec<ReplayedJob>,
-    /// Training jobs, sorted by id.
-    pub trains: Vec<ReplayedTrain>,
-    /// Rollbacks, sorted by id (interleave with training promotions by id
-    /// to reconstruct registry history).
-    pub rollbacks: Vec<RollbackRecord>,
+/// One folded journal entry, as [`Journal::replay_full`] hands them back:
+/// a generation job, a training job, or a rollback record, all sharing the
+/// id space.
+#[derive(Debug, Clone)]
+pub enum ReplayEntry {
+    /// A generation job (`accepted` …).
+    Generate(ReplayedJob),
+    /// A training job (`train_accepted` …).
+    Train(ReplayedTrain),
+    /// A standalone `rollback` record.
+    Rollback(RollbackRecord),
+}
+
+impl ReplayEntry {
+    /// The id the entry was journalled under.
+    pub fn id(&self) -> u64 {
+        match self {
+            ReplayEntry::Generate(job) => job.id,
+            ReplayEntry::Train(train) => train.id,
+            ReplayEntry::Rollback(record) => record.id,
+        }
+    }
 }
 
 /// Last known state of a job, folded from the event log.
@@ -443,11 +460,9 @@ impl Journal {
     /// Record acceptance of a training job with its full spec (the event
     /// that makes the run resumable — the spec plus the persisted workload
     /// and checkpoint under the job directory reconstruct it exactly).
-    pub fn train_accepted(&self, id: u64, model: &str, spec: &Value) {
-        self.append(
-            &json!({"event": "train_accepted", "job": id, "model": model, "spec": spec}),
-            true,
-        );
+    /// `version` is the incumbent's version at submission.
+    pub fn train_accepted(&self, id: u64, model: &str, version: u64, spec: &Value) {
+        self.append(&train_accepted_event(id, model, version, spec), true);
     }
 
     /// Record one finished training epoch (progress marker; the checkpoint
@@ -531,11 +546,20 @@ impl Journal {
     /// [`ServeError::Internal`] if the snapshot or log file exists but
     /// cannot be read.
     pub fn replay(&self) -> Result<Vec<ReplayedJob>, ServeError> {
-        Ok(self.replay_full()?.jobs)
+        let generate = |entry| match entry {
+            ReplayEntry::Generate(job) => Some(job),
+            _ => None,
+        };
+        Ok(self
+            .replay_full()?
+            .into_iter()
+            .filter_map(generate)
+            .collect())
     }
 
-    /// [`replay`](Self::replay), additionally reconstructing training jobs
-    /// and rollback records — what [`Server::replay_journal`] applies.
+    /// [`replay`](Self::replay) without the filter: every folded entry —
+    /// generation jobs, training jobs and rollback records — in one list
+    /// sorted by id, which is what [`Server::replay_journal`] applies.
     ///
     /// # Errors
     ///
@@ -543,8 +567,8 @@ impl Journal {
     /// cannot be read.
     ///
     /// [`Server::replay_journal`]: crate::server::Server::replay_journal
-    pub fn replay_full(&self) -> Result<Replay, ServeError> {
-        let mut entries: BTreeMap<u64, Entry> = BTreeMap::new();
+    pub fn replay_full(&self) -> Result<Vec<ReplayEntry>, ServeError> {
+        let mut entries: BTreeMap<u64, ReplayEntry> = BTreeMap::new();
         for name in [SNAPSHOT_FILE, JOURNAL_FILE] {
             let path = self.dir.join(name);
             if !self.fs.exists(&path) {
@@ -570,15 +594,7 @@ impl Journal {
                 fold_event(&mut entries, &doc);
             }
         }
-        let mut replay = Replay::default();
-        for entry in entries.into_values() {
-            match entry {
-                Entry::Gen(job) => replay.jobs.push(job),
-                Entry::Train(train) => replay.trains.push(train),
-                Entry::Roll(record) => replay.rollbacks.push(record),
-            }
-        }
-        Ok(replay)
+        Ok(entries.into_values().collect())
     }
 
     /// Compact the journal: fold the current state, write it to
@@ -594,64 +610,60 @@ impl Journal {
     /// replayable (the old snapshot+log remain authoritative).
     pub fn compact(&self) -> Result<usize, ServeError> {
         let mut span = sam_obs::span!("journal_compact");
-        let replay = self.replay_full()?;
-        let push = |snapshot: &mut String, event: &Value| {
-            snapshot.push_str(&frame(&serde_json::to_string(event).unwrap_or_default()));
+        let entries = self.replay_full()?;
+        let mut snapshot = String::new();
+        let mut push = |event: Value| {
+            snapshot.push_str(&frame(&serde_json::to_string(&event).unwrap_or_default()));
             snapshot.push('\n');
         };
-        let mut snapshot = String::new();
-        for job in &replay.jobs {
-            push(
-                &mut snapshot,
-                &accepted_event(job.id, &job.model, job.version, &job.config),
-            );
-            let terminal = match &job.state {
-                ReplayState::Interrupted => None,
-                ReplayState::Completed(summary) => {
-                    Some(json!({"event": "completed", "job": job.id, "summary": summary}))
+        // Every entry survives as its accept record plus (when reached) its
+        // terminal verdict.
+        for entry in &entries {
+            let id = entry.id();
+            match entry {
+                ReplayEntry::Generate(job) => {
+                    push(accepted_event(id, &job.model, job.version, &job.config));
+                    match &job.state {
+                        ReplayState::Interrupted => {}
+                        ReplayState::Completed(summary) => {
+                            push(json!({"event": "completed", "job": id, "summary": summary}));
+                        }
+                        ReplayState::Failed(error) => {
+                            push(json!({"event": "failed", "job": id, "error": error}));
+                        }
+                        ReplayState::Cancelled => push(json!({"event": "cancelled", "job": id})),
+                    }
                 }
-                ReplayState::Failed(error) => {
-                    Some(json!({"event": "failed", "job": job.id, "error": error}))
+                ReplayEntry::Train(train) => {
+                    push(train_accepted_event(
+                        id,
+                        &train.model,
+                        train.version,
+                        &train.spec,
+                    ));
+                    match &train.state {
+                        TrainReplayState::Interrupted => {}
+                        TrainReplayState::Promoted { version, summary } => push(json!({
+                            "event": "promoted", "job": id,
+                            "version": version, "summary": summary
+                        })),
+                        TrainReplayState::Rejected(summary) => {
+                            push(json!({"event": "rejected", "job": id, "summary": summary}));
+                        }
+                        TrainReplayState::Failed(error) => {
+                            push(json!({"event": "failed", "job": id, "error": error}));
+                        }
+                        TrainReplayState::Cancelled => {
+                            push(json!({"event": "cancelled", "job": id}));
+                        }
+                    }
                 }
-                ReplayState::Cancelled => Some(json!({"event": "cancelled", "job": job.id})),
-            };
-            if let Some(event) = terminal {
-                push(&mut snapshot, &event);
+                ReplayEntry::Rollback(record) => {
+                    push(json!({"event": "rollback", "job": id, "model": record.model}));
+                }
             }
         }
-        // Training jobs and rollbacks survive compaction the same way:
-        // their accept record plus (when reached) their terminal verdict.
-        for train in &replay.trains {
-            push(
-                &mut snapshot,
-                &json!({"event": "train_accepted", "job": train.id,
-                        "model": train.model, "spec": train.spec}),
-            );
-            let terminal = match &train.state {
-                TrainReplayState::Interrupted => None,
-                TrainReplayState::Promoted { version, summary } => Some(json!({
-                    "event": "promoted", "job": train.id,
-                    "version": version, "summary": summary
-                })),
-                TrainReplayState::Rejected(summary) => {
-                    Some(json!({"event": "rejected", "job": train.id, "summary": summary}))
-                }
-                TrainReplayState::Failed(error) => {
-                    Some(json!({"event": "failed", "job": train.id, "error": error}))
-                }
-                TrainReplayState::Cancelled => Some(json!({"event": "cancelled", "job": train.id})),
-            };
-            if let Some(event) = terminal {
-                push(&mut snapshot, &event);
-            }
-        }
-        for record in &replay.rollbacks {
-            push(
-                &mut snapshot,
-                &json!({"event": "rollback", "job": record.id, "model": record.model}),
-            );
-        }
-        let jobs = replay.jobs.len() + replay.trains.len() + replay.rollbacks.len();
+        let jobs = entries.len();
         crash_point("journal.compact.pre_snapshot");
         let snap_path = self.dir.join(SNAPSHOT_FILE);
         write_atomic(&*self.fs, &snap_path, snapshot.as_bytes())
@@ -686,19 +698,15 @@ fn accepted_event(id: u64, model: &str, version: u64, config: &GenerationConfig)
     })
 }
 
-/// One folded journal entry — a generation job, a training job, or a
-/// rollback record, all sharing the id space.
-enum Entry {
-    Gen(ReplayedJob),
-    Train(ReplayedTrain),
-    Roll(RollbackRecord),
+fn train_accepted_event(id: u64, model: &str, version: u64, spec: &Value) -> Value {
+    json!({"event": "train_accepted", "job": id, "model": model, "version": version, "spec": spec})
 }
 
 /// Apply one event document to the fold. `accepted`/`train_accepted`/
 /// `rollback` only fill a vacant slot: after compaction the snapshot is
 /// authoritative, and a stale accept left in a not-yet-truncated log must
 /// not downgrade a terminal state back to `Interrupted`.
-fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
+fn fold_event(entries: &mut BTreeMap<u64, ReplayEntry>, doc: &Value) {
     let (Some(event), Some(id)) = (
         doc.get("event").and_then(Value::as_str),
         doc.get("job").and_then(Value::as_u64),
@@ -716,7 +724,7 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
                 .and_then(parse_strategy)
                 .unwrap_or(JoinKeyStrategy::GroupAndMerge);
             entries.entry(id).or_insert_with(|| {
-                Entry::Gen(ReplayedJob {
+                ReplayEntry::Generate(ReplayedJob {
                     id,
                     model: model.to_string(),
                     version: doc.get("version").and_then(Value::as_u64).unwrap_or(0),
@@ -737,9 +745,10 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
                 return;
             };
             entries.entry(id).or_insert_with(|| {
-                Entry::Train(ReplayedTrain {
+                ReplayEntry::Train(ReplayedTrain {
                     id,
                     model: model.to_string(),
+                    version: doc.get("version").and_then(Value::as_u64).unwrap_or(0),
                     spec: doc.get("spec").cloned().unwrap_or(Value::Null),
                     state: TrainReplayState::Interrupted,
                 })
@@ -750,7 +759,7 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
                 return;
             };
             entries.entry(id).or_insert_with(|| {
-                Entry::Roll(RollbackRecord {
+                ReplayEntry::Rollback(RollbackRecord {
                     id,
                     model: model.to_string(),
                 })
@@ -761,13 +770,13 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
             // may precede a terminal record that never made it to disk.
         }
         "completed" => {
-            if let Some(Entry::Gen(job)) = entries.get_mut(&id) {
+            if let Some(ReplayEntry::Generate(job)) = entries.get_mut(&id) {
                 job.state =
                     ReplayState::Completed(doc.get("summary").cloned().unwrap_or(Value::Null));
             }
         }
         "promoted" => {
-            if let Some(Entry::Train(train)) = entries.get_mut(&id) {
+            if let Some(ReplayEntry::Train(train)) = entries.get_mut(&id) {
                 train.state = TrainReplayState::Promoted {
                     version: doc.get("version").and_then(Value::as_u64).unwrap_or(0),
                     summary: doc.get("summary").cloned().unwrap_or(Value::Null),
@@ -775,9 +784,16 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
             }
         }
         "rejected" => {
-            if let Some(Entry::Train(train)) = entries.get_mut(&id) {
-                train.state =
-                    TrainReplayState::Rejected(doc.get("summary").cloned().unwrap_or(Value::Null));
+            if let Some(ReplayEntry::Train(train)) = entries.get_mut(&id) {
+                let summary = doc.get("summary").cloned().unwrap_or(Value::Null);
+                if train.version == 0 {
+                    // Accepted before `train_accepted` recorded the version.
+                    train.version = summary
+                        .get("incumbent_version")
+                        .and_then(Value::as_u64)
+                        .unwrap_or(0);
+                }
+                train.state = TrainReplayState::Rejected(summary);
             }
         }
         "failed" => {
@@ -787,14 +803,14 @@ fn fold_event(entries: &mut BTreeMap<u64, Entry>, doc: &Value) {
                 .unwrap_or("unknown error")
                 .to_string();
             match entries.get_mut(&id) {
-                Some(Entry::Gen(job)) => job.state = ReplayState::Failed(error),
-                Some(Entry::Train(train)) => train.state = TrainReplayState::Failed(error),
+                Some(ReplayEntry::Generate(job)) => job.state = ReplayState::Failed(error),
+                Some(ReplayEntry::Train(train)) => train.state = TrainReplayState::Failed(error),
                 _ => {}
             }
         }
         "cancelled" => match entries.get_mut(&id) {
-            Some(Entry::Gen(job)) => job.state = ReplayState::Cancelled,
-            Some(Entry::Train(train)) => train.state = TrainReplayState::Cancelled,
+            Some(ReplayEntry::Generate(job)) => job.state = ReplayState::Cancelled,
+            Some(ReplayEntry::Train(train)) => train.state = TrainReplayState::Cancelled,
             _ => {}
         },
         _ => {}
@@ -1105,8 +1121,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn trains(entries: &[ReplayEntry]) -> Vec<&ReplayedTrain> {
+        entries
+            .iter()
+            .filter_map(|entry| match entry {
+                ReplayEntry::Train(train) => Some(train),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Training jobs fold through their own vocabulary and share the id
-    /// space with generation jobs and rollback records.
+    /// space — and the one id-ordered list — with generation jobs and
+    /// rollback records.
     #[test]
     fn train_events_fold_to_last_state() {
         let journal = temp_journal("train_fold");
@@ -1114,58 +1141,54 @@ mod tests {
         // id 1: a generation job; ids 2-5: training jobs; id 6: a rollback.
         journal.accepted(1, "m", 1, &config(9));
         journal.completed(1, &json!({}));
-        journal.train_accepted(2, "m", &spec);
+        journal.train_accepted(2, "m", 1, &spec);
         journal.running(2);
         journal.epoch(2, 1, 8, 0.5);
         journal.epoch(2, 2, 8, 0.25);
-        journal.train_accepted(3, "m", &spec);
+        journal.train_accepted(3, "m", 1, &spec);
         journal.evaluating(3);
         journal.promoted(3, 2, &json!({"candidate_p95": 1.5}));
-        journal.train_accepted(4, "m", &spec);
+        journal.train_accepted(4, "m", 2, &spec);
         journal.rejected(4, &json!({"reason": "worse than incumbent"}));
-        journal.train_accepted(5, "m", &spec);
+        journal.train_accepted(5, "m", 2, &spec);
         journal.failed(5, "boom");
         journal.rollback(6, "m", 2, 3);
 
-        let replay = journal.replay_full().unwrap();
-        assert_eq!(replay.jobs.len(), 1, "generation jobs keep folding");
-        assert_eq!(replay.trains.len(), 4);
-        assert_eq!(replay.trains[0].state, TrainReplayState::Interrupted);
-        assert_eq!(replay.trains[0].spec, spec);
+        let entries = journal.replay_full().unwrap();
+        let ids: Vec<u64> = entries.iter().map(ReplayEntry::id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6], "one list, sorted by id");
+        assert!(matches!(entries[0], ReplayEntry::Generate(_)));
+        let trains = trains(&entries);
+        assert_eq!(trains.len(), 4);
+        assert_eq!(trains[0].state, TrainReplayState::Interrupted);
+        assert_eq!(trains[0].spec, spec);
         assert!(matches!(
-            replay.trains[1].state,
+            trains[1].state,
             TrainReplayState::Promoted { version: 2, .. }
         ));
+        assert!(matches!(trains[2].state, TrainReplayState::Rejected(_)));
+        assert_eq!(trains[2].version, 2, "incumbent version at submission");
+        assert_eq!(trains[3].state, TrainReplayState::Failed("boom".into()));
         assert!(matches!(
-            replay.trains[2].state,
-            TrainReplayState::Rejected(_)
+            &entries[5],
+            ReplayEntry::Rollback(r) if *r == RollbackRecord { id: 6, model: "m".into() }
         ));
-        assert_eq!(
-            replay.trains[3].state,
-            TrainReplayState::Failed("boom".into())
-        );
-        assert_eq!(
-            replay.rollbacks,
-            vec![RollbackRecord {
-                id: 6,
-                model: "m".into()
-            }]
-        );
-        // The legacy view still returns only generation jobs.
+        // The generation-only view still returns only generation jobs.
         assert_eq!(journal.replay().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(journal.dir());
     }
 
     /// Compaction must retain training jobs and rollback records — the
-    /// snapshot replays to the same training state the log did.
+    /// snapshot replays to the same training state the log did, incumbent
+    /// version included.
     #[test]
     fn compaction_retains_train_records() {
         let journal = temp_journal("train_compact");
         let spec = json!({"model": "m", "epochs": 4});
-        journal.train_accepted(1, "m", &spec);
+        journal.train_accepted(1, "m", 4, &spec);
         journal.running(1);
         journal.epoch(1, 1, 4, 0.9);
-        journal.train_accepted(2, "m", &spec);
+        journal.train_accepted(2, "m", 4, &spec);
         journal.promoted(2, 5, &json!({"candidate_p95": 2.0}));
         journal.rollback(3, "m", 5, 6);
 
@@ -1175,11 +1198,42 @@ mod tests {
         assert_eq!(journal.log_len(), 0);
 
         let after = journal.replay_full().unwrap();
-        assert_eq!(after.trains.len(), 2);
-        assert_eq!(after.trains[0].state, TrainReplayState::Interrupted);
-        assert_eq!(after.trains[0].spec, spec);
-        assert_eq!(after.trains[1].state, before.trains[1].state);
-        assert_eq!(after.rollbacks, before.rollbacks);
+        let (before, after) = (trains(&before), trains(&after));
+        assert_eq!(after.len(), 2);
+        assert_eq!(after[0].state, TrainReplayState::Interrupted);
+        assert_eq!(after[0].spec, spec);
+        assert_eq!(after[0].version, 4);
+        assert_eq!(after[1].state, before[1].state);
+        assert!(matches!(
+            journal.replay_full().unwrap()[2],
+            ReplayEntry::Rollback(_)
+        ));
+        let _ = std::fs::remove_dir_all(journal.dir());
+    }
+
+    /// `train_accepted` lines written before the event carried the
+    /// incumbent's version still replay: the version comes from a
+    /// `rejected` summary's `incumbent_version` when there is one, else 0 —
+    /// and compaction writes the recovered version into the snapshot.
+    #[test]
+    fn train_accepted_without_version_key_still_replays() {
+        let journal = temp_journal("train_legacy");
+        append_raw(
+            &journal,
+            b"{\"event\":\"train_accepted\",\"job\":7,\"model\":\"m\",\"spec\":{}}\n\
+              {\"event\":\"rejected\",\"job\":7,\"summary\":{\"incumbent_version\":3}}\n\
+              {\"event\":\"train_accepted\",\"job\":8,\"model\":\"m\",\"spec\":{}}\n\
+              {\"event\":\"cancelled\",\"job\":8}\n",
+        );
+        for pass in ["log", "snapshot"] {
+            let entries = journal.replay_full().unwrap();
+            let trains = trains(&entries);
+            assert!(matches!(trains[0].state, TrainReplayState::Rejected(_)));
+            assert_eq!(trains[0].version, 3, "{pass}: from the rejected summary");
+            assert_eq!(trains[1].state, TrainReplayState::Cancelled);
+            assert_eq!(trains[1].version, 0, "{pass}: nothing recorded it");
+            journal.compact().unwrap();
+        }
         let _ = std::fs::remove_dir_all(journal.dir());
     }
 
@@ -1217,7 +1271,7 @@ mod tests {
         drop(journal);
         assert!(!dir.join(LOCK_FILE).exists());
         let reopened = Journal::open(&dir, sam_obs::counter("test_journal_events")).unwrap();
-        assert_eq!(reopened.replay_full().unwrap().jobs.len(), 1);
+        assert_eq!(reopened.replay().unwrap().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,13 +12,14 @@
 //!   fused into one batched progressive-sampling pass
 //!   ([`sam_ar::estimate_cardinality_batch`]) with bit-identical results;
 //!   a full queue is immediate 429 backpressure.
-//! * [`JobRegistry`] — async generation jobs with stage/progress polling and
-//!   cooperative cancellation ([`sam_core::JobControl`]).
+//! * [`JobRegistry`] — the one table of background jobs, generation and
+//!   training alike: stage/progress polling, cooperative cancellation
+//!   ([`sam_core::JobControl`]), one thread wrapper, one status document.
 //! * [`Journal`] — append-only on-disk job log ([`ServeConfig::journal_dir`]):
 //!   completed jobs survive a restart (status + export), interrupted jobs
 //!   resume bit-for-bit from their recorded seed
 //!   ([`Server::replay_journal`]).
-//! * [`TrainRegistry`] — train-as-a-service: `POST /train` ingests a
+//! * [`training`] — train-as-a-service: `POST /train` ingests a
 //!   streamed labelled workload (gzip/deflate request bodies accepted),
 //!   trains a candidate on a background thread with journaled + checkpointed
 //!   epochs (a SIGKILL mid-train resumes bit-for-bit on restart), shadow-
@@ -70,12 +71,10 @@ pub use compress::{gunzip, zlib_decode, Coding, Encoder};
 pub use error::ServeError;
 pub use jobs::{JobRecord, JobRegistry, JobState};
 pub use journal::{
-    Journal, Replay, ReplayState, ReplayedJob, ReplayedTrain, RollbackRecord, TrainReplayState,
+    Journal, ReplayEntry, ReplayState, ReplayedJob, ReplayedTrain, RollbackRecord, TrainReplayState,
 };
 pub use metrics::ServeMetrics;
 pub use quality::{QualityConfig, QualityCounters, QualityMonitor, QualityTask};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{ReplaySummary, ServeConfig, Server};
-pub use training::{
-    split_workload, SplitWorkload, TrainRecord, TrainRegistry, TrainSpec, TrainState,
-};
+pub use training::{split_workload, SplitWorkload, TrainSpec};

@@ -61,7 +61,8 @@ pub struct ServeMetrics {
     /// Training jobs whose candidate lost shadow evaluation (incumbent
     /// kept serving).
     pub trains_rejected: Arc<Counter>,
-    /// Training jobs that failed before a verdict.
+    /// Training jobs that failed, panicked or were cancelled before a
+    /// verdict.
     pub trains_failed: Arc<Counter>,
     /// Model rollbacks performed (`POST /models/{name}/rollback`).
     pub rollbacks: Arc<Counter>,

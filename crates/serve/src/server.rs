@@ -34,20 +34,20 @@
 //!
 //! Shutdown order matters: stop accepting, join connection handlers (they
 //! may still be waiting on estimate replies), drain + stop the batcher,
-//! then join all generation jobs (drain semantics — accepted jobs reach a
+//! then join all background jobs (drain semantics — accepted jobs reach a
 //! terminal state before [`Server::shutdown`] returns).
 
 use crate::batcher::{Batcher, EstimateJob};
 use crate::cache::{EstimateCache, EstimateKey};
 use crate::compress::{Coding, Encoder};
 use crate::error::ServeError;
-use crate::http::{self, Acceptor, ChunkedWriter, Request};
+use crate::http::{self, query_param, split_target, Acceptor, ChunkedWriter, Request};
 use crate::jobs::{JobRegistry, JobState};
-use crate::journal::{Journal, ReplayState, ReplayedTrain, RollbackRecord, TrainReplayState};
+use crate::journal::{Journal, ReplayEntry, ReplayState, ReplayedTrain, TrainReplayState};
 use crate::metrics::ServeMetrics;
 use crate::quality::{QualityConfig, QualityMonitor, QualityTask};
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::training::{self, TrainJob, TrainRegistry, TrainSpec, TrainState};
+use crate::training::{self, TrainJob, TrainSpec};
 use sam_core::{GenerationConfig, JoinKeyStrategy};
 use sam_nn::BackendKind;
 use sam_obs::{CacheOutcome, Endpoint, FlightRecorder, SlowEntry, SlowLog};
@@ -172,10 +172,9 @@ pub struct ReplaySummary {
 struct ServerState {
     config: ServeConfig,
     registry: Arc<ModelRegistry>,
+    /// Every background job, generation (`POST /generate`) and training
+    /// (`POST /train`) alike.
     jobs: JobRegistry,
-    /// Background training jobs (`POST /train`); shares the job-id space
-    /// with `jobs` via [`JobRegistry::allocate_id`].
-    trains: TrainRegistry,
     metrics: Arc<ServeMetrics>,
     batcher: Batcher,
     /// Completed estimates keyed on (model, version, canonical query,
@@ -250,7 +249,7 @@ impl Server {
             metrics.quality_counters(),
         );
         let slow = SlowLog::new(64);
-        let jobs = JobRegistry::with_journal(journal);
+        let jobs = JobRegistry::new(journal, Arc::clone(&metrics));
         // Shard mode: mint every job id above this worker's range base so a
         // router can route /jobs/{id} by the id alone.
         jobs.reserve_through(config.job_id_base);
@@ -258,7 +257,6 @@ impl Server {
             config,
             registry,
             jobs,
-            trains: TrainRegistry::new(),
             metrics,
             batcher,
             cache,
@@ -290,14 +288,9 @@ impl Server {
         &self.state.registry
     }
 
-    /// The generation-job registry.
+    /// The job table (generation and training jobs).
     pub fn jobs(&self) -> &JobRegistry {
         &self.state.jobs
-    }
-
-    /// The training-job registry.
-    pub fn trains(&self) -> &TrainRegistry {
-        &self.state.trains
     }
 
     /// Server metrics.
@@ -340,113 +333,16 @@ impl Server {
         };
         let mut span = sam_obs::span!("journal_replay");
         let mut summary = ReplaySummary::default();
-        let replay = journal.replay_full()?;
-
-        // Registry history first: promotions and rollbacks re-apply in id
-        // order (ids are minted monotonically, so id order is event order),
-        // leaving the registry's current version and rollback history as
-        // the journal last recorded them. Generation jobs then bind to the
-        // restored registry state.
-        enum RegistryEvent<'a> {
-            Train(&'a ReplayedTrain),
-            Roll(&'a RollbackRecord),
-        }
-        let mut events: Vec<(u64, RegistryEvent)> = replay
-            .trains
-            .iter()
-            .map(|t| (t.id, RegistryEvent::Train(t)))
-            .chain(
-                replay
-                    .rollbacks
-                    .iter()
-                    .map(|r| (r.id, RegistryEvent::Roll(r))),
-            )
-            .collect();
-        events.sort_by_key(|(id, _)| *id);
-        for (id, event) in events {
-            self.state.jobs.reserve_through(id);
-            match event {
-                RegistryEvent::Roll(r) => {
-                    // The model (or its history) may be gone after a
-                    // restart with different loads; the rollback is then a
-                    // no-op rather than a replay abort.
-                    let _ = self.state.registry.rollback(&r.model);
-                }
-                RegistryEvent::Train(t) => self.replay_train(&journal, t, &mut summary),
-            }
-        }
-
-        for job in replay.jobs {
-            self.state.metrics.jobs_replayed.inc();
-            let entry = self.state.registry.get(&job.model);
-            match (job.state, entry) {
-                (ReplayState::Completed(job_summary), Some(entry)) => {
-                    match load_persisted_results(&journal, job.id, &entry.trained) {
-                        Ok(db) => {
-                            self.state.jobs.insert_terminal(
-                                job.id,
-                                &job.model,
-                                entry.version,
-                                JobState::Done {
-                                    summary: job_summary,
-                                    db: Arc::new(db),
-                                },
-                            );
-                            summary.completed += 1;
-                        }
-                        Err(e) => {
-                            self.state.jobs.insert_terminal(
-                                job.id,
-                                &job.model,
-                                job.version,
-                                JobState::Failed(format!(
-                                    "completed before restart, but results unavailable: {e}"
-                                )),
-                            );
-                            summary.failed += 1;
-                        }
-                    }
-                }
-                (ReplayState::Interrupted, Some(entry)) => {
-                    self.state.jobs.respawn(
-                        job.id,
-                        entry,
-                        job.config,
-                        Arc::clone(&self.state.metrics),
-                    );
-                    summary.resumed += 1;
-                }
-                (ReplayState::Failed(msg), _) => {
-                    self.state.jobs.insert_terminal(
-                        job.id,
-                        &job.model,
-                        job.version,
-                        JobState::Failed(msg),
-                    );
-                    summary.failed += 1;
-                }
-                (ReplayState::Cancelled, _) => {
-                    self.state.jobs.insert_terminal(
-                        job.id,
-                        &job.model,
-                        job.version,
-                        JobState::Cancelled,
-                    );
-                    summary.failed += 1;
-                }
-                (_, None) => {
-                    self.state.jobs.insert_terminal(
-                        job.id,
-                        &job.model,
-                        job.version,
-                        JobState::Failed(format!(
-                            "model '{}' not registered after restart",
-                            job.model
-                        )),
-                    );
-                    summary.failed += 1;
-                }
-            }
+        // One id-ordered list, applied in one loop — registry history
+        // first: promotions and rollbacks re-apply in id order (ids are
+        // minted monotonically, so id order is event order), leaving the
+        // registry's current version and rollback history as the journal
+        // last recorded them. Generation jobs then bind to the restored
+        // registry state. The sort is stable, so each half stays id-ordered.
+        let mut entries = journal.replay_full()?;
+        entries.sort_by_key(|entry| matches!(entry, ReplayEntry::Generate(_)));
+        for entry in entries {
+            self.restore_entry(&journal, entry, &mut summary);
         }
         span.record("completed", summary.completed);
         span.record("resumed", summary.resumed);
@@ -462,72 +358,100 @@ impl Server {
         Ok(summary)
     }
 
-    /// Restore one journaled training job: re-apply a promotion from its
-    /// persisted candidate, re-insert terminal verdicts, or re-spawn an
-    /// interrupted run from its persisted workload split (checkpoint
-    /// auto-resume makes the rerun bit-for-bit).
-    fn replay_train(&self, journal: &Arc<Journal>, t: &ReplayedTrain, summary: &mut ReplaySummary) {
-        self.state.metrics.jobs_replayed.inc();
-        let terminal = |state: TrainState, version: u64| {
-            self.state
-                .trains
-                .insert_terminal(t.id, &t.model, version, state);
-        };
-        match &t.state {
-            TrainReplayState::Promoted { summary: eval, .. } => {
-                let path = journal.job_dir(t.id).join("model.json");
-                match self.state.registry.promote_from_file(&t.model, &path) {
-                    Ok(version) => {
-                        terminal(
-                            TrainState::Promoted {
+    /// Restore one replayed entry: re-apply a rollback, or bring a job back
+    /// as either a terminal record (`Some(state)`) or a re-spawned thread
+    /// (`None`). A completed generation reloads its persisted CSVs, a
+    /// promotion re-loads its persisted candidate and hot-swaps it back in,
+    /// an interrupted job of either kind re-runs bit-for-bit (recorded seed
+    /// / last checkpoint); whatever cannot be restored comes back `Failed`
+    /// with the reason rather than being dropped.
+    fn restore_entry(
+        &self,
+        journal: &Arc<Journal>,
+        entry: ReplayEntry,
+        summary: &mut ReplaySummary,
+    ) {
+        let (state, registry) = (&self.state, &self.state.registry);
+        // Covers rollback records too, which mint no job.
+        state.jobs.reserve_through(entry.id());
+        let (id, model, version, training, restored) = match entry {
+            ReplayEntry::Rollback(r) => {
+                // The model (or its history) may be gone after a restart
+                // with different loads; the rollback is then a no-op rather
+                // than a replay abort.
+                let _ = registry.rollback(&r.model);
+                return;
+            }
+            ReplayEntry::Generate(job) => {
+                let (mut version, entry) = (job.version, registry.get(&job.model));
+                let restored = match (job.state, entry) {
+                    (ReplayState::Failed(msg), _) => Some(JobState::Failed(msg)),
+                    (ReplayState::Cancelled, _) => Some(JobState::Cancelled),
+                    (_, None) => Some(JobState::Failed(format!(
+                        "model '{}' not registered after restart",
+                        job.model
+                    ))),
+                    (ReplayState::Completed(job_summary), Some(entry)) => {
+                        match load_persisted_results(journal, job.id, &entry.trained) {
+                            Ok(db) => {
+                                version = entry.version;
+                                Some(JobState::Done {
+                                    summary: job_summary,
+                                    db: Arc::new(db),
+                                })
+                            }
+                            Err(e) => Some(JobState::Failed(format!(
+                                "completed before restart, but results unavailable: {e}"
+                            ))),
+                        }
+                    }
+                    (ReplayState::Interrupted, Some(entry)) => {
+                        state.jobs.respawn(job.id, entry, job.config);
+                        None
+                    }
+                };
+                (job.id, job.model, version, false, restored)
+            }
+            ReplayEntry::Train(t) => {
+                let restored = match &t.state {
+                    TrainReplayState::Promoted { summary: eval, .. } => {
+                        let path = journal.job_dir(t.id).join("model.json");
+                        Some(match registry.promote_from_file(&t.model, &path) {
+                            Ok(version) => JobState::Promoted {
                                 version,
                                 summary: eval.clone(),
                             },
-                            version,
-                        );
-                        summary.completed += 1;
-                    }
-                    Err(e) => {
-                        terminal(
-                            TrainState::Failed(format!(
+                            Err(e) => JobState::Failed(format!(
                                 "promoted before restart, but candidate unavailable: {e}"
                             )),
-                            0,
-                        );
-                        summary.failed += 1;
+                        })
                     }
-                }
-            }
-            TrainReplayState::Rejected(eval) => {
-                terminal(
-                    TrainState::Rejected {
+                    TrainReplayState::Rejected(eval) => Some(JobState::Rejected {
                         summary: eval.clone(),
-                    },
-                    0,
-                );
-                summary.completed += 1;
+                    }),
+                    TrainReplayState::Failed(msg) => Some(JobState::Failed(msg.clone())),
+                    TrainReplayState::Cancelled => Some(JobState::Cancelled),
+                    TrainReplayState::Interrupted => {
+                        self.respawn_train(journal, &t).err().map(|e| {
+                            JobState::Failed(format!(
+                                "interrupted before restart and not resumable: {e}"
+                            ))
+                        })
+                    }
+                };
+                (t.id, t.model, t.version, true, restored)
             }
-            TrainReplayState::Failed(msg) => {
-                terminal(TrainState::Failed(msg.clone()), 0);
-                summary.failed += 1;
-            }
-            TrainReplayState::Cancelled => {
-                terminal(TrainState::Cancelled, 0);
-                summary.failed += 1;
-            }
-            TrainReplayState::Interrupted => match self.respawn_train(journal, t) {
-                Ok(()) => summary.resumed += 1,
-                Err(e) => {
-                    terminal(
-                        TrainState::Failed(format!(
-                            "interrupted before restart and not resumable: {e}"
-                        )),
-                        0,
-                    );
-                    summary.failed += 1;
-                }
-            },
+        };
+        state.metrics.jobs_replayed.inc();
+        let Some(job_state) = restored else {
+            summary.resumed += 1;
+            return;
+        };
+        match job_state {
+            JobState::Failed(_) | JobState::Cancelled => summary.failed += 1,
+            _ => summary.completed += 1,
         }
+        state.jobs.restore(id, &model, version, training, job_state);
     }
 
     /// Re-spawn an interrupted training job under its original id, from the
@@ -544,17 +468,18 @@ impl Server {
         let split = training::load_persisted_workload(journal, t.id)?;
         let stats = resolve_stats(&spec, &incumbent)?;
         journal.resumed(t.id);
-        self.state.trains.spawn(TrainJob {
-            id: t.id,
-            spec,
-            incumbent,
-            split,
-            stats,
-            registry: Arc::clone(&self.state.registry),
-            metrics: Arc::clone(&self.state.metrics),
-            journal: Some(Arc::clone(journal)),
-            promote_max_qerror: self.state.config.promote_max_qerror,
-        });
+        training::spawn(
+            &self.state.jobs,
+            TrainJob {
+                id: t.id,
+                spec,
+                incumbent,
+                split,
+                stats,
+                registry: Arc::clone(&self.state.registry),
+                promote_max_qerror: self.state.config.promote_max_qerror,
+            },
+        );
         Ok(())
     }
 
@@ -568,7 +493,6 @@ impl Server {
         self.acceptor.shutdown();
         self.state.batcher.shutdown();
         self.state.jobs.drain();
-        self.state.trains.drain();
         self.state.quality.shutdown();
     }
 
@@ -926,12 +850,8 @@ fn classify_endpoint(path: &str) -> Endpoint {
 }
 
 fn route(request: &Request, state: &Arc<ServerState>, telemetry: &mut Telemetry) -> Reply {
-    // The request target may carry a query string (`/metrics?format=...`);
-    // http.rs deliberately leaves the split to the router.
-    let (path, query) = match request.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (request.path.as_str(), ""),
-    };
+    // The request target may carry a query string (`/metrics?format=...`).
+    let (path, query) = split_target(&request.path);
     telemetry.endpoint = classify_endpoint(path);
     if request.method == "GET" && path == "/metrics" {
         return if query_param(query, "format") == Some("prometheus") {
@@ -1107,6 +1027,11 @@ fn export_route(
         .jobs
         .get(id)
         .ok_or_else(|| ServeError::NotFound(format!("job {id}")))?;
+    if record.is_training() {
+        return Err(ServeError::Conflict(format!(
+            "job {id} is a training job: it has no relations to export"
+        )));
+    }
     let format = match query_param(query, "format") {
         None | Some("csv") => ExportFormat::Csv,
         Some("jsonl") => ExportFormat::Jsonl,
@@ -1160,15 +1085,6 @@ fn export_route(
         coding,
         range,
     })
-}
-
-/// Value of `key` in a raw query string (`a=1&b=2`), if present.
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query
-        .split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v)
 }
 
 fn list_models(state: &ServerState) -> Value {
@@ -1362,7 +1278,7 @@ fn generate_route(state: &ServerState, body: &str) -> Result<(u16, Value), Serve
         seed,
         strategy: JoinKeyStrategy::GroupAndMerge,
     };
-    let id = state.jobs.spawn(entry, config, Arc::clone(&state.metrics));
+    let id = state.jobs.spawn(entry, config);
     Ok((
         202,
         json!({"job_id": id, "status_url": format!("/jobs/{id}")}),
@@ -1374,11 +1290,8 @@ fn job_route(state: &ServerState, method: &str, path: &str) -> Result<(u16, Valu
     match method {
         "GET" => {
             let id = parse_job_id(rest)?;
-            if let Some(record) = state.jobs.get(id) {
-                return Ok((200, record.status_json()));
-            }
             let record = state
-                .trains
+                .jobs
                 .get(id)
                 .ok_or_else(|| ServeError::NotFound(format!("job {id}")))?;
             Ok((200, record.status_json()))
@@ -1388,7 +1301,7 @@ fn job_route(state: &ServerState, method: &str, path: &str) -> Result<(u16, Valu
                 .strip_suffix("/cancel")
                 .ok_or_else(|| ServeError::NotFound(format!("no route for {path}")))?;
             let id = parse_job_id(id_part)?;
-            if state.jobs.cancel(id) || state.trains.cancel(id) {
+            if state.jobs.cancel(id) {
                 Ok((200, json!({"job_id": id, "cancelled": true})))
             } else {
                 Err(ServeError::NotFound(format!("job {id}")))
@@ -1407,7 +1320,6 @@ fn job_route(state: &ServerState, method: &str, path: &str) -> Result<(u16, Valu
 fn drain_route(state: &ServerState) -> Result<(u16, Value), ServeError> {
     state.draining.store(true, Ordering::SeqCst);
     state.jobs.drain();
-    state.trains.drain();
     let mut compacted = 0;
     if let Some(journal) = state.jobs.journal() {
         compacted = journal.compact()?;
@@ -1450,19 +1362,20 @@ fn train_route(
         // Persist-then-commit: the workload split lands on disk before the
         // accepted event, so an accepted record is always resumable.
         training::persist_workload(journal, id, &split)?;
-        journal.train_accepted(id, &spec.model, &spec.to_value());
+        journal.train_accepted(id, &spec.model, incumbent.version, &spec.to_value());
     }
-    state.trains.spawn(TrainJob {
-        id,
-        spec,
-        incumbent,
-        split,
-        stats,
-        registry: Arc::clone(&state.registry),
-        metrics: Arc::clone(&state.metrics),
-        journal: state.jobs.journal().cloned(),
-        promote_max_qerror: state.config.promote_max_qerror,
-    });
+    training::spawn(
+        &state.jobs,
+        TrainJob {
+            id,
+            spec,
+            incumbent,
+            split,
+            stats,
+            registry: Arc::clone(&state.registry),
+            promote_max_qerror: state.config.promote_max_qerror,
+        },
+    );
     Ok((
         202,
         json!({"job_id": id, "status_url": format!("/jobs/{id}")}),

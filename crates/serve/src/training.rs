@@ -22,10 +22,10 @@
 //! [`ServeConfig::promote_max_qerror`]: crate::server::ServeConfig::promote_max_qerror
 
 use crate::error::ServeError;
+use crate::http::query_param;
+use crate::jobs::{JobRecord, JobRegistry, JobState, TrainProgress};
 use crate::journal::Journal;
-use crate::metrics::ServeMetrics;
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::sync::Lock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sam_ar::{estimate_cardinality, save_model, CheckpointConfig, FrozenModel, TrainControl};
@@ -34,10 +34,7 @@ use sam_metrics::q_error;
 use sam_query::{format_workload, read_labeled_workload, Workload};
 use sam_storage::DatabaseStats;
 use serde_json::{json, Value};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Hard cap on training epochs per job.
 const MAX_EPOCHS: usize = 10_000;
@@ -94,13 +91,7 @@ impl TrainSpec {
     /// [`ServeError::BadRequest`] for a missing `model`, an unparsable
     /// number, or an out-of-range value.
     pub fn from_query(query: &str) -> Result<TrainSpec, ServeError> {
-        let param = |key: &str| {
-            query
-                .split('&')
-                .filter_map(|pair| pair.split_once('='))
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v)
-        };
+        let param = |key: &str| query_param(query, key);
         let model = param("model")
             .filter(|m| !m.is_empty())
             .ok_or_else(|| ServeError::BadRequest("missing query parameter 'model'".to_string()))?
@@ -363,108 +354,7 @@ pub fn load_persisted_workload(journal: &Journal, id: u64) -> Result<SplitWorklo
     })
 }
 
-/// Terminal or running state of a training job.
-pub enum TrainState {
-    /// Training or evaluating (see the record's stage/progress).
-    Running,
-    /// Candidate won shadow evaluation and now serves as `version`.
-    Promoted {
-        /// Version minted for the candidate in the model registry.
-        version: u64,
-        /// Evaluation summary (candidate/incumbent p95, gate, wall time).
-        summary: Value,
-    },
-    /// Candidate lost shadow evaluation; the incumbent keeps serving.
-    Rejected {
-        /// Evaluation summary explaining the verdict.
-        summary: Value,
-    },
-    /// Training or evaluation failed.
-    Failed(String),
-    /// Cancelled at an epoch boundary before completing.
-    Cancelled,
-}
-
-/// One training job: progress snapshot plus current state.
-pub struct TrainRecord {
-    /// Job id, minted from the same space as generation jobs
-    /// ([`crate::jobs::JobRegistry::allocate_id`]).
-    pub id: u64,
-    /// Model name being retrained.
-    pub model: String,
-    /// Incumbent version the candidate competes against.
-    pub base_version: u64,
-    cancel: AtomicBool,
-    epoch: AtomicU64,
-    total_epochs: AtomicU64,
-    loss_bits: AtomicU64,
-    stage: Lock<&'static str>,
-    state: Lock<TrainState>,
-}
-
-impl TrainRecord {
-    fn new(id: u64, model: &str, base_version: u64, total_epochs: usize) -> TrainRecord {
-        TrainRecord {
-            id,
-            model: model.to_string(),
-            base_version,
-            cancel: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            total_epochs: AtomicU64::new(total_epochs as u64),
-            loss_bits: AtomicU64::new(f64::NAN.to_bits()),
-            stage: Lock::new("accepted"),
-            state: Lock::new(TrainState::Running),
-        }
-    }
-
-    /// Whether the job reached a terminal state.
-    pub fn is_finished(&self) -> bool {
-        !matches!(*self.state.lock(), TrainState::Running)
-    }
-
-    /// Status document served at `GET /jobs/{id}` — same envelope as a
-    /// generation job's ([`crate::jobs::JobRecord::status_json`]) plus a
-    /// `training` object with per-job training metrics.
-    pub fn status_json(&self) -> Value {
-        let state = self.state.lock();
-        let (label, version, result, error) = match &*state {
-            TrainState::Running => ("running", self.base_version, Value::Null, Value::Null),
-            TrainState::Promoted { version, summary } => {
-                ("promoted", *version, summary.clone(), Value::Null)
-            }
-            TrainState::Rejected { summary } => {
-                ("rejected", self.base_version, summary.clone(), Value::Null)
-            }
-            TrainState::Failed(msg) => (
-                "failed",
-                self.base_version,
-                Value::Null,
-                Value::String(msg.clone()),
-            ),
-            TrainState::Cancelled => ("cancelled", self.base_version, Value::Null, Value::Null),
-        };
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let total = self.total_epochs.load(Ordering::Relaxed).max(1);
-        let loss = f64::from_bits(self.loss_bits.load(Ordering::Relaxed));
-        json!({
-            "id": self.id,
-            "model": self.model.clone(),
-            "model_version": version,
-            "state": label,
-            "stage": *self.stage.lock(),
-            "progress": (epoch as f64 / total as f64).min(1.0),
-            "result": result,
-            "error": error,
-            "training": {
-                "epoch": epoch,
-                "total_epochs": total,
-                "loss": if loss.is_nan() { Value::Null } else { json!(loss) },
-            },
-        })
-    }
-}
-
-/// Everything a training job needs, bundled for [`TrainRegistry::spawn`].
+/// Everything a training job needs, bundled for [`spawn`].
 pub struct TrainJob {
     /// Pre-allocated job id (already journaled as accepted/resumed).
     pub id: u64,
@@ -479,83 +369,21 @@ pub struct TrainJob {
     pub stats: DatabaseStats,
     /// Registry the winner is promoted into.
     pub registry: Arc<ModelRegistry>,
-    /// Server metrics (train counters).
-    pub metrics: Arc<ServeMetrics>,
-    /// Journal for lifecycle events, checkpoints, and candidate persistence.
-    pub journal: Option<Arc<Journal>>,
     /// Absolute p95 Q-Error promotion gate (the server's
     /// `--promote-max-qerror`, unless the spec overrides it).
     pub promote_max_qerror: f64,
 }
 
-/// Concurrent training-job table. All methods take `&self`.
-#[derive(Default)]
-pub struct TrainRegistry {
-    trains: Lock<HashMap<u64, Arc<TrainRecord>>>,
-    handles: Lock<Vec<JoinHandle<()>>>,
-}
-
-impl TrainRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a training job on its own thread under its pre-allocated id.
-    pub fn spawn(&self, job: TrainJob) {
-        let record = Arc::new(TrainRecord::new(
-            job.id,
-            &job.spec.model,
-            job.incumbent.version,
-            job.spec.epochs,
-        ));
-        self.trains.lock().insert(job.id, Arc::clone(&record));
-        job.metrics.trains_started.inc();
-        let trace_id = sam_obs::current_trace_id();
-        let handle = std::thread::Builder::new()
-            .name(format!("sam-serve-train-{}", job.id))
-            .spawn(move || {
-                sam_obs::set_trace_id(trace_id);
-                run_train_job(&job, &record);
-            })
-            .expect("spawn training job");
-        self.handles.lock().push(handle);
-    }
-
-    /// Insert a record already in a terminal state (journal replay).
-    pub fn insert_terminal(&self, id: u64, model: &str, version: u64, state: TrainState) {
-        let record = TrainRecord::new(id, model, version, 1);
-        *record.stage.lock() = "finished";
-        record.epoch.store(1, Ordering::Relaxed);
-        *record.state.lock() = state;
-        self.trains.lock().insert(id, Arc::new(record));
-    }
-
-    /// Look up a training job by id.
-    pub fn get(&self, id: u64) -> Option<Arc<TrainRecord>> {
-        self.trains.lock().get(&id).cloned()
-    }
-
-    /// Request cancellation at the next epoch boundary; returns false for
-    /// unknown ids.
-    pub fn cancel(&self, id: u64) -> bool {
-        match self.get(id) {
-            Some(record) => {
-                record.cancel.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Join every training thread (drain semantics: accepted jobs reach a
-    /// terminal state — for a long train, request cancellation first).
-    pub fn drain(&self) {
-        let handles: Vec<_> = self.handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
+/// Start a training job on its own thread under its pre-allocated id, in
+/// the shared job table (`JobRegistry::start` wraps the run in the
+/// lifecycle every background job gets).
+pub fn spawn(jobs: &JobRegistry, job: TrainJob) {
+    let progress = TrainProgress::new(0, job.spec.epochs as u64, "accepted");
+    let (model, version) = (&job.spec.model, job.incumbent.version);
+    let record = JobRecord::new(job.id, model, version, Some(progress));
+    jobs.start(record, move |record, journal| {
+        run_train_job(&job, journal, record)
+    });
 }
 
 /// Nearest-rank p95 over per-query Q-Errors of `model` on `holdout`, every
@@ -576,11 +404,14 @@ fn p95_qerror(model: &FrozenModel, holdout: &Workload, samples: usize, seed: u64
     errors[rank - 1]
 }
 
-fn run_train_job(job: &TrainJob, record: &Arc<TrainRecord>) {
-    if let Some(journal) = &job.journal {
-        journal.running(job.id);
-    }
-    *record.stage.lock() = "training";
+/// The training work: fit the candidate (checkpointed when journalled),
+/// then hand it to [`evaluate_and_promote`].
+fn run_train_job(job: &TrainJob, journal: Option<&Journal>, record: &JobRecord) -> JobState {
+    let progress = record
+        .training
+        .as_ref()
+        .expect("training jobs carry training progress");
+    progress.lock().stage = "training";
     let config = SamConfig {
         model: sam_ar::ArModelConfig {
             hidden: job.spec.hidden.clone(),
@@ -593,7 +424,7 @@ fn run_train_job(job: &TrainJob, record: &Arc<TrainRecord>) {
             batch_size: job.spec.batch,
             lr: job.spec.lr,
             seed: job.spec.seed,
-            checkpoint: job.journal.as_ref().map(|j| {
+            checkpoint: journal.map(|j| {
                 CheckpointConfig::new(j.job_dir(job.id).join("ckpt"), job.spec.checkpoint_every)
             }),
             ..Default::default()
@@ -601,60 +432,28 @@ fn run_train_job(job: &TrainJob, record: &Arc<TrainRecord>) {
         encoding: Default::default(),
     };
     let schema = job.incumbent.trained.db_schema().clone();
-    // A panicking trainer must still reach a terminal state (same contract
-    // as generation jobs): contain the panic and fail the job.
-    let fitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Sam::fit_observed(&schema, &job.stats, &job.split.train, &config, &mut |p| {
-            record.epoch.store(p.epoch as u64, Ordering::Relaxed);
-            record
-                .total_epochs
-                .store(p.total_epochs as u64, Ordering::Relaxed);
-            record
-                .loss_bits
-                .store(f64::from(p.loss).to_bits(), Ordering::Relaxed);
-            if let Some(journal) = &job.journal {
-                journal.epoch(job.id, p.epoch, p.total_epochs, p.loss);
-            }
-            if record.cancel.load(Ordering::Relaxed) {
-                TrainControl::Stop
-            } else {
-                TrainControl::Continue
-            }
-        })
-    }));
-    let outcome = match fitted {
-        Err(payload) => {
-            job.metrics.worker_panics.inc();
-            let msg = format!(
-                "training panicked: {}",
-                crate::sync::panic_message(payload.as_ref())
-            );
-            fail(job, &msg);
-            TrainState::Failed(msg)
+    let fitted = Sam::fit_observed(&schema, &job.stats, &job.split.train, &config, &mut |p| {
+        *progress.lock() = TrainProgress {
+            loss: f64::from(p.loss),
+            ..TrainProgress::new(p.epoch as u64, p.total_epochs as u64, "training")
+        };
+        if let Some(journal) = journal {
+            journal.epoch(job.id, p.epoch, p.total_epochs, p.loss);
         }
-        Ok(Err(_)) if record.cancel.load(Ordering::Relaxed) => {
-            if let Some(journal) = &job.journal {
-                journal.cancelled(job.id);
-            }
-            TrainState::Cancelled
+        if record.control.is_cancelled() {
+            TrainControl::Stop
+        } else {
+            TrainControl::Continue
         }
-        Ok(Err(e)) => {
-            let msg = e.to_string();
-            fail(job, &msg);
-            TrainState::Failed(msg)
+    });
+    match fitted {
+        Err(_) if record.control.is_cancelled() => JobState::Cancelled,
+        Err(e) => JobState::Failed(e.to_string()),
+        Ok(trained) => {
+            progress.lock().stage = "evaluating";
+            evaluate_and_promote(job, journal, trained)
         }
-        Ok(Ok(trained)) => evaluate_and_promote(job, record, trained),
-    };
-    *record.stage.lock() = "finished";
-    *record.state.lock() = outcome;
-    job.metrics.jobs_finished.inc();
-}
-
-fn fail(job: &TrainJob, msg: &str) {
-    if let Some(journal) = &job.journal {
-        journal.failed(job.id, msg);
     }
-    job.metrics.trains_failed.inc();
 }
 
 /// The shadow-evaluation + promotion stage: score candidate and incumbent
@@ -664,11 +463,10 @@ fn fail(job: &TrainJob, msg: &str) {
 /// the incumbent.
 fn evaluate_and_promote(
     job: &TrainJob,
-    record: &Arc<TrainRecord>,
+    journal: Option<&Journal>,
     trained: TrainedSam,
-) -> TrainState {
-    *record.stage.lock() = "evaluating";
-    if let Some(journal) = &job.journal {
+) -> JobState {
+    if let Some(journal) = journal {
         journal.evaluating(job.id);
     }
     let mut span = sam_obs::span!(
@@ -702,19 +500,16 @@ fn evaluate_and_promote(
         "wall_seconds": candidate.report.wall_seconds,
     });
     if !promote {
-        if let Some(journal) = &job.journal {
+        if let Some(journal) = journal {
             journal.rejected(job.id, &summary);
         }
-        job.metrics.trains_rejected.inc();
-        return TrainState::Rejected { summary };
+        return JobState::Rejected { summary };
     }
-    if let Some(journal) = &job.journal {
+    if let Some(journal) = journal {
         let path = journal.job_dir(job.id).join("model.json");
         let text = save_model(candidate.model(), candidate.db_schema());
         if let Err(e) = std::fs::write(&path, text) {
-            let msg = format!("persist candidate {path:?}: {e}");
-            fail(job, &msg);
-            return TrainState::Failed(msg);
+            return JobState::Failed(format!("persist candidate {path:?}: {e}"));
         }
     }
     let version = job.registry.promote(
@@ -722,11 +517,10 @@ fn evaluate_and_promote(
         Arc::clone(&candidate),
         job.incumbent.reference.clone(),
     );
-    if let Some(journal) = &job.journal {
+    if let Some(journal) = journal {
         journal.promoted(job.id, version, &summary);
     }
-    job.metrics.trains_promoted.inc();
-    TrainState::Promoted { version, summary }
+    JobState::Promoted { version, summary }
 }
 
 #[cfg(test)]

@@ -184,3 +184,53 @@ fn conn_redials_a_stale_socket_but_does_not_resend_after_a_timeout() {
         "stale socket re-dialled once; the timed-out request was not sent again"
     );
 }
+
+#[test]
+fn request_head_cut_short_by_eof_is_never_routed() {
+    // The shared loop; the handler counts the requests it is asked to route
+    // (parse errors are only answered) and says 200 to each.
+    let flag = Arc::new(AtomicBool::new(false));
+    let conn_flag = Arc::clone(&flag);
+    let routed = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&routed);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let acceptor = Acceptor::spawn(listener, "wire-test", flag, move |stream| {
+        let (mut out, idle) = (stream, Duration::from_secs(5));
+        serve_connection(stream, &conn_flag, idle, usize::MAX, |_, request, keep| {
+            let status = match request {
+                Ok(_) => {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    200
+                }
+                Err(e) => e.status(),
+            };
+            write_json_response(&mut out, status, "{}", keep).map(|()| false)
+        });
+    })
+    .unwrap();
+    // A client that dies mid-head: the bytes, then EOF on its write half.
+    let answer = |head: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(acceptor.addr()).unwrap();
+        stream.write_all(head).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    };
+    for head in [
+        &b"POST /admin/drain HTTP/1.1\r\n"[..],
+        b"POST /jobs/7/cancel HTTP/1.1\r\nHost: x\r\n",
+    ] {
+        let response = answer(head);
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert_eq!(
+            routed.load(Ordering::SeqCst),
+            0,
+            "dispatched a cut-off head"
+        );
+    }
+    let response = answer(b"POST /admin/drain HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    assert_eq!(routed.load(Ordering::SeqCst), 1);
+    acceptor.shutdown();
+}
