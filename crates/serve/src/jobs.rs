@@ -10,11 +10,8 @@
 //! alive for exactly that). Shutdown *drains*: [`JobRegistry::drain`] joins
 //! every job thread, so accepted jobs always reach a terminal state.
 //!
-//! `JobRegistry::start` is the only place a job thread is spawned. It
-//! owns what every kind of job needs around its work: the record in the
-//! table, the submitting request's trace id, the journal's `running` /
-//! `failed` / `cancelled` events, panic containment, the per-kind counters,
-//! and the terminal state. The work itself — `run_job` here,
+//! `JobRegistry::start` is the only place a job thread is spawned and owns
+//! everything around the work; the work itself — `run_job` here,
 //! `training::run_train_job` there — only returns a [`JobState`].
 //!
 //! With a [`Journal`] attached, every lifecycle transition is appended to
@@ -122,11 +119,6 @@ impl JobRecord {
         }
     }
 
-    /// Whether this is a training job (it has no relations to export).
-    pub fn is_training(&self) -> bool {
-        self.training.is_some()
-    }
-
     /// Whether the job reached a terminal state.
     pub fn is_finished(&self) -> bool {
         !matches!(*self.state.lock(), JobState::Running)
@@ -225,7 +217,6 @@ fn summary_json(db: &Database, foj_samples: usize, wall_seconds: f64) -> Value {
 
 /// Concurrent job table for generation and training jobs alike. All
 /// methods take `&self`.
-#[derive(Default)]
 pub struct JobRegistry {
     next_id: AtomicU64,
     jobs: Lock<HashMap<u64, Arc<JobRecord>>>,
@@ -240,9 +231,11 @@ impl JobRegistry {
     /// persisted as CSV.
     pub fn new(journal: Option<Arc<Journal>>, metrics: Arc<ServeMetrics>) -> Self {
         JobRegistry {
+            next_id: AtomicU64::new(0),
+            jobs: Lock::new(HashMap::new()),
+            handles: Lock::new(Vec::new()),
             journal,
             metrics,
-            ..Self::default()
         }
     }
 
@@ -327,6 +320,11 @@ impl JobRegistry {
             .name(format!("sam-serve-{thread}-{}", record.id))
             .spawn(move || {
                 sam_obs::set_trace_id(trace_id);
+                if record.training.is_none() {
+                    // The failover tests' first worker-kill point: before any
+                    // work or journal line (`run_job` has the other two).
+                    sam_fault::crash_point("serve.job.pre_run");
+                }
                 if let Some(journal) = &journal {
                     journal.running(record.id);
                 }
@@ -361,13 +359,12 @@ impl JobRegistry {
     /// Insert a generation job record already in a terminal state (journal
     /// replay of completed / failed / cancelled jobs). No thread is spawned.
     pub fn insert_terminal(&self, id: u64, model: &str, version: u64, state: JobState) {
-        self.restore(id, model, version, false, state);
+        self.insert(id, model, version, false, state);
     }
 
-    /// [`insert_terminal`](Self::insert_terminal) for either kind: a
-    /// restored `training` job reads as one finished epoch of one
-    /// (`stage: finished`).
-    pub(crate) fn restore(
+    /// The one terminal inserter, for either kind: a restored `training`
+    /// job reads as one finished epoch of one (`stage: finished`).
+    pub(crate) fn insert(
         &self,
         id: u64,
         model: &str,
@@ -416,10 +413,9 @@ fn run_job(
     journal: Option<&Journal>,
 ) -> JobState {
     // Deterministic worker-kill points for the sharded-serving failover
-    // tests: before any work, after generation (results in memory only),
-    // and after results are persisted-and-committed. A journal replay must
-    // recover the accepted job bit-for-bit from each of them.
-    sam_fault::crash_point("serve.job.pre_run");
+    // tests: after generation (results in memory only) and after results
+    // are persisted-and-committed (`start` has the one before any work). A
+    // journal replay must recover the accepted job bit-for-bit from each.
     let generated = trained.generate_controlled(config, &record.control);
     sam_fault::crash_point("serve.job.generated");
     match generated {

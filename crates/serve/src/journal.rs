@@ -159,17 +159,6 @@ pub enum ReplayEntry {
     Rollback(RollbackRecord),
 }
 
-impl ReplayEntry {
-    /// The id the entry was journalled under.
-    pub fn id(&self) -> u64 {
-        match self {
-            ReplayEntry::Generate(job) => job.id,
-            ReplayEntry::Train(train) => train.id,
-            ReplayEntry::Rollback(record) => record.id,
-        }
-    }
-}
-
 /// Last known state of a job, folded from the event log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayState {
@@ -619,9 +608,9 @@ impl Journal {
         // Every entry survives as its accept record plus (when reached) its
         // terminal verdict.
         for entry in &entries {
-            let id = entry.id();
             match entry {
                 ReplayEntry::Generate(job) => {
+                    let id = job.id;
                     push(accepted_event(id, &job.model, job.version, &job.config));
                     match &job.state {
                         ReplayState::Interrupted => {}
@@ -634,14 +623,10 @@ impl Journal {
                         ReplayState::Cancelled => push(json!({"event": "cancelled", "job": id})),
                     }
                 }
-                ReplayEntry::Train(train) => {
-                    push(train_accepted_event(
-                        id,
-                        &train.model,
-                        train.version,
-                        &train.spec,
-                    ));
-                    match &train.state {
+                ReplayEntry::Train(t) => {
+                    let id = t.id;
+                    push(train_accepted_event(id, &t.model, t.version, &t.spec));
+                    match &t.state {
                         TrainReplayState::Interrupted => {}
                         TrainReplayState::Promoted { version, summary } => push(json!({
                             "event": "promoted", "job": id,
@@ -658,8 +643,8 @@ impl Journal {
                         }
                     }
                 }
-                ReplayEntry::Rollback(record) => {
-                    push(json!({"event": "rollback", "job": id, "model": record.model}));
+                ReplayEntry::Rollback(r) => {
+                    push(json!({"event": "rollback", "job": r.id, "model": r.model}));
                 }
             }
         }
@@ -1155,11 +1140,11 @@ mod tests {
         journal.rollback(6, "m", 2, 3);
 
         let entries = journal.replay_full().unwrap();
-        let ids: Vec<u64> = entries.iter().map(ReplayEntry::id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6], "one list, sorted by id");
-        assert!(matches!(entries[0], ReplayEntry::Generate(_)));
+        assert_eq!(entries.len(), 6, "one list, sorted by id");
+        assert!(matches!(&entries[0], ReplayEntry::Generate(job) if job.id == 1));
         let trains = trains(&entries);
-        assert_eq!(trains.len(), 4);
+        let train_ids: Vec<u64> = trains.iter().map(|t| t.id).collect();
+        assert_eq!(train_ids, [2, 3, 4, 5]);
         assert_eq!(trains[0].state, TrainReplayState::Interrupted);
         assert_eq!(trains[0].spec, spec);
         assert!(matches!(
@@ -1197,16 +1182,17 @@ mod tests {
         assert_eq!(count, 3, "two trains + one rollback in the snapshot");
         assert_eq!(journal.log_len(), 0);
 
-        let after = journal.replay_full().unwrap();
-        let (before, after) = (trains(&before), trains(&after));
+        let after_entries = journal.replay_full().unwrap();
+        assert_eq!(after_entries.len(), 3);
+        let (before, after) = (trains(&before), trains(&after_entries));
         assert_eq!(after.len(), 2);
         assert_eq!(after[0].state, TrainReplayState::Interrupted);
         assert_eq!(after[0].spec, spec);
         assert_eq!(after[0].version, 4);
         assert_eq!(after[1].state, before[1].state);
         assert!(matches!(
-            journal.replay_full().unwrap()[2],
-            ReplayEntry::Rollback(_)
+            &after_entries[2],
+            ReplayEntry::Rollback(r) if *r == RollbackRecord { id: 3, model: "m".into() }
         ));
         let _ = std::fs::remove_dir_all(journal.dir());
     }

@@ -358,55 +358,52 @@ impl Server {
         Ok(summary)
     }
 
-    /// Restore one replayed entry: re-apply a rollback, or bring a job back
-    /// as either a terminal record (`Some(state)`) or a re-spawned thread
-    /// (`None`). A completed generation reloads its persisted CSVs, a
-    /// promotion re-loads its persisted candidate and hot-swaps it back in,
-    /// an interrupted job of either kind re-runs bit-for-bit (recorded seed
-    /// / last checkpoint); whatever cannot be restored comes back `Failed`
-    /// with the reason rather than being dropped.
+    /// Restore one replayed entry (see [`replay_journal`](Self::replay_journal)
+    /// for what each recorded state comes back as): re-apply a rollback, or
+    /// bring a job back as a terminal record or a re-spawned thread.
     fn restore_entry(
         &self,
         journal: &Arc<Journal>,
         entry: ReplayEntry,
         summary: &mut ReplaySummary,
     ) {
-        let (state, registry) = (&self.state, &self.state.registry);
-        // Covers rollback records too, which mint no job.
-        state.jobs.reserve_through(entry.id());
+        let (jobs, registry) = (&self.state.jobs, &self.state.registry);
+        let failed = |why: String| Some(JobState::Failed(why));
+        // `restored` is `None` when the job re-spawned on its own thread.
         let (id, model, version, training, restored) = match entry {
             ReplayEntry::Rollback(r) => {
-                // The model (or its history) may be gone after a restart
-                // with different loads; the rollback is then a no-op rather
-                // than a replay abort.
+                // Mints no job, but its id is taken. The model (or its
+                // history) may be gone after a restart with different
+                // loads; the rollback is then a no-op, not a replay abort.
+                jobs.reserve_through(r.id);
                 let _ = registry.rollback(&r.model);
                 return;
             }
             ReplayEntry::Generate(job) => {
                 let (mut version, entry) = (job.version, registry.get(&job.model));
                 let restored = match (job.state, entry) {
-                    (ReplayState::Failed(msg), _) => Some(JobState::Failed(msg)),
+                    (ReplayState::Failed(msg), _) => failed(msg),
                     (ReplayState::Cancelled, _) => Some(JobState::Cancelled),
-                    (_, None) => Some(JobState::Failed(format!(
+                    (_, None) => failed(format!(
                         "model '{}' not registered after restart",
                         job.model
-                    ))),
-                    (ReplayState::Completed(job_summary), Some(entry)) => {
+                    )),
+                    (ReplayState::Completed(done), Some(entry)) => {
                         match load_persisted_results(journal, job.id, &entry.trained) {
                             Ok(db) => {
                                 version = entry.version;
                                 Some(JobState::Done {
-                                    summary: job_summary,
+                                    summary: done,
                                     db: Arc::new(db),
                                 })
                             }
-                            Err(e) => Some(JobState::Failed(format!(
+                            Err(e) => failed(format!(
                                 "completed before restart, but results unavailable: {e}"
-                            ))),
+                            )),
                         }
                     }
                     (ReplayState::Interrupted, Some(entry)) => {
-                        state.jobs.respawn(job.id, entry, job.config);
+                        jobs.respawn(job.id, entry, job.config);
                         None
                     }
                 };
@@ -416,33 +413,32 @@ impl Server {
                 let restored = match &t.state {
                     TrainReplayState::Promoted { summary: eval, .. } => {
                         let path = journal.job_dir(t.id).join("model.json");
-                        Some(match registry.promote_from_file(&t.model, &path) {
-                            Ok(version) => JobState::Promoted {
+                        match registry.promote_from_file(&t.model, &path) {
+                            Ok(version) => Some(JobState::Promoted {
                                 version,
                                 summary: eval.clone(),
-                            },
-                            Err(e) => JobState::Failed(format!(
+                            }),
+                            Err(e) => failed(format!(
                                 "promoted before restart, but candidate unavailable: {e}"
                             )),
-                        })
+                        }
                     }
                     TrainReplayState::Rejected(eval) => Some(JobState::Rejected {
                         summary: eval.clone(),
                     }),
-                    TrainReplayState::Failed(msg) => Some(JobState::Failed(msg.clone())),
+                    TrainReplayState::Failed(msg) => failed(msg.clone()),
                     TrainReplayState::Cancelled => Some(JobState::Cancelled),
-                    TrainReplayState::Interrupted => {
-                        self.respawn_train(journal, &t).err().map(|e| {
-                            JobState::Failed(format!(
-                                "interrupted before restart and not resumable: {e}"
-                            ))
-                        })
-                    }
+                    TrainReplayState::Interrupted => match self.respawn_train(journal, &t) {
+                        Ok(()) => None,
+                        Err(e) => {
+                            failed(format!("interrupted before restart and not resumable: {e}"))
+                        }
+                    },
                 };
                 (t.id, t.model, t.version, true, restored)
             }
         };
-        state.metrics.jobs_replayed.inc();
+        self.state.metrics.jobs_replayed.inc();
         let Some(job_state) = restored else {
             summary.resumed += 1;
             return;
@@ -451,7 +447,7 @@ impl Server {
             JobState::Failed(_) | JobState::Cancelled => summary.failed += 1,
             _ => summary.completed += 1,
         }
-        state.jobs.restore(id, &model, version, training, job_state);
+        jobs.insert(id, &model, version, training, job_state);
     }
 
     /// Re-spawn an interrupted training job under its original id, from the
@@ -1027,7 +1023,7 @@ fn export_route(
         .jobs
         .get(id)
         .ok_or_else(|| ServeError::NotFound(format!("job {id}")))?;
-    if record.is_training() {
+    if record.training.is_some() {
         return Err(ServeError::Conflict(format!(
             "job {id} is a training job: it has no relations to export"
         )));
