@@ -19,6 +19,12 @@
 //! frames an arbitrary `Write` stream as HTTP/1.1 chunked transfer encoding
 //! through a fixed-size buffer — memory stays bounded no matter how large
 //! the streamed relation is.
+//!
+//! The server side keeps a **syscall budget**: a response frame — a whole
+//! `Content-Length`-framed answer, a head, a chunk — is rendered into memory
+//! and written once, and socket options are set once per connection
+//! ([`listener`]), so a steady-state keep-alive request costs one `recv`
+//! and one `send`.
 
 use crate::error::ServeError;
 use std::io::{BufRead, Read, Write};
@@ -296,19 +302,33 @@ fn decode_request_body(buf: Vec<u8>, coding: Option<&str>) -> Result<Vec<u8>, Se
 /// `Content-Type` of the Prometheus text exposition (`GET /metrics?format=prometheus`).
 pub const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4";
 
-/// The `Connection` header echoing the negotiated state, and the blank
-/// line that ends every response head this workspace emits.
-fn connection_line(keep_alive: bool) -> &'static [u8] {
-    if keep_alive {
+/// Render a response head onto `frame`: status line, `headers` in order,
+/// the `Connection` header echoing the negotiated state, and the blank
+/// line. The only place a head is formatted — every response frame the
+/// workspace emits is rendered into memory first and then written once.
+fn render_head<'h>(
+    frame: &mut Vec<u8>,
+    status: u16,
+    headers: impl IntoIterator<Item = &'h (&'h str, &'h str)>,
+    keep_alive: bool,
+) {
+    // `Write` for `Vec<u8>` cannot fail.
+    let _ = write!(frame, "HTTP/1.1 {status} {}\r\n", reason(status));
+    for (name, value) in headers {
+        for piece in [name.as_bytes(), b": ", value.as_bytes(), b"\r\n"] {
+            frame.extend_from_slice(piece);
+        }
+    }
+    frame.extend_from_slice(if keep_alive {
         b"Connection: keep-alive\r\n\r\n"
     } else {
         b"Connection: close\r\n\r\n"
-    }
+    });
 }
 
 /// Write the head of a response whose body the caller frames itself (a
 /// relayed upstream body, a chunked stream): status line, `headers`, then
-/// the `Connection` header.
+/// the `Connection` header — one `write_all`.
 ///
 /// # Errors
 ///
@@ -319,11 +339,9 @@ pub fn write_head<W: Write>(
     headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(out, "HTTP/1.1 {status} {}\r\n", reason(status))?;
-    for (name, value) in headers {
-        write!(out, "{name}: {value}\r\n")?;
-    }
-    out.write_all(connection_line(keep_alive))
+    let mut frame = Vec::with_capacity(256);
+    render_head(&mut frame, status, headers, keep_alive);
+    out.write_all(&frame)
 }
 
 /// Write one complete `Content-Length`-framed response, echoing the
@@ -336,12 +354,11 @@ pub fn write_head<W: Write>(
 /// router in front of a worker pool) back off briefly instead of
 /// hammering a shard that already said it cannot take the request.
 ///
-/// Like [`write_head`], this writes through to `out` piece by piece — on
-/// a bare `TcpStream`, one `send` per piece. Rendering head and body into
-/// one buffer first roughly doubles cache-hit throughput; a change that
-/// large is measured and claimed on its own (ROADMAP, "One write per
-/// response"), which is also why the head is formatted here and not
-/// through `write_head`.
+/// Head and body are rendered into one buffer and leave in one
+/// `write_all` — on a bare `TcpStream`, one `send` and (with
+/// `TCP_NODELAY`) one segment for the peer to `recv`. Bodies on this path
+/// are a few KB (exports stream through [`ChunkedWriter`]), so the body is
+/// copied.
 ///
 /// # Errors
 ///
@@ -354,24 +371,22 @@ pub fn write_response<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason(status),
-        body.len(),
-    )?;
-    if matches!(status, 429 | 503 | 504)
+    let length = body.len().to_string();
+    let computed = [("Content-Type", content_type), ("Content-Length", &length)];
+    let auto_retry = matches!(status, 429 | 503 | 504)
         && !extra_headers
             .iter()
-            .any(|(name, _)| name.eq_ignore_ascii_case("retry-after"))
-    {
-        out.write_all(b"Retry-After: 1\r\n")?;
-    }
-    for (name, value) in extra_headers {
-        write!(out, "{name}: {value}\r\n")?;
-    }
-    out.write_all(connection_line(keep_alive))?;
-    out.write_all(body)?;
+            .any(|(name, _)| name.eq_ignore_ascii_case("retry-after"));
+    let retry = auto_retry.then_some(("Retry-After", "1"));
+    let mut frame = Vec::with_capacity(256 + body.len());
+    render_head(
+        &mut frame,
+        status,
+        computed.iter().chain(&retry).chain(extra_headers),
+        keep_alive,
+    );
+    frame.extend_from_slice(body);
+    out.write_all(&frame)?;
     out.flush()
 }
 
@@ -427,16 +442,24 @@ pub fn write_chunked_headers<W: Write>(
     write_head(out, status, &headers, keep_alive)
 }
 
+/// Room [`ChunkedWriter`] keeps ahead of the chunk data for its size line:
+/// the hex digits of any `usize`, plus CRLF.
+const SIZE_LINE_ROOM: usize = (usize::BITS / 4) as usize + 2;
+
 /// [`Write`] adapter that frames everything written through it as HTTP/1.1
 /// chunked transfer encoding.
 ///
-/// Bytes accumulate in a fixed [`CHUNK_BYTES`] buffer; each time it fills, a
-/// `<hex len>\r\n<data>\r\n` chunk goes out. [`finish`](Self::finish) flushes
-/// the tail and writes the terminal `0\r\n\r\n` chunk. Because the buffer
+/// Bytes accumulate in a fixed buffer holding at most [`CHUNK_BYTES`] of
+/// data; each time it fills, a `<hex len>\r\n<data>\r\n` chunk goes out in
+/// one `write_all` — the size line is rendered into the room reserved ahead
+/// of the data, the CRLF appended behind it. [`finish`](Self::finish) sends
+/// the tail and the terminal `0\r\n\r\n` chunk together. Because the buffer
 /// never grows, streaming a 100-million-row relation costs the same memory
 /// as streaming ten rows.
 pub struct ChunkedWriter<'a, W: Write> {
     inner: &'a mut W,
+    /// `[SIZE_LINE_ROOM][chunk data]`; the CRLF and the terminal chunk are
+    /// appended only for the write.
     buf: Vec<u8>,
 }
 
@@ -444,21 +467,33 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Wrap `inner`; headers (with `Transfer-Encoding: chunked`) must
     /// already have been written via [`write_chunked_headers`].
     pub fn new(inner: &'a mut W) -> Self {
-        ChunkedWriter {
-            inner,
-            buf: Vec::with_capacity(CHUNK_BYTES),
-        }
+        let mut buf = Vec::with_capacity(SIZE_LINE_ROOM + CHUNK_BYTES + b"\r\n0\r\n\r\n".len());
+        buf.resize(SIZE_LINE_ROOM, 0);
+        ChunkedWriter { inner, buf }
     }
 
-    fn emit_chunk(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Frame the buffered data as one chunk — followed by the terminal
+    /// chunk when `last` — and write the frame once. No data and not
+    /// `last` writes nothing: an empty chunk would end the stream.
+    fn emit_chunk(&mut self, last: bool) -> std::io::Result<()> {
+        let mut start = SIZE_LINE_ROOM;
+        let mut len = self.buf.len() - SIZE_LINE_ROOM;
+        if len > 0 {
+            start -= 2;
+            self.buf[start..SIZE_LINE_ROOM].copy_from_slice(b"\r\n");
+            while len > 0 {
+                start -= 1;
+                self.buf[start] = b"0123456789abcdef"[len % 16];
+                len /= 16;
+            }
+            self.buf.extend_from_slice(b"\r\n");
         }
-        write!(self.inner, "{:x}\r\n", self.buf.len())?;
-        self.inner.write_all(&self.buf)?;
-        self.inner.write_all(b"\r\n")?;
-        self.buf.clear();
-        Ok(())
+        if last {
+            self.buf.extend_from_slice(b"0\r\n\r\n");
+        }
+        let written = self.inner.write_all(&self.buf[start..]);
+        self.buf.truncate(SIZE_LINE_ROOM);
+        written
     }
 
     /// Flush buffered bytes and write the terminal chunk. Must be called
@@ -469,31 +504,31 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     ///
     /// Propagates I/O errors from the underlying writer.
     pub fn finish(mut self) -> std::io::Result<()> {
-        self.emit_chunk()?;
-        self.inner.write_all(b"0\r\n\r\n")?;
+        self.emit_chunk(true)?;
         self.inner.flush()
     }
 }
 
 impl<W: Write> Write for ChunkedWriter<'_, W> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        // Fill the buffer only up to CHUNK_BYTES, emitting whenever it is
-        // exactly full — the buffer (and so every chunk) never exceeds
-        // CHUNK_BYTES no matter how large a single write is.
+        // Fill the buffer only up to CHUNK_BYTES of data, emitting whenever
+        // it is exactly full — no chunk ever exceeds CHUNK_BYTES no matter
+        // how large a single write is.
         let mut rest = data;
         while !rest.is_empty() {
-            let take = (CHUNK_BYTES - self.buf.len()).min(rest.len());
+            let held = self.buf.len() - SIZE_LINE_ROOM;
+            let take = (CHUNK_BYTES - held).min(rest.len());
             self.buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            if self.buf.len() == CHUNK_BYTES {
-                self.emit_chunk()?;
+            if held + take == CHUNK_BYTES {
+                self.emit_chunk(false)?;
             }
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.emit_chunk()?;
+        self.emit_chunk(false)?;
         self.inner.flush()
     }
 }

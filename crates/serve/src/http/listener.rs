@@ -9,18 +9,27 @@
 use super::{read_request, Request};
 use crate::error::ServeError;
 use crate::sync::Lock;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll tick while waiting for the next request on an idle keep-alive
+/// The accepted socket's read timeout, set once per connection: the poll
+/// tick while waiting for the next request on an idle keep-alive
 /// connection; bounds how long shutdown waits on idle connections.
 const IDLE_POLL_TICK: Duration = Duration::from_millis(100);
-/// Read timeout once a request has started arriving.
+/// Read timeout once a request has started arriving: how long
+/// [`RequestReader`] rides out poll ticks without a byte.
 const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// The accepted socket's write timeout, set once per connection: a peer
+/// that takes no byte for this long loses the connection instead of
+/// parking its thread (and with it `Acceptor::shutdown`) forever. Per
+/// `send`, like the read side: a `send` that times out after queueing part
+/// of a large frame reports the part, so a peer that stopped reading
+/// mid-response is dropped after two or three of these, not one.
+const RESPONSE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A running accept loop: one thread accepting on a bound listener, one
 /// thread per accepted connection.
@@ -107,30 +116,60 @@ fn accept_loop<F>(
     }
 }
 
+/// `Read` over an accepted socket whose read timeout stays at
+/// [`IDLE_POLL_TICK`] for the connection's life — no `setsockopt` per
+/// request. While a request is being read, poll ticks are ridden out until
+/// no byte has arrived for [`REQUEST_READ_TIMEOUT`]; between requests a
+/// tick's timeout goes back to [`wait_for_request`].
+struct RequestReader<'a> {
+    stream: &'a TcpStream,
+    in_request: bool,
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+impl Read for RequestReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut waited = Duration::ZERO;
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if self.in_request && is_timeout(&e) => {
+                    waited += IDLE_POLL_TICK;
+                    if waited >= REQUEST_READ_TIMEOUT {
+                        return Err(e);
+                    }
+                }
+                other => return other,
+            }
+        }
+    }
+}
+
 /// Wait (in short poll ticks, so shutdown is observed promptly) until the
 /// next request starts arriving. `false` means close the connection: the
 /// client closed, the idle deadline passed, the process is shutting down,
 /// or the transport failed. Nothing is written to an idle connection — a
 /// client must never find a stale response ahead of its next answer.
 fn wait_for_request(
-    stream: &TcpStream,
-    reader: &mut BufReader<&TcpStream>,
+    reader: &mut BufReader<RequestReader>,
     shutting_down: &AtomicBool,
     idle_timeout: Duration,
 ) -> bool {
     let idle_deadline = Instant::now() + idle_timeout;
-    let _ = stream.set_read_timeout(Some(IDLE_POLL_TICK));
+    reader.get_mut().in_request = false;
     loop {
         if shutting_down.load(Ordering::SeqCst) {
             return false;
         }
         match reader.fill_buf() {
             Ok([]) => return false, // clean EOF
-            Ok(_) => return true,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Ok(_) => {
+                reader.get_mut().in_request = true;
+                return true;
+            }
+            Err(e) if is_timeout(&e) => {
                 if Instant::now() >= idle_deadline {
                     return false;
                 }
@@ -149,6 +188,9 @@ fn wait_for_request(
 /// than `max_requests` have been served, and `shutting_down` is unset. It
 /// writes the response and returns whether the connection must close
 /// regardless (say, a relayed body framed by the upstream's close).
+///
+/// Socket options are set here, once per connection; a steady-state
+/// keep-alive request costs one `recv` and one `send`.
 pub fn serve_connection<H>(
     stream: &TcpStream,
     shutting_down: &AtomicBool,
@@ -158,14 +200,19 @@ pub fn serve_connection<H>(
 ) where
     H: FnMut(Instant, Result<Request, ServeError>, bool) -> std::io::Result<bool>,
 {
-    // Responses are written in several small pieces (status line, headers,
-    // chunks); without TCP_NODELAY, Nagle holds each piece for the client's
-    // delayed ACK (~40ms) on long-lived keep-alive connections.
+    // A `Content-Length`-framed answer is one write, but a streamed export
+    // is still several (head, then chunks); without TCP_NODELAY, Nagle holds
+    // the later ones for the client's delayed ACK (~40ms) on long-lived
+    // keep-alive connections.
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
+    let _ = stream.set_read_timeout(Some(IDLE_POLL_TICK));
+    let _ = stream.set_write_timeout(Some(RESPONSE_WRITE_TIMEOUT));
+    let mut reader = BufReader::new(RequestReader {
+        stream,
+        in_request: false,
+    });
     let mut served = 0usize;
-    while wait_for_request(stream, &mut reader, shutting_down, idle_timeout) {
-        let _ = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
+    while wait_for_request(&mut reader, shutting_down, idle_timeout) {
         let started = Instant::now();
         served += 1;
         let (request, keep_alive) = match read_request(&mut reader) {

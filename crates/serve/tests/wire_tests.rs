@@ -1,14 +1,17 @@
 //! The wire layer against hostile or awkward peers: bounded head lines in
 //! both directions, chunk-size arithmetic on peer-supplied sizes, the
-//! shared connection loop's silent idle expiry, and the client's
-//! reconnect policy.
+//! shared connection loop's silent idle expiry, its once-per-connection
+//! timeouts, the client's reconnect policy — and the write budget: every
+//! response frame is rendered, then written once, with the bytes pinned.
 
 use sam_serve::http::{
-    build_request, copy_chunked, read_body, read_head, read_request, serve_connection,
-    write_json_response, Acceptor, Conn, RespHead, MAX_BUFFERED_RESPONSE, MAX_HEADER_BYTES,
+    build_request, copy_chunked, decode_chunked, read_body, read_head, read_request,
+    serve_connection, write_chunked_headers, write_head, write_json_response, write_response,
+    Acceptor, ChunkedWriter, Conn, RespHead, CHUNK_BYTES, MAX_BUFFERED_RESPONSE, MAX_HEADER_BYTES,
+    PROMETHEUS_TEXT,
 };
 use std::io::{BufReader, Cursor, ErrorKind, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -233,4 +236,244 @@ fn request_head_cut_short_by_eof_is_never_routed() {
     assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
     assert_eq!(routed.load(Ordering::SeqCst), 1);
     acceptor.shutdown();
+}
+
+/// A sink that counts `write` calls — on a bare `TcpStream` each one is a
+/// `send`.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+type Emit = fn(&mut CountingWriter) -> std::io::Result<()>;
+
+#[test]
+fn every_response_shape_is_one_write_of_the_pinned_bytes() {
+    // The bytes are what commit d551f9e (eleven writes per JSON answer)
+    // put on the wire, header order included.
+    let shapes: [(&str, Emit, &str); 8] = [
+        (
+            "200 JSON",
+            |out| write_json_response(out, 200, "{\"estimate\":42.0}", true),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 17\r\n\
+             Connection: keep-alive\r\n\r\n{\"estimate\":42.0}",
+        ),
+        (
+            "503, automatic Retry-After",
+            |out| write_json_response(out, 503, "{}", false),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{}",
+        ),
+        (
+            "503, caller's Retry-After",
+            |out| {
+                let retry = [("retry-after", "7"), ("X-Shard", "1")];
+                write_response(out, 503, "application/json", &retry, b"{}", true)
+            },
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nretry-after: 7\r\nX-Shard: 1\r\n\
+             Connection: keep-alive\r\n\r\n{}",
+        ),
+        (
+            "416 with Content-Range",
+            |out| {
+                let range = [("Content-Range", "bytes */1234")];
+                write_response(
+                    out,
+                    416,
+                    "application/json",
+                    &range,
+                    b"{\"error\":\"x\"}",
+                    true,
+                )
+            },
+            "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Type: application/json\r\n\
+             Content-Length: 13\r\nContent-Range: bytes */1234\r\n\
+             Connection: keep-alive\r\n\r\n{\"error\":\"x\"}",
+        ),
+        (
+            "Prometheus text",
+            |out| write_response(out, 200, PROMETHEUS_TEXT, &[], b"sam_up 1\n", true),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+             Content-Length: 9\r\nConnection: keep-alive\r\n\r\nsam_up 1\n",
+        ),
+        (
+            "relayed head",
+            |out| {
+                let upstream = [
+                    ("content-type", "application/json"),
+                    ("content-length", "2"),
+                ];
+                write_head(out, 504, &upstream, false)
+            },
+            "HTTP/1.1 504 Gateway Timeout\r\ncontent-type: application/json\r\n\
+             content-length: 2\r\nConnection: close\r\n\r\n",
+        ),
+        (
+            "chunked head, gzip",
+            |out| write_chunked_headers(out, 200, "text/csv", Some("gzip"), None, true),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nContent-Encoding: gzip\r\n\
+             Vary: Accept-Encoding\r\nTransfer-Encoding: chunked\r\n\
+             Connection: keep-alive\r\n\r\n",
+        ),
+        (
+            "chunked head, 206",
+            |out| {
+                let range = Some("bytes 10-99/100");
+                write_chunked_headers(out, 206, "application/x-ndjson", None, range, false)
+            },
+            "HTTP/1.1 206 Partial Content\r\nContent-Type: application/x-ndjson\r\n\
+             Content-Range: bytes 10-99/100\r\nTransfer-Encoding: chunked\r\n\
+             Connection: close\r\n\r\n",
+        ),
+    ];
+    for (shape, emit, golden) in shapes {
+        let mut out = CountingWriter::default();
+        emit(&mut out).unwrap();
+        assert_eq!(String::from_utf8_lossy(&out.bytes), golden, "{shape}");
+        assert_eq!(out.writes, 1, "{shape}: one frame, one write");
+    }
+}
+
+#[test]
+fn chunked_writer_makes_one_write_per_chunk_and_one_for_tail_plus_terminator() {
+    let frame = |data: &[u8]| [format!("{:x}\r\n", data.len()).as_bytes(), data, b"\r\n"].concat();
+    for (full_chunks, tail) in [(0usize, 5usize), (1, 0), (3, 1), (2, CHUNK_BYTES - 1)] {
+        let input: Vec<u8> = (0..full_chunks * CHUNK_BYTES + tail)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut out = CountingWriter::default();
+        let mut chunked = ChunkedWriter::new(&mut out);
+        // Pieces that straddle every chunk boundary.
+        for piece in input.chunks(CHUNK_BYTES / 3 + 7) {
+            chunked.write_all(piece).unwrap();
+        }
+        chunked.finish().unwrap();
+        assert_eq!(out.writes, full_chunks + 1, "{full_chunks} chunks + {tail}");
+
+        let mut golden: Vec<u8> = input.chunks(CHUNK_BYTES).flat_map(frame).collect();
+        golden.extend_from_slice(b"0\r\n\r\n");
+        assert!(
+            out.bytes == golden,
+            "framing of {full_chunks} chunks + {tail}"
+        );
+        assert!(decode_chunked(&out.bytes).unwrap() == input);
+    }
+}
+
+/// The shared loop answering every request `200 {}`, counting the requests
+/// that parsed.
+fn counting_acceptor(idle: Duration) -> (Acceptor, Arc<AtomicUsize>) {
+    let flag = Arc::new(AtomicBool::new(false));
+    let conn_flag = Arc::clone(&flag);
+    let routed = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&routed);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let acceptor = Acceptor::spawn(listener, "wire-test", flag, move |stream| {
+        let mut out = stream;
+        serve_connection(stream, &conn_flag, idle, usize::MAX, |_, request, keep| {
+            let status = match request {
+                Ok(_) => {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    200
+                }
+                Err(e) => e.status(),
+            };
+            write_json_response(&mut out, status, "{}", keep).map(|()| false)
+        });
+    })
+    .unwrap();
+    (acceptor, routed)
+}
+
+#[test]
+fn trickled_request_rides_out_idle_poll_ticks() {
+    // The socket's read timeout stays at the 100 ms idle tick; a request in
+    // progress must survive several of them between its pieces.
+    let (acceptor, routed) = counting_acceptor(Duration::from_secs(5));
+    let pause = Duration::from_millis(350);
+    let mut stream = TcpStream::connect(acceptor.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let pieces: [(&[u8], &[u8]); 2] = [
+        // A head in two pieces, cut mid-line.
+        (b"GET /healthz HTTP/1.1\r\nHo", b"st: x\r\n\r\n"),
+        // A body in two pieces.
+        (
+            b"POST /estimate HTTP/1.1\r\nContent-Length: 10\r\n\r\n01234",
+            b"56789",
+        ),
+    ];
+    for (served, (first, second)) in pieces.into_iter().enumerate() {
+        stream.write_all(first).unwrap();
+        std::thread::sleep(pause);
+        assert_eq!(
+            routed.load(Ordering::SeqCst),
+            served,
+            "routed half a request"
+        );
+        stream.write_all(second).unwrap();
+        let head = read_head(&mut reader).unwrap();
+        assert_eq!(head.status, 200);
+        assert_eq!(read_body(&mut reader, &head).unwrap(), b"{}");
+        assert_eq!(routed.load(Ordering::SeqCst), served + 1);
+    }
+    acceptor.shutdown();
+}
+
+#[test]
+fn peer_that_never_reads_cannot_hang_shutdown() {
+    // One answer far larger than both socket buffers, to a client that
+    // sends its request and then never reads.
+    let flag = Arc::new(AtomicBool::new(false));
+    let conn_flag = Arc::clone(&flag);
+    let (entered, handler_entered) = std::sync::mpsc::channel();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let acceptor = Acceptor::spawn(listener, "wire-test", flag, move |stream| {
+        let mut out = stream;
+        let body = "x".repeat(32 << 20);
+        serve_connection(
+            stream,
+            &conn_flag,
+            Duration::from_secs(5),
+            1,
+            |_, _, keep| {
+                let _ = entered.send(());
+                write_json_response(&mut out, 200, &body, keep).map(|()| false)
+            },
+        );
+    })
+    .unwrap();
+    let mut client = TcpStream::connect(acceptor.addr()).unwrap();
+    client
+        .write_all(&build_request("GET", "/", &[], b""))
+        .unwrap();
+    handler_entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("request reached the handler");
+
+    // The connection thread is now parked in its one `write_all`; shutdown
+    // joins it, so it returns only once the 5 s write timeout has fired on
+    // a `send` that queued nothing (the third, with loopback's buffers).
+    let (done, shutdown_done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        acceptor.shutdown();
+        let _ = done.send(());
+    });
+    shutdown_done
+        .recv_timeout(Duration::from_secs(40))
+        .expect("shutdown hung behind a client that stopped reading");
+    drop(client);
 }
