@@ -20,7 +20,6 @@ fn main() {
             hidden: vec![16],
             seed: 4,
             residual: false,
-            transformer: None,
         },
     )
     .freeze();

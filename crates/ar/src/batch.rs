@@ -20,7 +20,7 @@
 //! sampling performs no matrix allocations at all.
 //!
 //! Everything here is value-preserving: per-row forward arithmetic is
-//! row-independent in both backbones, so masked batch-major forwards are
+//! row-independent on every backend, so masked batch-major forwards are
 //! bit-identical, row for row, to the compact per-column forwards they
 //! replace (locked by `batched_estimates_are_bit_identical_to_sequential`
 //! and the determinism tests in [`crate::sample`]).

@@ -29,7 +29,7 @@ pub use infer::{
     estimate_cardinality, estimate_cardinality_batch, estimate_cardinality_batch_shared,
     estimate_cardinality_batch_with, estimate_dnf_cardinality,
 };
-pub use model::{ArModel, ArModelConfig, BoundNet, FrozenModel, FrozenNet, Net, TransformerDims};
+pub use model::{ArModel, ArModelConfig, FrozenModel};
 pub use model_schema::{ArColumn, ArColumnKind, ArSchema, EncodingOptions, StepRule};
 pub use persist::{load_model, load_model_file, save_model, save_model_file};
 pub use sample::{

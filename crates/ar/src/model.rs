@@ -1,33 +1,9 @@
-//! The AR model: a MADE or causal-Transformer backbone bound to an
-//! [`ArSchema`] (paper §4.1: "SAM can be instantiated by any learning-based
-//! AR architecture (e.g., MADE and Transformer)").
+//! The AR model: a (Res)MADE backbone bound to an [`ArSchema`]. Paper §4.1
+//! allows "any learning-based AR architecture"; its experiments, and this
+//! repo's, use MADE, so the backbone is a concrete type, not a choice.
 
 use crate::model_schema::ArSchema;
-use sam_nn::{
-    BackendKind, BoundMade, BoundTransformer, FrozenMade, FrozenTransformer, Made, MadeConfig,
-    Matrix, ParamStore, Tape, TransformerAr, TransformerConfig, Var,
-};
-
-/// Transformer sizing (used when [`ArModelConfig::transformer`] is set).
-#[derive(Debug, Clone)]
-pub struct TransformerDims {
-    /// Model / embedding width.
-    pub d_model: usize,
-    /// Attention + FFN blocks.
-    pub blocks: usize,
-    /// FFN width multiplier.
-    pub ff_mult: usize,
-}
-
-impl Default for TransformerDims {
-    fn default() -> Self {
-        TransformerDims {
-            d_model: 32,
-            blocks: 2,
-            ff_mult: 2,
-        }
-    }
-}
+use sam_nn::{BackendKind, FrozenMade, Made, MadeConfig, ParamStore};
 
 /// Model hyperparameters.
 #[derive(Debug, Clone)]
@@ -38,9 +14,6 @@ pub struct ArModelConfig {
     pub seed: u64,
     /// Use ResMADE residual blocks between equal-width hidden layers.
     pub residual: bool,
-    /// Use a causal Transformer backbone instead of MADE (the `hidden` and
-    /// `residual` fields are then ignored).
-    pub transformer: Option<TransformerDims>,
 }
 
 impl Default for ArModelConfig {
@@ -49,285 +22,14 @@ impl Default for ArModelConfig {
             hidden: vec![64, 64],
             seed: 0,
             residual: false,
-            transformer: None,
         }
-    }
-}
-
-/// The trainable backbone network.
-pub enum Net {
-    /// Masked autoencoder.
-    Made(Made),
-    /// Causal Transformer.
-    Transformer(TransformerAr),
-}
-
-impl Net {
-    /// Number of modelled columns.
-    pub fn num_columns(&self) -> usize {
-        match self {
-            Net::Made(m) => m.num_columns(),
-            Net::Transformer(t) => t.num_columns(),
-        }
-    }
-
-    /// Domain size of column `i`.
-    pub fn domain_size(&self, i: usize) -> usize {
-        match self {
-            Net::Made(m) => m.domain_size(i),
-            Net::Transformer(t) => t.domain_size(i),
-        }
-    }
-
-    /// One-hot block offset of column `i`.
-    pub fn offset(&self, i: usize) -> usize {
-        match self {
-            Net::Made(m) => m.offset(i),
-            Net::Transformer(t) => t.offset(i),
-        }
-    }
-
-    /// Input/logits width.
-    pub fn total_width(&self) -> usize {
-        match self {
-            Net::Made(m) => m.total_width(),
-            Net::Transformer(t) => t.total_width(),
-        }
-    }
-
-    /// Bind parameters to a tape for one training step.
-    pub fn bind<'m>(&'m self, tape: &mut Tape, store: &ParamStore) -> BoundNet<'m> {
-        match self {
-            Net::Made(m) => BoundNet::Made(m.bind(tape, store)),
-            Net::Transformer(t) => BoundNet::Transformer(t.bind(tape, store)),
-        }
-    }
-
-    /// Snapshot for inference and sampling.
-    pub fn freeze(&self, store: &ParamStore) -> FrozenNet {
-        match self {
-            Net::Made(m) => FrozenNet::Made(m.freeze(store)),
-            Net::Transformer(t) => FrozenNet::Transformer(t.freeze(store)),
-        }
-    }
-}
-
-/// A backbone bound to a tape for one step.
-pub enum BoundNet<'m> {
-    /// Bound MADE.
-    Made(BoundMade<'m>),
-    /// Bound Transformer.
-    Transformer(BoundTransformer<'m>),
-}
-
-impl<'m> BoundNet<'m> {
-    /// Forward pass (B × total_width one-hots → B × total_width logits).
-    pub fn forward(&self, tape: &mut Tape, input: Var) -> Var {
-        match self {
-            BoundNet::Made(m) => m.forward(tape, input),
-            BoundNet::Transformer(t) => t.forward(tape, input),
-        }
-    }
-
-    /// Logit block of column `i`.
-    pub fn logits_of(&self, tape: &mut Tape, logits: Var, i: usize) -> Var {
-        match self {
-            BoundNet::Made(m) => m.logits_of(tape, logits, i),
-            BoundNet::Transformer(t) => t.logits_of(tape, logits, i),
-        }
-    }
-
-    /// Fold parameter gradients back into the store.
-    pub fn apply_grads(&self, tape: &Tape, store: &mut ParamStore) {
-        match self {
-            BoundNet::Made(m) => m.apply_grads(tape, store),
-            BoundNet::Transformer(t) => t.apply_grads(tape, store),
-        }
-    }
-}
-
-/// An immutable trained backbone (the sampling/estimation interface).
-///
-/// Cloning is cheap for MADE (weights are `Arc`-shared) and copies weights
-/// for the Transformer; it exists so a serving tier can derive a
-/// reference-backend shadow copy of a loaded model (see
-/// [`FrozenModel::reference_clone`]).
-#[derive(Clone)]
-pub enum FrozenNet {
-    /// Frozen MADE.
-    Made(FrozenMade),
-    /// Frozen Transformer.
-    Transformer(FrozenTransformer),
-}
-
-impl FrozenNet {
-    /// Number of modelled columns.
-    pub fn num_columns(&self) -> usize {
-        match self {
-            FrozenNet::Made(m) => m.num_columns(),
-            FrozenNet::Transformer(t) => t.num_columns(),
-        }
-    }
-
-    /// Domain size of column `i`.
-    pub fn domain_size(&self, i: usize) -> usize {
-        match self {
-            FrozenNet::Made(m) => m.domain_size(i),
-            FrozenNet::Transformer(t) => t.domain_size(i),
-        }
-    }
-
-    /// One-hot block offset of column `i`.
-    pub fn offset(&self, i: usize) -> usize {
-        match self {
-            FrozenNet::Made(m) => m.offset(i),
-            FrozenNet::Transformer(t) => t.offset(i),
-        }
-    }
-
-    /// Input/logits width.
-    pub fn total_width(&self) -> usize {
-        match self {
-            FrozenNet::Made(m) => m.total_width(),
-            FrozenNet::Transformer(t) => t.total_width(),
-        }
-    }
-
-    /// Forward pass.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        match self {
-            FrozenNet::Made(m) => m.forward(input),
-            FrozenNet::Transformer(t) => t.forward(input),
-        }
-    }
-
-    /// Forward pass into a caller-provided logits buffer (hot sampling
-    /// loops reuse one buffer across columns instead of allocating per
-    /// forward). The Transformer backbone falls back to an allocating
-    /// forward moved into the buffer.
-    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
-        match self {
-            FrozenNet::Made(m) => m.forward_into(input, out),
-            FrozenNet::Transformer(t) => *out = t.forward(input),
-        }
-    }
-
-    /// Batch-major forward with an optional row-liveness mask: only rows
-    /// with `live[r] == true` are forwarded and written in `out`;
-    /// masked-out rows are left untouched. Per-row results are bit-identical
-    /// to an unmasked forward (rows are independent in both backbones). The
-    /// Transformer backbone has no masked kernels and falls back to
-    /// gather→forward→scatter.
-    pub fn forward_batch_into(&self, input: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
-        match self {
-            FrozenNet::Made(m) => m.forward_batch_into(input, live, out),
-            FrozenNet::Transformer(t) => match live {
-                None => *out = t.forward(input),
-                Some(mask) => {
-                    let rows: Vec<usize> = mask
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(r, &m)| m.then_some(r))
-                        .collect();
-                    if rows.is_empty() {
-                        return;
-                    }
-                    let mut compact = Matrix::zeros(rows.len(), input.cols());
-                    for (c, &r) in rows.iter().enumerate() {
-                        compact.row_mut(c).copy_from_slice(input.row(r));
-                    }
-                    let compact_out = t.forward(&compact);
-                    for (c, &r) in rows.iter().enumerate() {
-                        out.row_mut(r).copy_from_slice(compact_out.row(c));
-                    }
-                }
-            },
-        }
-    }
-
-    /// Row-wise softmax of column `i`'s logit block.
-    pub fn conditional_probs(&self, logits: &Matrix, i: usize) -> Matrix {
-        match self {
-            FrozenNet::Made(m) => m.conditional_probs(logits, i),
-            FrozenNet::Transformer(t) => t.conditional_probs(logits, i),
-        }
-    }
-
-    /// Row-wise softmax of column `i`'s logit block for masked rows only,
-    /// written into the leading `domain_size(i)` columns of the same rows
-    /// of `out` (a `rows × max_domain` buffer). Masked-out rows are left
-    /// untouched. The per-row arithmetic is exactly that of
-    /// [`conditional_probs`](Self::conditional_probs) — both backbones use
-    /// the identical softmax loop — so masked rows are bit-identical to an
-    /// unmasked call.
-    pub fn conditional_probs_masked_into(
-        &self,
-        logits: &Matrix,
-        i: usize,
-        live: &[bool],
-        out: &mut Matrix,
-    ) {
-        let off = self.offset(i);
-        let d = self.domain_size(i);
-        debug_assert!(out.cols() >= d);
-        for (r, &row_live) in live.iter().enumerate().take(logits.rows()) {
-            if !row_live {
-                continue;
-            }
-            let row = &logits.row(r)[off..off + d];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            let dst = &mut out.row_mut(r)[..d];
-            for (o, &v) in dst.iter_mut().zip(row) {
-                let e = (v - m).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
-            dst.iter_mut().for_each(|o| *o *= inv);
-        }
-    }
-
-    /// The underlying MADE, if that is the backbone (persistence supports
-    /// MADE only).
-    pub fn as_made(&self) -> Option<&FrozenMade> {
-        match self {
-            FrozenNet::Made(m) => Some(m),
-            FrozenNet::Transformer(_) => None,
-        }
-    }
-
-    /// Rebuild over the given inference backend. The frozen weights are
-    /// shared, not copied; only the execution kernel changes. The
-    /// Transformer backbone has no alternative kernels yet and always runs
-    /// its reference path.
-    pub fn with_backend(self, kind: BackendKind) -> FrozenNet {
-        match self {
-            FrozenNet::Made(m) => FrozenNet::Made(m.with_backend(kind)),
-            other => other,
-        }
-    }
-
-    /// The active inference backend (Transformer reports the reference
-    /// path).
-    pub fn backend_kind(&self) -> BackendKind {
-        match self {
-            FrozenNet::Made(m) => m.backend_kind(),
-            FrozenNet::Transformer(_) => BackendKind::ReferenceF32,
-        }
-    }
-}
-
-impl From<FrozenMade> for FrozenNet {
-    fn from(m: FrozenMade) -> Self {
-        FrozenNet::Made(m)
     }
 }
 
 /// A trainable AR model of a database's (full-outer-join) distribution.
 pub struct ArModel {
     schema: ArSchema,
-    net: Net,
+    net: Made,
     store: ParamStore,
 }
 
@@ -335,27 +37,15 @@ impl ArModel {
     /// Instantiate with freshly initialised weights.
     pub fn new(schema: ArSchema, config: &ArModelConfig) -> Self {
         let mut store = ParamStore::new();
-        let net = match &config.transformer {
-            Some(dims) => Net::Transformer(TransformerAr::new(
-                TransformerConfig {
-                    domain_sizes: schema.domain_sizes(),
-                    d_model: dims.d_model,
-                    blocks: dims.blocks,
-                    ff_mult: dims.ff_mult,
-                    seed: config.seed,
-                },
-                &mut store,
-            )),
-            None => Net::Made(Made::new(
-                MadeConfig {
-                    domain_sizes: schema.domain_sizes(),
-                    hidden: config.hidden.clone(),
-                    seed: config.seed,
-                    residual: config.residual,
-                },
-                &mut store,
-            )),
-        };
+        let net = Made::new(
+            MadeConfig {
+                domain_sizes: schema.domain_sizes(),
+                hidden: config.hidden.clone(),
+                seed: config.seed,
+                residual: config.residual,
+            },
+            &mut store,
+        );
         ArModel { schema, net, store }
     }
 
@@ -365,7 +55,7 @@ impl ArModel {
     }
 
     /// The backbone network (training needs direct access).
-    pub fn net(&self) -> &Net {
+    pub fn net(&self) -> &Made {
         &self.net
     }
 
@@ -382,7 +72,7 @@ impl ArModel {
     /// Disjoint borrows of the schema, network, and mutable parameter store
     /// (the training loop needs the store mutably while the network is
     /// borrowed).
-    pub fn split_mut(&mut self) -> (&ArSchema, &Net, &mut ParamStore) {
+    pub fn split_mut(&mut self) -> (&ArSchema, &Made, &mut ParamStore) {
         (&self.schema, &self.net, &mut self.store)
     }
 
@@ -407,12 +97,12 @@ pub struct FrozenModel {
     /// The model schema (column order, encodings, normaliser).
     pub schema: ArSchema,
     /// The frozen backbone.
-    pub net: FrozenNet,
+    pub net: FrozenMade,
 }
 
 impl FrozenModel {
     /// Rebuild over the given inference backend (weights shared, kernel
-    /// swapped) — see [`FrozenNet::with_backend`].
+    /// swapped) — see [`FrozenMade::with_backend`].
     pub fn with_backend(self, kind: BackendKind) -> FrozenModel {
         FrozenModel {
             schema: self.schema,
@@ -429,8 +119,8 @@ impl FrozenModel {
     /// backend, leaving `self` untouched. Serving-tier quality monitors use
     /// this to re-score sampled estimates: any divergence between the live
     /// backend and the reference clone (same query, samples, and seed) is a
-    /// backend-parity defect, not model drift. Cheap for MADE (weights are
-    /// `Arc`-shared); copies weights for the Transformer backbone.
+    /// backend-parity defect, not model drift. Cheap: the weights are
+    /// `Arc`-shared.
     pub fn reference_clone(&self) -> FrozenModel {
         self.clone().with_backend(BackendKind::ReferenceF32)
     }
@@ -457,23 +147,5 @@ mod tests {
         assert!(model.num_parameters() > 0);
         let frozen = model.freeze();
         assert_eq!(frozen.net.num_columns(), 7);
-        assert!(frozen.net.as_made().is_some());
-    }
-
-    #[test]
-    fn transformer_model_shapes_follow_schema() {
-        let schema = schema();
-        let total: usize = schema.domain_sizes().iter().sum();
-        let model = ArModel::new(
-            schema,
-            &ArModelConfig {
-                transformer: Some(TransformerDims::default()),
-                ..Default::default()
-            },
-        );
-        assert_eq!(model.net().total_width(), total);
-        let frozen = model.freeze();
-        assert_eq!(frozen.net.num_columns(), 7);
-        assert!(frozen.net.as_made().is_none());
     }
 }

@@ -218,6 +218,15 @@ impl ArSchema {
         let mut fanout_pos = vec![None; n];
         let mut by_name = HashMap::new();
         for (pos, col) in columns.iter().enumerate() {
+            let (ArColumnKind::Content { table, .. }
+            | ArColumnKind::Indicator { table }
+            | ArColumnKind::Fanout { table }) = col.kind;
+            if table >= n {
+                return Err(ArError::Invalid(format!(
+                    "column {:?} belongs to table #{table}, schema has {n}",
+                    col.name
+                )));
+            }
             match col.kind {
                 ArColumnKind::Content { table, column } => {
                     let tname = &graph.tables()[table];

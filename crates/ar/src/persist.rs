@@ -244,10 +244,7 @@ pub fn save_model(model: &FrozenModel, db_schema: &DatabaseSchema) -> String {
             }
         })
         .collect();
-    let made = model
-        .net
-        .as_made()
-        .expect("save_model currently supports the MADE backbone only");
+    let made = &model.net;
     let layers = made
         .layers()
         .iter()
@@ -381,26 +378,31 @@ pub fn load_model(json: &str) -> Result<(FrozenModel, DatabaseSchema), ArError> 
     let layers = file
         .layers
         .into_iter()
-        .map(|(w, b)| {
-            (
-                Matrix::from_vec(w.rows, w.cols, w.data),
-                Matrix::from_vec(b.rows, b.cols, b.data),
-            )
-        })
-        .collect();
-    let made = if file.residual.is_empty() {
-        FrozenMade::from_parts(layers, file.domain_sizes)
+        .map(|(w, b)| Ok((matrix_from_dto(w)?, matrix_from_dto(b)?)))
+        .collect::<Result<Vec<_>, ArError>>()?;
+    // Plain-MADE files omit the flags.
+    let residual = if file.residual.is_empty() {
+        vec![false; layers.len()]
     } else {
-        FrozenMade::from_parts_residual(layers, file.residual, file.domain_sizes)
+        file.residual
+    };
+    let net = FrozenMade::from_parts(layers, residual, file.domain_sizes)
+        .map_err(|e| ArError::Invalid(format!("model layers: {e}")))?
+        .with_backend(backend);
+    Ok((FrozenModel { schema, net }, db_schema))
+}
+
+/// A file-supplied matrix, checked before [`Matrix::from_vec`] would assert.
+fn matrix_from_dto(m: MatrixDto) -> Result<Matrix, ArError> {
+    if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
+        return Err(ArError::Invalid(format!(
+            "matrix declared {}x{} holds {} values",
+            m.rows,
+            m.cols,
+            m.data.len()
+        )));
     }
-    .with_backend(backend);
-    Ok((
-        FrozenModel {
-            schema,
-            net: made.into(),
-        },
-        db_schema,
-    ))
+    Ok(Matrix::from_vec(m.rows, m.cols, m.data))
 }
 
 #[cfg(test)]
@@ -418,35 +420,39 @@ mod tests {
     fn save_load_round_trip_preserves_estimates_and_samples() {
         let db = paper_example::figure3_database();
         let stats = DatabaseStats::from_database(&db);
-        let schema =
-            ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-        let model = ArModel::new(
-            schema,
-            &ArModelConfig {
-                hidden: vec![16],
-                seed: 4,
-                residual: false,
-                transformer: None,
-            },
-        )
-        .freeze();
+        // Plain MADE, then a ResMADE whose middle layer carries a skip.
+        for (hidden, residual) in [(vec![16], false), (vec![16, 16], true)] {
+            let schema =
+                ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
+            let model = ArModel::new(
+                schema,
+                &ArModelConfig {
+                    hidden,
+                    seed: 4,
+                    residual,
+                },
+            )
+            .freeze();
+            assert_eq!(model.net.residual_flags().contains(&true), residual);
 
-        let json = save_model(&model, db.schema());
-        let (loaded, loaded_schema) = load_model(&json).unwrap();
-        assert_eq!(&loaded_schema, db.schema());
-        assert_eq!(loaded.schema.domain_sizes(), model.schema.domain_sizes());
-        assert_eq!(loaded.schema.normalizer(), model.schema.normalizer());
+            let json = save_model(&model, db.schema());
+            let (loaded, loaded_schema) = load_model(&json).unwrap();
+            assert_eq!(&loaded_schema, db.schema());
+            assert_eq!(loaded.schema.domain_sizes(), model.schema.domain_sizes());
+            assert_eq!(loaded.schema.normalizer(), model.schema.normalizer());
+            assert_eq!(loaded.net.residual_flags(), model.net.residual_flags());
 
-        // Identical estimates under the same RNG stream.
-        let q = Query::join(vec!["A".into(), "B".into()], vec![]);
-        let a = estimate_cardinality(&model, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
-        let b = estimate_cardinality(&loaded, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
-        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            // Identical estimates under the same RNG stream.
+            let q = Query::join(vec!["A".into(), "B".into()], vec![]);
+            let a = estimate_cardinality(&model, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
+            let b = estimate_cardinality(&loaded, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
+            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
 
-        // Identical samples under the same seed.
-        let s1 = crate::sample::sample_model_rows(&model, 32, 8, 9);
-        let s2 = crate::sample::sample_model_rows(&loaded, 32, 8, 9);
-        assert_eq!(s1, s2);
+            // Identical samples under the same seed.
+            let s1 = crate::sample::sample_model_rows(&model, 32, 8, 9);
+            let s2 = crate::sample::sample_model_rows(&loaded, 32, 8, 9);
+            assert_eq!(s1, s2);
+        }
     }
 
     #[test]

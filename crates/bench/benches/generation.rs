@@ -21,7 +21,6 @@ fn bench_generation(c: &mut Criterion) {
             hidden: vec![32],
             seed: 1,
             residual: false,
-            transformer: None,
         },
     )
     .freeze();

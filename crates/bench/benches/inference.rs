@@ -24,7 +24,6 @@ fn bench_inference(c: &mut Criterion) {
             hidden: vec![32],
             seed: 2,
             residual: false,
-            transformer: None,
         },
     )
     .freeze();
@@ -60,7 +59,6 @@ fn bench_inference(c: &mut Criterion) {
                 hidden: vec![32],
                 seed: 2,
                 residual: false,
-                transformer: None,
             },
         )
         .freeze();

@@ -41,7 +41,6 @@ fn build_model() -> (FrozenModel, Vec<Query>) {
             hidden: vec![32, 32],
             seed: 5,
             residual: false,
-            transformer: None,
         },
     )
     .freeze();

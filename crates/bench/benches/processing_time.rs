@@ -32,7 +32,6 @@ fn bench_processing(c: &mut Criterion) {
                         hidden: vec![32],
                         seed: 0,
                         residual: false,
-                        transformer: None,
                     },
                 );
                 train(

@@ -70,10 +70,6 @@ pub fn run(ctx: ExpContext) -> Vec<ExperimentResult> {
             mutate: |c| c.model.residual = true,
         },
         Variant {
-            name: "Transformer backbone (d=32, 2 blocks)",
-            mutate: |c| c.model.transformer = Some(sam_ar::TransformerDims::default()),
-        },
-        Variant {
             name: "half epochs",
             mutate: |c: &mut SamConfig| {
                 c.train = TrainConfig {

@@ -155,7 +155,6 @@ pub fn sam_config(scale: Scale, seed: u64) -> SamConfig {
             hidden,
             seed,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs,

@@ -276,7 +276,6 @@ mod tests {
                 hidden: vec![16],
                 seed: 1,
                 residual: false,
-                transformer: None,
             },
             train: sam_ar::TrainConfig {
                 epochs: 40,
@@ -322,7 +321,6 @@ mod tests {
                 hidden: vec![12],
                 seed: 4,
                 residual: false,
-                transformer: None,
             },
             train: sam_ar::TrainConfig {
                 epochs: 4,
@@ -373,7 +371,6 @@ mod tests {
                 hidden: vec![24],
                 seed: 2,
                 residual: false,
-                transformer: None,
             },
             train: sam_ar::TrainConfig {
                 epochs: 30,

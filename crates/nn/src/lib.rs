@@ -2,9 +2,12 @@
 //!
 //! The thin-ML-ecosystem substitution (see DESIGN.md): a from-scratch `f32`
 //! matrix kernel, reverse-mode tape autodiff with exactly the op set
-//! Differentiable Progressive Sampling needs, the MADE masked autoencoder
-//! (the paper's AR architecture of choice), Gumbel-Softmax sampling, and
-//! Adam/SGD optimisers.
+//! Differentiable Progressive Sampling needs (masked linear, ReLU,
+//! temperature softmax, add, add-constant, column slice and pad, row-dot
+//! with a constant vector or per-row matrix, log, squared-error mean), the
+//! (Res)MADE masked autoencoder — the one AR architecture, as in the
+//! paper's experiments — with its frozen inference kernels, Gumbel-Softmax
+//! sampling, and the Adam optimiser.
 
 #![warn(missing_docs)]
 
@@ -15,7 +18,6 @@ pub mod matrix;
 pub(crate) mod obs_hooks;
 pub mod optim;
 pub mod tape;
-pub mod transformer;
 
 pub use backend::{
     f16_bits_to_f32, f32_to_f16_bits, BackendKind, BlockedF16, FrozenLayers, InferenceBackend,
@@ -24,6 +26,5 @@ pub use backend::{
 pub use gumbel::{gumbel_noise, gumbel_softmax, log_mask, NEG_LARGE};
 pub use made::{BoundMade, FrozenMade, Made, MadeConfig};
 pub use matrix::Matrix;
-pub use optim::{Adam, ParamId, ParamStore, Sgd};
+pub use optim::{Adam, ParamId, ParamStore};
 pub use tape::{Tape, Var};
-pub use transformer::{BoundTransformer, FrozenTransformer, TransformerAr, TransformerConfig};

@@ -190,14 +190,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise in-place `self += scale * other`.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Elementwise product copy.
     pub fn mul_elem(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -277,7 +269,7 @@ mod tests {
         assert_eq!(prod.get(0, 1), 4.0);
         let mut acc = Matrix::zeros(2, 3);
         acc.add_assign(&m);
-        acc.add_scaled_assign(&m, -1.0);
+        acc.add_assign(&m.map(|x| -x));
         assert_eq!(acc.norm_sq(), 0.0);
     }
 

@@ -1,4 +1,4 @@
-//! Parameter storage and optimisers.
+//! Parameter storage and the Adam optimiser.
 
 use crate::matrix::Matrix;
 
@@ -72,39 +72,6 @@ impl ParamStore {
     /// *before* an optimiser step — steps zero the accumulators.
     pub fn grad_norm(&self) -> f32 {
         self.grads.iter().map(Matrix::norm_sq).sum::<f32>().sqrt()
-    }
-
-    fn pairs(&mut self) -> impl Iterator<Item = (&mut Matrix, &Matrix)> {
-        self.values.iter_mut().zip(self.grads.iter())
-    }
-}
-
-/// Plain SGD with optional gradient clipping (by global norm).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Clip the global gradient norm to this value (disabled if `None`).
-    pub clip_norm: Option<f32>,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and no clipping.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            clip_norm: None,
-        }
-    }
-
-    /// Apply one step and zero the gradients.
-    pub fn step(&self, store: &mut ParamStore) {
-        let scale = clip_scale(store, self.clip_norm);
-        let lr = self.lr * scale;
-        for (v, g) in store.pairs() {
-            v.add_scaled_assign(g, -lr);
-        }
-        store.zero_grads();
     }
 }
 
@@ -224,7 +191,7 @@ mod tests {
     use crate::tape::Tape;
     use std::rc::Rc;
 
-    /// Minimise mean((w·x − t)²) over w; both optimisers must converge.
+    /// Minimise mean((w·x − t)²) over w; the optimiser must converge.
     fn converges(mut step: impl FnMut(&mut ParamStore)) -> f32 {
         let mut store = ParamStore::new();
         let w = store.add(Matrix::from_vec(1, 2, vec![0.0, 0.0]));
@@ -247,13 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_least_squares() {
-        let sgd = Sgd::new(0.1);
-        let loss = converges(|s| sgd.step(s));
-        assert!(loss < 1e-6, "sgd final loss {loss}");
-    }
-
-    #[test]
     fn adam_converges_on_least_squares() {
         let mut store_probe = ParamStore::new();
         store_probe.add(Matrix::zeros(1, 2));
@@ -267,12 +227,11 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add(Matrix::zeros(1, 1));
         store.accumulate_grad(w, &Matrix::full(1, 1, 1000.0));
-        let sgd = Sgd {
-            lr: 1.0,
-            clip_norm: Some(1.0),
-        };
-        sgd.step(&mut store);
-        assert!((store.value(w).get(0, 0) + 1.0).abs() < 1e-5);
+        // A unit-lr step along the scaled gradient has norm `clip`.
+        let step = 1000.0 * clip_scale(&store, Some(1.0));
+        assert!((step - 1.0).abs() < 1e-5);
+        assert_eq!(clip_scale(&store, Some(2000.0)), 1.0);
+        assert_eq!(clip_scale(&store, None), 1.0);
     }
 
     #[test]

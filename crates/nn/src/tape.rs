@@ -3,10 +3,11 @@
 //! A [`Tape`] records a DAG of matrix ops; [`Tape::backward`] walks it in
 //! reverse, accumulating gradients. The op set is exactly what Differentiable
 //! Progressive Sampling (paper §4.1) requires: masked linear layers,
-//! ReLU, temperature softmax (for Gumbel-Softmax), column slicing/padding
-//! (per-column one-hot blocks), constant row-dots (in-range mass and
-//! expected inverse fanout), logs, and a mean-squared-error head on log
-//! cardinalities.
+//! ReLU, temperature softmax (for Gumbel-Softmax), addition of a node
+//! (ResMADE skips, the progressively filled input) or a constant (Gumbel
+//! noise), column slicing/padding (per-column one-hot blocks), constant
+//! row-dots (in-range mass and expected inverse fanout), logs, and a
+//! mean-squared-error head on log cardinalities.
 
 use crate::matrix::Matrix;
 use std::rc::Rc;
@@ -35,11 +36,6 @@ enum Op {
     AddConst {
         x: Var,
     },
-    Scale {
-        x: Var,
-        c: f32,
-    },
-    MulElem(Var, Var),
     /// Columns `start..start+width` of `x`.
     SliceCols {
         x: Var,
@@ -72,59 +68,6 @@ enum Op {
         x: Var,
         target: Rc<Vec<f32>>,
     },
-    /// Interleave `parts` (each `B×d`) into a `(B·n)×d` sequence tensor with
-    /// row layout `(b·n + t)`.
-    ConcatSeq {
-        parts: Vec<Var>,
-    },
-    /// `y[b·n + t] = x[b·n + t] + pos[t]` — broadcast a positional/parameter
-    /// matrix over the batch.
-    AddPosition {
-        x: Var,
-        pos: Var,
-        seq: usize,
-    },
-    /// Extract position `t` from a `(B·n)×d` sequence tensor → `B×d`.
-    SliceSeqPos {
-        x: Var,
-        seq: usize,
-        pos: usize,
-    },
-    /// Single-head causal self-attention over `(B·n)×d` q/k/v tensors.
-    /// Attention weights are recomputed in backward.
-    CausalAttention {
-        q: Var,
-        k: Var,
-        v: Var,
-        seq: usize,
-        scale: f32,
-    },
-}
-
-/// Row-softmax of an `n×n` score matrix with a causal mask (`j > i` blocked).
-fn causal_softmax(scores: &Matrix) -> Matrix {
-    let n = scores.rows();
-    let mut a = Matrix::zeros(n, n);
-    for i in 0..n {
-        let row = scores.row(i);
-        let m = row[..=i].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        let out = a.row_mut(i);
-        for (j, o) in out.iter_mut().enumerate().take(i + 1) {
-            let e = (row[j] - m).exp();
-            *o = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum.max(f32::MIN_POSITIVE);
-        out[..=i].iter_mut().for_each(|o| *o *= inv);
-    }
-    a
-}
-
-/// Copy batch `b`'s `n×d` block out of a `(B·n)×d` tensor.
-fn batch_block(x: &Matrix, b: usize, n: usize) -> Matrix {
-    let d = x.cols();
-    Matrix::from_fn(n, d, |t, c| x.get(b * n + t, c))
 }
 
 struct Node {
@@ -246,18 +189,6 @@ impl Tape {
         self.push(y, Op::AddConst { x })
     }
 
-    /// `c * x`.
-    pub fn scale(&mut self, x: Var, c: f32) -> Var {
-        let y = self.nodes[x.0].value.map(|v| c * v);
-        self.push(y, Op::Scale { x, c })
-    }
-
-    /// Elementwise `a ∘ b`.
-    pub fn mul_elem(&mut self, a: Var, b: Var) -> Var {
-        let y = self.nodes[a.0].value.mul_elem(&self.nodes[b.0].value);
-        self.push(y, Op::MulElem(a, b))
-    }
-
     /// Columns `start..start+width` of `x`.
     pub fn slice_cols(&mut self, x: Var, start: usize, width: usize) -> Var {
         let xv = &self.nodes[x.0].value;
@@ -324,91 +255,6 @@ impl Tape {
         self.push(
             Matrix::from_vec(1, 1, vec![mse]),
             Op::SqErrMeanConst { x, target },
-        )
-    }
-
-    /// Interleave `parts` (each `B×d`) into a `(B·n)×d` sequence tensor.
-    pub fn concat_seq(&mut self, parts: Vec<Var>) -> Var {
-        assert!(!parts.is_empty(), "need at least one sequence position");
-        let b = self.nodes[parts[0].0].value.rows();
-        let d = self.nodes[parts[0].0].value.cols();
-        for p in &parts {
-            let v = &self.nodes[p.0].value;
-            assert_eq!((v.rows(), v.cols()), (b, d), "ragged sequence parts");
-        }
-        let n = parts.len();
-        let mut y = Matrix::zeros(b * n, d);
-        for (t, p) in parts.iter().enumerate() {
-            let v = &self.nodes[p.0].value;
-            for bi in 0..b {
-                y.row_mut(bi * n + t).copy_from_slice(v.row(bi));
-            }
-        }
-        self.push(y, Op::ConcatSeq { parts })
-    }
-
-    /// Broadcast-add an `n×d` parameter over the batch of a `(B·n)×d` tensor.
-    pub fn add_position(&mut self, x: Var, pos: Var, seq: usize) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let pv = &self.nodes[pos.0].value;
-        assert_eq!(pv.rows(), seq, "positional rows must equal seq");
-        assert_eq!(pv.cols(), xv.cols(), "positional width mismatch");
-        assert_eq!(xv.rows() % seq, 0, "rows must be a multiple of seq");
-        let mut y = xv.clone();
-        for r in 0..y.rows() {
-            let t = r % seq;
-            let prow: Vec<f32> = pv.row(t).to_vec();
-            for (o, &p) in y.row_mut(r).iter_mut().zip(&prow) {
-                *o += p;
-            }
-        }
-        self.push(y, Op::AddPosition { x, pos, seq })
-    }
-
-    /// Rows at sequence position `pos` of a `(B·n)×d` tensor → `B×d`.
-    pub fn slice_seq_pos(&mut self, x: Var, seq: usize, pos: usize) -> Var {
-        let xv = &self.nodes[x.0].value;
-        assert!(pos < seq, "position out of range");
-        assert_eq!(xv.rows() % seq, 0, "rows must be a multiple of seq");
-        let b = xv.rows() / seq;
-        let y = Matrix::from_fn(b, xv.cols(), |bi, c| xv.get(bi * seq + pos, c));
-        self.push(y, Op::SliceSeqPos { x, seq, pos })
-    }
-
-    /// Single-head causal self-attention: softmax(QKᵀ·scale + causal mask)V,
-    /// independently per batch block of `seq` rows.
-    pub fn causal_attention(&mut self, q: Var, k: Var, v: Var, seq: usize, scale: f32) -> Var {
-        let (rows, d) = {
-            let qv = &self.nodes[q.0].value;
-            (qv.rows(), qv.cols())
-        };
-        for var in [k, v] {
-            let m = &self.nodes[var.0].value;
-            assert_eq!((m.rows(), m.cols()), (rows, d), "q/k/v shape mismatch");
-        }
-        assert_eq!(rows % seq, 0, "rows must be a multiple of seq");
-        let batches = rows / seq;
-        let mut out = Matrix::zeros(rows, d);
-        for b in 0..batches {
-            let qb = batch_block(&self.nodes[q.0].value, b, seq);
-            let kb = batch_block(&self.nodes[k.0].value, b, seq);
-            let vb = batch_block(&self.nodes[v.0].value, b, seq);
-            let scores = qb.matmul_transb(&kb).map(|x| x * scale);
-            let a = causal_softmax(&scores);
-            let ob = a.matmul(&vb);
-            for t in 0..seq {
-                out.row_mut(b * seq + t).copy_from_slice(ob.row(t));
-            }
-        }
-        self.push(
-            out,
-            Op::CausalAttention {
-                q,
-                k,
-                v,
-                seq,
-                scale,
-            },
         )
     }
 
@@ -496,17 +342,6 @@ impl Tape {
                     let x = *x;
                     self.accumulate(x, g);
                 }
-                Op::Scale { x, c } => {
-                    let (x, c) = (*x, *c);
-                    self.accumulate(x, g.map(|v| c * v));
-                }
-                Op::MulElem(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    self.accumulate(a, g.mul_elem(&bv));
-                    self.accumulate(b, g.mul_elem(&av));
-                }
                 Op::SliceCols { x, start } => {
                     let (x, start) = (*x, *start);
                     let xv = &self.nodes[x.0].value;
@@ -553,87 +388,6 @@ impl Tape {
                     let gx =
                         Matrix::from_fn(xv.rows(), 1, |r, _| scale * (xv.get(r, 0) - target[r]));
                     self.accumulate(x, gx);
-                }
-                Op::ConcatSeq { parts } => {
-                    let parts = parts.clone();
-                    let n = parts.len();
-                    let b = g.rows() / n;
-                    for (t, p) in parts.iter().enumerate() {
-                        let d = self.nodes[p.0].value.cols();
-                        let gp = Matrix::from_fn(b, d, |bi, c| g.get(bi * n + t, c));
-                        self.accumulate(*p, gp);
-                    }
-                }
-                Op::AddPosition { x, pos, seq } => {
-                    let (x, pos, seq) = (*x, *pos, *seq);
-                    let d = g.cols();
-                    let mut gp = Matrix::zeros(seq, d);
-                    for r in 0..g.rows() {
-                        let t = r % seq;
-                        for (o, &v) in gp.row_mut(t).iter_mut().zip(g.row(r)) {
-                            *o += v;
-                        }
-                    }
-                    self.accumulate(x, g.clone());
-                    self.accumulate(pos, gp);
-                }
-                Op::SliceSeqPos { x, seq, pos } => {
-                    let (x, seq, pos) = (*x, *seq, *pos);
-                    let xv = &self.nodes[x.0].value;
-                    let mut gx = Matrix::zeros(xv.rows(), xv.cols());
-                    for bi in 0..g.rows() {
-                        gx.row_mut(bi * seq + pos).copy_from_slice(g.row(bi));
-                    }
-                    self.accumulate(x, gx);
-                }
-                Op::CausalAttention {
-                    q,
-                    k,
-                    v,
-                    seq,
-                    scale,
-                } => {
-                    let (q, k, v, seq, scale) = (*q, *k, *v, *seq, *scale);
-                    let rows = g.rows();
-                    let d = g.cols();
-                    let batches = rows / seq;
-                    let mut gq = Matrix::zeros(rows, d);
-                    let mut gk = Matrix::zeros(rows, d);
-                    let mut gv = Matrix::zeros(rows, d);
-                    for b in 0..batches {
-                        let qb = batch_block(&self.nodes[q.0].value, b, seq);
-                        let kb = batch_block(&self.nodes[k.0].value, b, seq);
-                        let vb = batch_block(&self.nodes[v.0].value, b, seq);
-                        let gb = batch_block(&g, b, seq);
-                        // Recompute attention weights.
-                        let scores = qb.matmul_transb(&kb).map(|x| x * scale);
-                        let a = causal_softmax(&scores);
-                        // Grad wrt V: Aᵀ g.
-                        let gvb = a.transpose().matmul(&gb);
-                        // Grad wrt A: g Vᵀ, then row-softmax backward.
-                        let ga = gb.matmul_transb(&vb);
-                        let mut gs = Matrix::zeros(seq, seq);
-                        for i in 0..seq {
-                            let arow = a.row(i);
-                            let garow = ga.row(i);
-                            let dot: f32 =
-                                arow.iter().zip(garow).take(i + 1).map(|(x, y)| x * y).sum();
-                            let out = gs.row_mut(i);
-                            for j in 0..=i {
-                                out[j] = arow[j] * (garow[j] - dot) * scale;
-                            }
-                        }
-                        let gqb = gs.matmul(&kb);
-                        let gkb = gs.transpose().matmul(&qb);
-                        for t in 0..seq {
-                            gq.row_mut(b * seq + t).copy_from_slice(gqb.row(t));
-                            gk.row_mut(b * seq + t).copy_from_slice(gkb.row(t));
-                            gv.row_mut(b * seq + t).copy_from_slice(gvb.row(t));
-                        }
-                    }
-                    self.accumulate(q, gq);
-                    self.accumulate(k, gk);
-                    self.accumulate(v, gv);
                 }
             }
         }
@@ -778,14 +532,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_scale_mul_addconst() {
+    fn grad_add_const() {
         let c = Rc::new(Matrix::from_vec(1, 2, vec![0.5, -0.5]));
         let target = Rc::new(vec![0.0f32]);
         grad_check(
             move |t, x| {
-                let s = t.scale(x, 3.0);
-                let m = t.mul_elem(s, x);
-                let a = t.add_const(m, Rc::clone(&c));
+                let a = t.add_const(x, Rc::clone(&c));
                 let d = t.row_dot_const(a, Rc::new(vec![1.0, 1.0]));
                 t.sq_err_mean(d, Rc::clone(&target))
             },

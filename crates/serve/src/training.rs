@@ -417,7 +417,6 @@ fn run_train_job(job: &TrainJob, journal: Option<&Journal>, record: &JobRecord) 
             hidden: job.spec.hidden.clone(),
             seed: job.spec.seed,
             residual: false,
-            transformer: None,
         },
         train: sam_ar::TrainConfig {
             epochs: job.spec.epochs,

@@ -24,7 +24,6 @@ pub fn tiny_model(arch_seed: u64) -> TrainedSam {
             hidden: vec![12],
             seed: arch_seed,
             residual: false,
-            transformer: None,
         },
         train: sam_ar::TrainConfig {
             epochs: 4,

@@ -97,7 +97,6 @@ fn tying_candidate_is_promoted_and_serves() {
             hidden: vec![12],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: sam_ar::TrainConfig {
             epochs: 4,

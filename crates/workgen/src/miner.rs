@@ -339,7 +339,6 @@ mod tests {
                 hidden: vec![12],
                 seed: 1,
                 residual: false,
-                transformer: None,
             },
             train: sam_ar::TrainConfig {
                 epochs: 4,

@@ -17,7 +17,6 @@ fn tiny_model(db: &Database) -> TrainedSam {
             hidden: vec![12],
             seed: 3,
             residual: false,
-            transformer: None,
         },
         train: sam_ar::TrainConfig {
             epochs: 4,

@@ -108,7 +108,6 @@ fn model_config() -> ArModelConfig {
         hidden: vec![8],
         seed: 11,
         residual: false,
-        transformer: None,
     }
 }
 

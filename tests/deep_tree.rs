@@ -110,7 +110,6 @@ fn three_level_tree_pipeline() {
             hidden: vec![24],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 8,

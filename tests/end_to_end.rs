@@ -9,7 +9,6 @@ fn tiny_sam_config(seed: u64) -> SamConfig {
             hidden: vec![24],
             seed,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 6,

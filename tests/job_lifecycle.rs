@@ -30,7 +30,6 @@ fn demo_server(config: ServeConfig) -> (Server, String) {
             hidden: vec![12],
             seed: 1,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 4,

@@ -32,7 +32,6 @@ fn train_demo_model() -> (TrainedSam, String) {
             hidden: vec![12],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 4,

@@ -22,7 +22,6 @@ fn traced_run_covers_every_epoch_and_generation_stage() {
             hidden: vec![12],
             seed: 2,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: EPOCHS,

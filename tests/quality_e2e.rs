@@ -36,7 +36,6 @@ fn train_demo_model() -> (TrainedSam, Vec<Query>, Database) {
             hidden: vec![12],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 4,

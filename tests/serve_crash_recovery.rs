@@ -38,7 +38,6 @@ fn train_and_save(dir: &Path) -> PathBuf {
             hidden: vec![12],
             seed: 3,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 4,

@@ -35,7 +35,6 @@ fn train_demo_model() -> (TrainedSam, Vec<Query>) {
             hidden: vec![12],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 4,

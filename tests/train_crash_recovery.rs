@@ -34,7 +34,6 @@ fn write_incumbent_and_data(dir: &Path) -> (PathBuf, PathBuf) {
             hidden: vec![2],
             seed: 3,
             residual: false,
-            transformer: None,
         },
         train: TrainConfig {
             epochs: 1,

@@ -72,7 +72,6 @@ fn quick_model(db: &Database) -> sam::core::TrainedSam {
             hidden: vec![12],
             seed: 5,
             residual: false,
-            transformer: None,
         },
         train: sam::ar::TrainConfig {
             epochs: 3,
