@@ -71,7 +71,8 @@ impl Default for TrainConfig {
 pub struct TrainReport {
     /// Mean loss per epoch.
     pub epoch_losses: Vec<f32>,
-    /// Constraints processed (queries × epochs).
+    /// Constraints processed by this run (queries × epochs it ran; epochs
+    /// restored from a checkpoint are not counted).
     pub constraints_processed: usize,
     /// Wall-clock seconds spent in training.
     pub wall_seconds: f64,
@@ -126,6 +127,16 @@ pub fn train_observed(
 ) -> Result<TrainReport, ArError> {
     if workload.is_empty() {
         return Err(ArError::Invalid("empty workload".into()));
+    }
+    if config.batch_size == 0 {
+        return Err(ArError::Invalid("batch_size must be at least 1".into()));
+    }
+    for (name, value) in [("lr", config.lr), ("temperature", config.temperature)] {
+        if !(value.is_finite() && value > 0.0) {
+            return Err(ArError::Invalid(format!(
+                "{name} must be finite and > 0, got {value}"
+            )));
+        }
     }
     let start = Instant::now();
     let (schema, net, store) = model.split_mut();
@@ -239,8 +250,7 @@ pub fn train_observed(
             for i in 0..n_cols {
                 let d = net.domain_size(i);
                 let offset = net.offset(i);
-                let logits_full = bound.forward(&mut tape, input);
-                let block = bound.logits_of(&mut tape, logits_full, i);
+                let block = bound.forward_column(&mut tape, input, i);
 
                 // Assemble the per-row mask and factor weights.
                 let mut mask = Matrix::zeros(rows, d);
@@ -324,7 +334,9 @@ pub fn train_observed(
         grad_gauge.set(last_grad_norm as f64);
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed > 0.0 {
-            throughput_gauge.set(((epoch + 1) * workload.len()) as f64 / elapsed);
+            // `elapsed` is this process's: epochs restored from a checkpoint
+            // were not run in it.
+            throughput_gauge.set(((epoch + 1 - start_epoch) * workload.len()) as f64 / elapsed);
         }
         epoch_span.record("loss", mean_loss);
         epoch_span.record("grad_norm", last_grad_norm);
@@ -372,7 +384,7 @@ pub fn train_observed(
 
     Ok(TrainReport {
         epoch_losses,
-        constraints_processed: workload.len() * config.epochs,
+        constraints_processed: workload.len() * config.epochs.saturating_sub(start_epoch),
         wall_seconds: start.elapsed().as_secs_f64(),
     })
 }
@@ -554,6 +566,98 @@ mod tests {
         let ckpt_b = std::fs::read(dir_b.join(crate::checkpoint::CHECKPOINT_FILE)).unwrap();
         assert_eq!(ckpt_a, ckpt_b, "final checkpoints must be byte-identical");
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Relation A of Figure 3 as a database, a fresh model over it and a
+    /// small labelled workload.
+    fn figure3_a(queries: usize) -> (ArModel, Workload, sam_storage::Database) {
+        let db = paper_example::figure3_database();
+        let single = sam_storage::Database::single(db.table_by_name("A").unwrap().clone());
+        let stats = DatabaseStats::from_database(&single);
+        let mut gen = WorkloadGenerator::new(&single, 5);
+        let workload = label_workload(&single, gen.single_workload("A", queries)).unwrap();
+        let asked: Vec<_> = workload.queries.iter().map(|q| q.query.clone()).collect();
+        let schema =
+            ArSchema::build(single.schema(), &stats, &asked, &EncodingOptions::default()).unwrap();
+        let model = ArModel::new(
+            schema,
+            &ArModelConfig {
+                hidden: vec![8],
+                seed: 11,
+                residual: false,
+            },
+        );
+        (model, workload, single)
+    }
+
+    /// A resumed run reports the work it did: the epochs restored from the
+    /// checkpoint were processed by an earlier process.
+    #[test]
+    fn resumed_run_counts_only_the_epochs_it_ran() {
+        let (_, workload, _) = figure3_a(24);
+        let dir = std::env::temp_dir().join(format!("sam_train_rate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = |epochs: usize| TrainConfig {
+            epochs,
+            batch_size: 8,
+            seed: 21,
+            checkpoint: Some(crate::checkpoint::CheckpointConfig::new(&dir, 2)),
+            ..TrainConfig::default()
+        };
+        let first = train(&mut figure3_a(24).0, &workload, &cfg(2)).unwrap();
+        assert_eq!(first.constraints_processed, 2 * workload.len());
+        let resumed = train(&mut figure3_a(24).0, &workload, &cfg(5)).unwrap();
+        assert_eq!(resumed.epoch_losses.len(), 5, "the run did resume");
+        assert_eq!(resumed.constraints_processed, 3 * workload.len());
+        // Nothing left to do: nothing processed.
+        let again = train(&mut figure3_a(24).0, &workload, &cfg(5)).unwrap();
+        assert_eq!(again.constraints_processed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Values that cannot train are refused before the model is touched:
+    /// `chunks(0)` panics, a zero temperature divides by zero, and a NaN
+    /// learning rate turns every weight into NaN.
+    #[test]
+    fn unusable_hyperparameters_are_invalid() {
+        let (mut model, workload, db) = figure3_a(8);
+        let before = crate::persist::save_model(&model.freeze(), db.schema());
+        let base = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -1e-3];
+        let mut configs = vec![(
+            "batch_size",
+            TrainConfig {
+                batch_size: 0,
+                ..base.clone()
+            },
+        )];
+        for v in bad {
+            configs.push((
+                "lr",
+                TrainConfig {
+                    lr: v,
+                    ..base.clone()
+                },
+            ));
+            configs.push((
+                "temperature",
+                TrainConfig {
+                    temperature: v,
+                    ..base.clone()
+                },
+            ));
+        }
+        for (name, config) in configs {
+            match train(&mut model, &workload, &config) {
+                Err(ArError::Invalid(message)) => assert!(message.contains(name), "{message}"),
+                other => panic!("{name} in {config:?}: {other:?}"),
+            }
+        }
+        let after = crate::persist::save_model(&model.freeze(), db.schema());
+        assert_eq!(before, after, "a refused run must not touch the model");
     }
 
     /// A checkpoint from a different training setup must be refused, not

@@ -68,7 +68,7 @@ pub fn gumbel_softmax(
     // Straight-through: value = onehot(argmax(soft)), gradient = soft's.
     // Implemented as soft + const(onehot - soft_value): the constant shifts
     // the forward value without contributing gradient.
-    let soft_value = tape.value(soft).clone();
+    let soft_value = tape.value(soft);
     let mut shift = Matrix::zeros(shape.0, shape.1);
     for r in 0..shape.0 {
         let row = soft_value.row(r);

@@ -13,6 +13,7 @@ use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -226,10 +227,29 @@ impl<'m> BoundMade<'m> {
     /// Forward pass on the tape: `input` (batch × total_width) → logits
     /// (batch × total_width). ReLU between layers, none after the last.
     pub fn forward(&self, tape: &mut Tape, input: Var) -> Var {
+        self.forward_cols(tape, input, 0..self.made.total_width)
+    }
+
+    /// Forward pass that evaluates the last layer for column `i`'s logit
+    /// block only (batch × domain_size(i)) — what one DPS step reads. The
+    /// block is bit-identical to that block of [`BoundMade::forward`].
+    pub fn forward_column(&self, tape: &mut Tape, input: Var, i: usize) -> Var {
+        let offset = self.made.offset(i);
+        self.forward_cols(tape, input, offset..offset + self.made.domain_size(i))
+    }
+
+    /// The layer walk: hidden layers at full width, then logits `cols` of
+    /// the output layer (which is never residual).
+    fn forward_cols(&self, tape: &mut Tape, input: Var, cols: Range<usize>) -> Var {
         let mut h = input;
         let last = self.vars.len() - 1;
         for (i, ((w, b), layer)) in self.vars.iter().zip(&self.made.layers).enumerate() {
-            let lin = tape.masked_linear(h, *w, *b, Some(Rc::clone(&layer.mask)));
+            let out = if i == last {
+                cols.clone()
+            } else {
+                0..layer.mask.rows()
+            };
+            let lin = tape.masked_linear_cols(h, *w, *b, Some(Rc::clone(&layer.mask)), out);
             let pre = if layer.residual {
                 tape.add(lin, h)
             } else {
@@ -248,8 +268,11 @@ impl<'m> BoundMade<'m> {
     /// After `tape.backward`, fold each parameter's gradient into the store.
     pub fn apply_grads(&self, tape: &Tape, store: &mut ParamStore) {
         for ((wv, bv), layer) in self.vars.iter().zip(&self.made.layers) {
-            store.accumulate_grad(layer.w, &tape.grad(*wv));
-            store.accumulate_grad(layer.b, &tape.grad(*bv));
+            for (id, var) in [(layer.w, *wv), (layer.b, *bv)] {
+                if let Some(g) = tape.grad_ref(var) {
+                    store.accumulate_grad(id, g);
+                }
+            }
         }
     }
 }

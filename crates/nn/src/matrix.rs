@@ -4,9 +4,10 @@
 //! hundreds): plain `ikj` matmul loops that vectorise well, no BLAS.
 
 use std::fmt;
+use std::ops::Range;
 
-/// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+/// A dense row-major matrix of `f32` (the default is the empty `0×0`).
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -114,18 +115,37 @@ impl Matrix {
 
     /// `self @ other` (`self: m×k`, `other: k×n`).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
+        self.matmul_block(other, 0..other.rows, 0..other.cols)
+    }
+
+    /// `self @ other[rows, cols]` (`self: m×k` with `k == rows.len()`), the
+    /// product against a sub-block of `other` without copying it out.
+    ///
+    /// An axpy loop: row `p` of the block, scaled by `self[i, p]`, is added to
+    /// output row `i` for `p` ascending, and zero multipliers are skipped. Every
+    /// output element is therefore the sum `((0 + a₀b₀) + a₁b₁) + …` in the
+    /// order a dot product takes it — a skipped term is an exact `±0` added to
+    /// an accumulator that is never `−0` — so for finite values the result is
+    /// bit-identical to [`Matrix::matmul_transb`] on the transposed block,
+    /// while the inner loop vectorises over outputs and a one-hot row of
+    /// `self` costs one row-add per set column.
+    pub fn matmul_block(&self, other: &Matrix, rows: Range<usize>, cols: Range<usize>) -> Matrix {
+        assert!(
+            rows.end <= other.rows && cols.end <= other.cols,
+            "matmul block out of range"
+        );
+        assert_eq!(self.cols, rows.len(), "matmul shape mismatch");
+        let (m, k, n) = (self.rows, rows.len(), cols.len());
         crate::obs_hooks::count_matmul!(m, k, n);
         let mut out = Matrix::zeros(m, n);
         for i in 0..m {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
-            for (p, &a) in a_row.iter().enumerate().take(k) {
+            for (p, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = other.row(p);
+                let b_row = &other.row(rows.start + p)[cols.clone()];
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;
                 }
@@ -134,7 +154,11 @@ impl Matrix {
         out
     }
 
-    /// `self @ other.T` (`self: m×k`, `other: n×k`).
+    /// `self @ other.T` (`self: m×k`, `other: n×k`), one serial dot product
+    /// per output element. It is the kernel of the inference oracle only
+    /// ([`crate::backend::ReferenceF32`], which every other backend and the
+    /// model files are bit-locked against); training multiplies through
+    /// [`Matrix::matmul_block`], which produces the same bits.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
@@ -157,14 +181,25 @@ impl Matrix {
 
     /// `self.T @ other` (`self: k×m`, `other: k×n`).
     pub fn matmul_transa(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_transa_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_transa`] written into `out`, which is reshaped to
+    /// `m×n` and keeps its allocation — a caller that multiplies at one shape
+    /// again and again passes the same `out`.
+    pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_transa shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         crate::obs_hooks::count_matmul!(m, k, n);
-        let mut out = Matrix::zeros(m, n);
+        (out.rows, out.cols) = (m, n);
+        out.data.clear();
+        out.data.resize(m * n, 0.0);
         for p in 0..k {
             let a_row = self.row(p);
             let b_row = other.row(p);
-            for (i, &a) in a_row.iter().enumerate().take(m) {
+            for (i, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
@@ -174,7 +209,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Transposed copy.
@@ -250,6 +284,38 @@ mod tests {
         let c1 = a().matmul(&b());
         let c2 = a().matmul_transb(&bt);
         assert_eq!(c1, c2);
+    }
+
+    /// The axpy kernel against a sub-block gives, bit for bit, the serial dot
+    /// products over that block — zeros in the left operand included.
+    #[test]
+    fn matmul_block_matches_transb_on_the_block_to_the_bit() {
+        let x = Matrix::from_fn(3, 4, |r, c| {
+            if (r + c) % 3 == 0 {
+                0.0
+            } else {
+                0.37 * r as f32 - 0.11 * c as f32
+            }
+        });
+        let other = Matrix::from_fn(6, 5, |r, c| {
+            (0.13 * r as f32 - 0.29).powi(3) + 0.7 * c as f32
+        });
+        let (rows, cols) = (1..5, 2..5);
+        let block = Matrix::from_fn(rows.len(), cols.len(), |r, c| {
+            other.get(rows.start + r, cols.start + c)
+        });
+        let got = x.matmul_block(&other, rows, cols);
+        let want = x.matmul_transb(&block.transpose());
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!((got.rows(), got.cols()), (3, 3));
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn matmul_transa_into_reshapes_and_clears_a_used_buffer() {
+        let mut out = Matrix::full(7, 1, 9.0);
+        a().transpose().matmul_transa_into(&b(), &mut out);
+        assert_eq!(out, a().matmul(&b()));
     }
 
     #[test]

@@ -8,8 +8,16 @@
 //! noise), column slicing/padding (per-column one-hot blocks), constant
 //! row-dots (in-range mass and expected inverse fanout), logs, and a
 //! mean-squared-error head on log cardinalities.
+//!
+//! A step of DPS runs the same weight leaves through one forward per model
+//! column, so the tape keeps what is constant per step: the first
+//! [`Tape::masked_linear`] on a weight packs `w ∘ mask` and its transpose,
+//! and every later forward and backward on that leaf multiplies through
+//! the pack ([`Matrix::matmul_block`] — the dot product's bits, without its
+//! serial reduction).
 
 use crate::matrix::Matrix;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Handle to a tape node.
@@ -18,12 +26,13 @@ pub struct Var(usize);
 
 enum Op {
     Leaf,
-    /// `y = x @ (w ∘ mask)ᵀ + b` with `w: out×in`, `b: 1×out`.
+    /// Columns `cols` of `y = x @ (w ∘ mask)ᵀ + b` with `w: out×in`,
+    /// `b: 1×out`; `w` and `mask` are those of `packed[pack]`.
     MaskedLinear {
         x: Var,
-        w: Var,
         b: Var,
-        mask: Option<Rc<Matrix>>,
+        pack: usize,
+        cols: Range<usize>,
     },
     Relu(Var),
     /// Row-wise `softmax(x / temp)`.
@@ -76,10 +85,26 @@ struct Node {
     op: Op,
 }
 
+/// A weight node's effective matrices, built by the first masked linear on
+/// it and used by every later forward and backward of the step. Node values
+/// are immutable once recorded, so a pack cannot go stale.
+struct Pack {
+    w: Var,
+    mask: Option<Rc<Matrix>>,
+    /// `w ∘ mask` (`out×in`): the input gradient adds up its rows.
+    eff: Matrix,
+    /// `effᵀ` (`in×out`): the forward adds up its rows.
+    eff_t: Matrix,
+}
+
 /// The gradient tape.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    packed: Vec<Pack>,
+    /// One masked-linear use's weight gradient, summed over the batch before
+    /// it is added to the leaf's.
+    gw: Matrix,
 }
 
 impl Tape {
@@ -119,34 +144,91 @@ impl Tape {
 
     /// The accumulated gradient of a node (zeros if it never received one).
     pub fn grad(&self, v: Var) -> Matrix {
-        match &self.nodes[v.0].grad {
+        match self.grad_ref(v) {
             Some(g) => g.clone(),
             None => Matrix::zeros(self.nodes[v.0].value.rows(), self.nodes[v.0].value.cols()),
         }
     }
 
-    /// `x @ (w ∘ mask)ᵀ + b`. `mask` (same shape as `w`) freezes connections
-    /// — the MADE autoregressive masks.
-    pub fn masked_linear(&mut self, x: Var, w: Var, b: Var, mask: Option<Rc<Matrix>>) -> Var {
-        let (xv, wv, bv) = (
-            &self.nodes[x.0].value,
-            &self.nodes[w.0].value,
-            &self.nodes[b.0].value,
-        );
-        assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        assert_eq!(bv.cols(), wv.rows(), "bias width must equal out features");
+    /// The accumulated gradient of a node, `None` if it never received one.
+    pub(crate) fn grad_ref(&self, v: Var) -> Option<&Matrix> {
+        self.nodes[v.0].grad.as_ref()
+    }
+
+    /// Index of `w`'s pack, building it on first use.
+    ///
+    /// # Panics
+    /// Panics if `w` is already packed with a different mask (another `Rc`,
+    /// or `Some` against `None`): reusing the pack would multiply through the
+    /// wrong weights.
+    fn pack(&mut self, w: Var, mask: Option<Rc<Matrix>>) -> usize {
+        if let Some(i) = self.packed.iter().position(|p| p.w == w) {
+            let same = match (&self.packed[i].mask, &mask) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+                _ => false,
+            };
+            assert!(
+                same,
+                "masked_linear: weight node {} was already used with a different mask",
+                w.0
+            );
+            return i;
+        }
+        let wv = &self.nodes[w.0].value;
         let eff = match &mask {
             Some(m) => wv.mul_elem(m),
             None => wv.clone(),
         };
-        let mut y = xv.matmul_transb(&eff);
+        let eff_t = eff.transpose();
+        self.packed.push(Pack {
+            w,
+            mask,
+            eff,
+            eff_t,
+        });
+        self.packed.len() - 1
+    }
+
+    /// `x @ (w ∘ mask)ᵀ + b`. `mask` (same shape as `w`) freezes connections
+    /// — the MADE autoregressive masks. Every use of one `w` on a tape must
+    /// pass the same mask.
+    pub fn masked_linear(&mut self, x: Var, w: Var, b: Var, mask: Option<Rc<Matrix>>) -> Var {
+        let out = self.nodes[w.0].value.rows();
+        self.masked_linear_cols(x, w, b, mask, 0..out)
+    }
+
+    /// Columns `cols` of [`Tape::masked_linear`]'s output (`batch × cols.len()`),
+    /// each element computed exactly as the full-width op computes it; the
+    /// backward touches only rows `cols` of the `w` and `b` gradients.
+    pub fn masked_linear_cols(
+        &mut self,
+        x: Var,
+        w: Var,
+        b: Var,
+        mask: Option<Rc<Matrix>>,
+        cols: Range<usize>,
+    ) -> Var {
+        let pack = self.pack(w, mask);
+        let (xv, bv, eff_t) = (
+            &self.nodes[x.0].value,
+            &self.nodes[b.0].value,
+            &self.packed[pack].eff_t,
+        );
+        assert_eq!(bv.rows(), 1, "bias must be a row vector");
+        assert_eq!(
+            bv.cols(),
+            eff_t.cols(),
+            "bias width must equal out features"
+        );
+        let mut y = xv.matmul_block(eff_t, 0..eff_t.rows(), cols.clone());
+        let bias = &bv.row(0)[cols.clone()];
         for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            for (o, &bb) in row.iter_mut().zip(bv.row(0)) {
+            for (o, &bb) in y.row_mut(r).iter_mut().zip(bias) {
                 *o += bb;
             }
         }
-        self.push(y, Op::MaskedLinear { x, w, b, mask })
+        self.push(y, Op::MaskedLinear { x, b, pack, cols })
     }
 
     /// Elementwise `max(x, 0)`.
@@ -265,6 +347,14 @@ impl Tape {
         }
     }
 
+    /// [`Tape::accumulate`] for a gradient that passes through unchanged.
+    fn accumulate_ref(&mut self, v: Var, g: &Matrix) {
+        match &mut self.nodes[v.0].grad {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
+        }
+    }
+
     /// Run backpropagation from a scalar (`1×1`) root.
     pub fn backward(&mut self, root: Var) {
         let rv = &self.nodes[root.0].value;
@@ -276,51 +366,65 @@ impl Tape {
         self.nodes[root.0].grad = Some(Matrix::full(1, 1, 1.0));
 
         for i in (0..=root.0).rev() {
-            let Some(g) = self.nodes[i].grad.clone() else {
+            // Moved out while the node's inputs (all at lower indices) take
+            // their share, put back below so that `grad` keeps answering.
+            let Some(g) = self.nodes[i].grad.take() else {
                 continue;
             };
             // Decompose op without holding a borrow across accumulate calls.
             match &self.nodes[i].op {
                 Op::Leaf => {}
-                Op::MaskedLinear { x, w, b, mask } => {
-                    let (x, w, b, mask) = (*x, *w, *b, mask.clone());
-                    let xv = self.nodes[x.0].value.clone();
-                    let wv = self.nodes[w.0].value.clone();
-                    let eff = match &mask {
-                        Some(m) => wv.mul_elem(m),
-                        None => wv,
-                    };
-                    // y = x @ effᵀ + b
-                    let gx = g.matmul(&eff);
-                    let mut gw = g.matmul_transa(&xv); // (out×in)
-                    if let Some(m) = &mask {
-                        gw = gw.mul_elem(m);
+                Op::MaskedLinear { x, b, pack, cols } => {
+                    let (x, b, cols) = (*x, *b, cols.clone());
+                    let pack = &self.packed[*pack];
+                    let (out, inp) = (pack.eff.rows(), pack.eff.cols());
+                    // y = x @ effᵀ[·, cols] + b[cols]
+                    let gx = g.matmul_block(&pack.eff, cols.clone(), 0..inp);
+                    // This use's weight gradient is complete (summed over the
+                    // batch, then masked) before it joins the other uses'.
+                    g.matmul_transa_into(&self.nodes[x.0].value, &mut self.gw);
+                    let gw_leaf = self.nodes[pack.w.0]
+                        .grad
+                        .get_or_insert_with(|| Matrix::zeros(out, inp));
+                    for (r, row) in cols.clone().enumerate() {
+                        let (dst, src) = (gw_leaf.row_mut(row), self.gw.row(r));
+                        match &pack.mask {
+                            Some(m) => {
+                                for ((o, &s), &keep) in dst.iter_mut().zip(src).zip(m.row(row)) {
+                                    *o += s * keep;
+                                }
+                            }
+                            None => {
+                                for (o, &s) in dst.iter_mut().zip(src) {
+                                    *o += s;
+                                }
+                            }
+                        }
                     }
-                    let mut gb = Matrix::zeros(1, g.cols());
+                    let mut gb = vec![0.0f32; cols.len()];
                     for r in 0..g.rows() {
-                        for (o, &v) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
+                        for (o, &v) in gb.iter_mut().zip(g.row(r)) {
                             *o += v;
                         }
                     }
+                    let gb_leaf = self.nodes[b.0]
+                        .grad
+                        .get_or_insert_with(|| Matrix::zeros(1, out));
+                    for (o, &v) in gb_leaf.row_mut(0)[cols].iter_mut().zip(&gb) {
+                        *o += v;
+                    }
                     self.accumulate(x, gx);
-                    self.accumulate(w, gw);
-                    self.accumulate(b, gb);
                 }
                 Op::Relu(x) => {
                     let x = *x;
                     let xv = &self.nodes[x.0].value;
-                    let gx = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                        if xv.get(r, c) > 0.0 {
-                            g.get(r, c)
-                        } else {
-                            0.0
-                        }
-                    });
-                    self.accumulate(x, gx);
+                    let pass = |(&g, &x): (&f32, &f32)| if x > 0.0 { g } else { 0.0 };
+                    let gx = g.data().iter().zip(xv.data()).map(pass).collect();
+                    self.accumulate(x, Matrix::from_vec(g.rows(), g.cols(), gx));
                 }
                 Op::SoftmaxRows { x, temp } => {
                     let (x, temp) = (*x, *temp);
-                    let yv = self.nodes[i].value.clone();
+                    let yv = &self.nodes[i].value;
                     let mut gx = Matrix::zeros(g.rows(), g.cols());
                     for r in 0..g.rows() {
                         let gr = g.row(r);
@@ -335,12 +439,12 @@ impl Tape {
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g);
+                    self.accumulate_ref(a, &g);
+                    self.accumulate_ref(b, &g);
                 }
                 Op::AddConst { x } => {
                     let x = *x;
-                    self.accumulate(x, g);
+                    self.accumulate_ref(x, &g);
                 }
                 Op::SliceCols { x, start } => {
                     let (x, start) = (*x, *start);
@@ -374,7 +478,7 @@ impl Tape {
                 }
                 Op::Log { x, eps } => {
                     let (x, eps) = (*x, *eps);
-                    let xv = self.nodes[x.0].value.clone();
+                    let xv = &self.nodes[x.0].value;
                     let gx = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
                         g.get(r, c) / (xv.get(r, c) + eps)
                     });
@@ -390,6 +494,7 @@ impl Tape {
                     self.accumulate(x, gx);
                 }
             }
+            self.nodes[i].grad = Some(g);
         }
     }
 }
@@ -469,6 +574,78 @@ mod tests {
         assert_eq!(gw.get(0, 1), 0.0, "masked weight must get zero grad");
         let gx = tape.grad(x);
         assert_eq!(gx.get(0, 1), 0.0, "masked input must get zero grad");
+    }
+
+    /// Gradients through a ranged masked linear, checked for the input, the
+    /// weights and the bias in turn (the other two held as constants).
+    #[test]
+    fn grad_masked_linear_cols() {
+        let x0 = Matrix::from_vec(2, 3, vec![0.3, 0.9, -0.5, 0.2, 0.0, 0.6]);
+        let w0 = Matrix::from_fn(4, 3, |r, c| {
+            0.25 * (r as f32 - 1.5) + 0.4 * (c as f32 - 1.0)
+        });
+        let b0 = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, -0.4]);
+        let mask = Rc::new(Matrix::from_fn(4, 3, |r, c| {
+            ((r + c) % 3 != 0) as u8 as f32
+        }));
+        let target = Rc::new(vec![0.7f32, -0.4]);
+        for wrt in 0..3 {
+            let (x0, w0, b0) = (x0.clone(), w0.clone(), b0.clone());
+            let (mask, target) = (Rc::clone(&mask), Rc::clone(&target));
+            let start = [x0.clone(), w0.clone(), b0.clone()][wrt].clone();
+            grad_check(
+                move |t, v| {
+                    let mut leaves = [x0.clone(), w0.clone(), b0.clone()].map(|m| t.leaf(m));
+                    leaves[wrt] = v;
+                    let [x, w, b] = leaves;
+                    let y = t.masked_linear_cols(x, w, b, Some(Rc::clone(&mask)), 1..3);
+                    let s = t.row_dot_const(y, Rc::new(vec![1.0, -2.0]));
+                    t.sq_err_mean(s, Rc::clone(&target))
+                },
+                start,
+                2e-2,
+            );
+        }
+    }
+
+    #[test]
+    fn masked_linear_cols_is_a_block_of_the_full_output() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Matrix::from_vec(2, 3, vec![1.0, 0.0, -0.5, 0.0, 2.0, 0.25]));
+        let w = tape.leaf(Matrix::from_fn(5, 3, |r, c| {
+            0.3 * r as f32 - 0.7 * c as f32
+        }));
+        let b = tape.leaf(Matrix::from_fn(1, 5, |_, c| c as f32));
+        let full = tape.masked_linear(x, w, b, None);
+        let block = tape.masked_linear_cols(x, w, b, None, 2..4);
+        let (full, block) = (tape.value(full), tape.value(block));
+        assert_eq!((block.rows(), block.cols()), (2, 2));
+        for r in 0..2 {
+            assert_eq!(block.row(r), &full.row(r)[2..4]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different mask")]
+    fn reusing_a_weight_with_another_mask_panics() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Matrix::zeros(1, 2));
+        let w = tape.leaf(Matrix::full(2, 2, 1.0));
+        let b = tape.leaf(Matrix::zeros(1, 2));
+        tape.masked_linear(x, w, b, Some(Rc::new(Matrix::full(2, 2, 1.0))));
+        // Equal contents, but another `Rc`: the pack cannot tell, so it refuses.
+        tape.masked_linear(x, w, b, Some(Rc::new(Matrix::full(2, 2, 1.0))));
+    }
+
+    #[test]
+    #[should_panic(expected = "different mask")]
+    fn reusing_a_masked_weight_without_a_mask_panics() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Matrix::zeros(1, 2));
+        let w = tape.leaf(Matrix::full(2, 2, 1.0));
+        let b = tape.leaf(Matrix::zeros(1, 2));
+        tape.masked_linear(x, w, b, Some(Rc::new(Matrix::full(2, 2, 1.0))));
+        tape.masked_linear(x, w, b, None);
     }
 
     #[test]

@@ -114,9 +114,25 @@ impl TrainSpec {
                 }),
             }
         };
+        // `str::parse::<f64>` takes `nan`, `inf` and negatives; none of them
+        // may start a job.
+        let positive = |key: &str, v: f64| -> Result<(), ServeError> {
+            if v.is_finite() && v > 0.0 {
+                return Ok(());
+            }
+            Err(ServeError::BadRequest(format!(
+                "parameter '{key}' must be finite and > 0, got {v}"
+            )))
+        };
         let epochs = num("epochs", 20)?.clamp(1, MAX_EPOCHS as u64) as usize;
         let batch = num("batch", 32)?.max(1) as usize;
+        // Checked at the width it trains at: 1e300 is `inf` and 1e-300 is 0.
         let lr = float("lr")?.unwrap_or(5e-3) as f32;
+        positive("lr", f64::from(lr))?;
+        let max_qerror = float("max_qerror")?;
+        if let Some(q) = max_qerror {
+            positive("max_qerror", q)?;
+        }
         let holdout = float("holdout")?.unwrap_or(0.2);
         if !(0.0..1.0).contains(&holdout) {
             return Err(ServeError::BadRequest(format!(
@@ -150,7 +166,7 @@ impl TrainSpec {
             eval_samples: num("eval_samples", 200)?.clamp(1, MAX_EVAL_SAMPLES as u64) as usize,
             eval_seed: num("eval_seed", 0)?,
             checkpoint_every: num("checkpoint_every", 1)?.max(1) as usize,
-            max_qerror: float("max_qerror")?,
+            max_qerror,
             data: param("data").map(str::to_string),
         })
     }
@@ -554,6 +570,20 @@ mod tests {
         assert!(TrainSpec::from_query("model=m&epochs=abc").is_err());
         assert!(TrainSpec::from_query("model=m&holdout=1.5").is_err());
         assert!(TrainSpec::from_query("model=m&hidden=12,zero").is_err());
+        for key in ["lr", "max_qerror"] {
+            for bad in ["nan", "inf", "-inf", "0", "-0.01"] {
+                let Err(ServeError::BadRequest(message)) =
+                    TrainSpec::from_query(&format!("model=m&{key}={bad}"))
+                else {
+                    panic!("{key}={bad} was accepted");
+                };
+                assert!(message.contains(&format!("'{key}'")), "{message}");
+            }
+        }
+        // `lr` trains as an f32, where these are `inf` and `0`.
+        assert!(TrainSpec::from_query("model=m&lr=1e300").is_err());
+        assert!(TrainSpec::from_query("model=m&lr=1e-300").is_err());
+        assert!(TrainSpec::from_query("model=m&lr=0.02&max_qerror=0.99").is_ok());
     }
 
     #[test]

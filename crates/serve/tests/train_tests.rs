@@ -311,3 +311,54 @@ fn rollback_restores_prior_answers_bit_for_bit() {
     assert_eq!(metrics.get("rollbacks").and_then(Value::as_u64), Some(1));
     server.shutdown();
 }
+
+/// `str::parse::<f64>` takes `nan`, `inf` and negatives; a job trained on
+/// them burns its epochs on NaN weights. Each is a `400` that names the
+/// parameter, mints no job id and leaves the incumbent alone.
+#[test]
+fn hostile_lr_and_max_qerror_are_400_and_start_nothing() {
+    let db = paper_example::figure3_database();
+    let body = sam_query::format_workload(&demo_workload(&db));
+    let server = Server::start(ServeConfig::default()).unwrap();
+    server
+        .registry()
+        .insert_with_reference("demo", tiny_model(1), Arc::new(db.clone()));
+    let addr = server.addr();
+
+    for key in ["lr", "max_qerror"] {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "0", "-1", "-0.005"] {
+            let path = format!("/train?model=demo&epochs=1&batch=8&hidden=2&{key}={bad}");
+            let (status, answer) = http(addr, "POST", &path, &body);
+            assert_eq!(status, 400, "{key}={bad}: {answer:?}");
+            let message = answer.get("error").and_then(Value::as_str).unwrap_or("");
+            assert!(
+                message.contains(&format!("'{key}'")),
+                "{key}={bad}: {answer:?}"
+            );
+        }
+    }
+    // `lr` trains as an f32: out of its range is out of range.
+    for bad in ["1e300", "1e-300"] {
+        let path = format!("/train?model=demo&lr={bad}");
+        assert_eq!(http(addr, "POST", &path, &body).0, 400, "lr={bad}");
+    }
+
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(
+        metrics.get("trains_started").and_then(Value::as_u64),
+        Some(0)
+    );
+    assert_eq!(current_version(addr, "demo"), 1);
+    // The first id is still unspent.
+    assert_eq!(http(addr, "GET", "/jobs/1", "").0, 404);
+    let (status, accepted) = http(
+        addr,
+        "POST",
+        "/train?model=demo&epochs=1&batch=8&hidden=2&lr=0.01&max_qerror=50",
+        &body,
+    );
+    assert_eq!(status, 202, "{accepted:?}");
+    assert_eq!(accepted.get("job_id").and_then(Value::as_u64), Some(1));
+    wait_terminal(addr, 1);
+    server.shutdown();
+}
