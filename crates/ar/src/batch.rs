@@ -14,10 +14,10 @@
 //! (`ColumnMasks` in the trie module) consumed natively by the blocked kernels
 //! — no per-column scatter/gather vectors and no per-column allocation.
 //!
-//! All buffers are reusable across calls: a serving tier keeps one
-//! `SampleBatch` per model version next to its shared [`PrefixTrie`], and
-//! the generation pipeline keeps one per rayon worker, so steady-state
-//! sampling performs no matrix allocations at all.
+//! All buffers are reusable across calls: every [`Estimator`](crate::Estimator)
+//! owns one next to its [`PrefixTrie`] (the serving tier keeps one estimator
+//! per model version), and the generation pipeline keeps one per rayon
+//! worker, so steady-state sampling performs no matrix allocations at all.
 //!
 //! Everything here is value-preserving: per-row forward arithmetic is
 //! row-independent on every backend, so masked batch-major forwards are
@@ -36,8 +36,8 @@ use sam_nn::Matrix;
 const PAR_FORWARD_ROWS: usize = 64;
 
 /// Reusable batch-major state for one micro-batch of sample paths; see the
-/// module docs. Construct once (or keep one per model version / worker) and
-/// let the per-call `reset` size it — buffers are only
+/// module docs. Construct once (an estimator or a sampling worker keeps one)
+/// and let the per-call `reset` size it — buffers are only
 /// reallocated when the batch shape grows or the model changes width.
 #[derive(Debug)]
 pub struct SampleBatch {
@@ -128,9 +128,6 @@ impl SampleBatch {
             &mut self.probs,
         );
         let d = model.net.domain_size(i);
-        let stats = trie.stats_mut();
-        stats.forwards += 1;
-        stats.forward_rows += summary.fresh_rows;
         for r in 0..self.rows {
             if self.masks.fresh[r] {
                 trie.set_probs(self.node[r], &self.probs.row(r)[..d]);

@@ -4,7 +4,12 @@
 //! per sample path, columns are drawn in autoregressive order; constrained
 //! columns contribute their in-range conditional mass, fanout-scaled columns
 //! contribute the sampled bin's inverse-fanout weight, and the estimate is
-//! the normaliser times the mean path product.
+//! the normaliser times the mean path product. Disjunctive queries combine
+//! their inclusion–exclusion terms (§2.2).
+//!
+//! [`Estimator`] is the one entry point: it owns the model, the prefix trie
+//! of conditionals cached by earlier calls and the reusable batch-major
+//! sample state, so a trie can only ever serve the model it was built with.
 
 #![allow(clippy::needless_range_loop)]
 use crate::batch::SampleBatch;
@@ -14,7 +19,7 @@ use crate::model_schema::StepRule;
 use crate::trie::PrefixTrie;
 use rand::Rng;
 use rand::SeedableRng;
-use sam_query::Query;
+use sam_query::{DnfQuery, Query};
 
 /// Draw a category from an unnormalised weight row; returns `None` if the
 /// total mass is not positive.
@@ -37,16 +42,113 @@ pub(crate) fn sample_weighted(weights: &[f32], rng: &mut impl Rng) -> Option<usi
     weights.iter().rposition(|&w| w > 0.0)
 }
 
-/// Estimate `Card(q)` with `n_samples` progressive-sampling paths.
+/// A progressive-sampling estimator bound to one model.
+///
+/// It owns a clone of the [`FrozenModel`] it samples from (the weights are
+/// `Arc`-shared, so the clone is cheap), a prefix trie that caches each
+/// visited sample-path prefix's conditionals across calls, and the
+/// batch-major sample buffers every call reuses. A new model version needs a
+/// new `Estimator`; nothing else invalidates the trie.
+///
+/// What the estimator saw before never changes an answer. Conditionals are a
+/// pure per-row function of the prefix, so a cached row is bit-identical to
+/// a fresh forward, and each request consumes only its own RNG: an estimate
+/// equals, bit for bit, the one a fresh estimator gives on the same
+/// (query, samples, RNG stream). History changes cost only.
+pub struct Estimator {
+    model: FrozenModel,
+    trie: PrefixTrie,
+    batch: SampleBatch,
+}
+
+impl Estimator {
+    /// An estimator over `model` with nothing cached.
+    pub fn new(model: FrozenModel) -> Estimator {
+        Estimator {
+            model,
+            trie: PrefixTrie::new(),
+            batch: SampleBatch::new(),
+        }
+    }
+
+    /// Estimate `Card(query)` with `n_samples` progressive-sampling paths.
+    pub fn estimate(
+        &mut self,
+        query: &Query,
+        n_samples: usize,
+        rng: &mut impl Rng,
+    ) -> Result<f64, ArError> {
+        self.estimate_batch(&[(query, n_samples)], std::slice::from_mut(rng))
+            .pop()
+            .expect("exactly one result for one request")
+    }
+
+    /// Estimate several queries in one micro-batch, sharing each column's
+    /// forward pass across every request's sample paths.
+    ///
+    /// `rngs[j]` drives request `j` alone, and rows are visited per request
+    /// in ascending order within each column, so every request consumes its
+    /// RNG stream exactly as a lone [`estimate`](Self::estimate) call would
+    /// and the estimates are bit-identical to sequential ones (the serving
+    /// layer's equality guarantee). The forward pass is row-independent, so
+    /// stacking requests changes throughput, not values.
+    ///
+    /// Requests whose predicates fail to resolve against the model schema
+    /// get their own `Err` slot without affecting the rest of the batch.
+    pub fn estimate_batch<R: Rng>(
+        &mut self,
+        requests: &[(&Query, usize)],
+        rngs: &mut [R],
+    ) -> Vec<Result<f64, ArError>> {
+        estimate_cardinality_batch_with(
+            &self.model,
+            requests,
+            rngs,
+            &mut self.trie,
+            &mut self.batch,
+        )
+    }
+
+    /// Estimate a disjunctive query via inclusion–exclusion (paper §2.2):
+    /// each conjunction term is estimated with progressive sampling and the
+    /// terms are summed with alternating signs, clamped at zero (term noise
+    /// can push the sum below it).
+    ///
+    /// Term `k` runs on an RNG seeded by the `k`-th draw from `rng`, so its
+    /// estimate is what [`estimate`](Self::estimate) returns on that stream.
+    /// All terms go through one batch: they differ only in which predicates
+    /// constrain them, so their sample paths overlap and share forward rows.
+    pub fn estimate_dnf(
+        &mut self,
+        dnf: &DnfQuery,
+        n_samples: usize,
+        rng: &mut impl Rng,
+    ) -> Result<f64, ArError> {
+        let terms = dnf.inclusion_exclusion_terms();
+        let mut rngs: Vec<rand::rngs::StdRng> = terms
+            .iter()
+            .map(|_| rand::rngs::StdRng::seed_from_u64(rng.gen()))
+            .collect();
+        let requests: Vec<(&Query, usize)> = terms.iter().map(|(_, q)| (q, n_samples)).collect();
+        let mut total = 0.0f64;
+        for ((sign, _), est) in terms.iter().zip(self.estimate_batch(&requests, &mut rngs)) {
+            total += *sign as f64 * est?;
+        }
+        Ok(total.max(0.0))
+    }
+}
+
+/// Benchmark-harness shim for one cold estimate; every other caller uses
+/// [`Estimator::estimate`]. The harness under `benchmark/` builds against
+/// this name.
+#[doc(hidden)]
 pub fn estimate_cardinality(
     model: &FrozenModel,
     query: &Query,
     n_samples: usize,
     rng: &mut impl Rng,
 ) -> Result<f64, ArError> {
-    estimate_cardinality_batch(model, &[(query, n_samples)], std::slice::from_mut(rng))
-        .pop()
-        .expect("exactly one result for one request")
+    Estimator::new(model.clone()).estimate(query, n_samples, rng)
 }
 
 /// Inference counters on the global [`sam_obs::Registry`], resolved once.
@@ -54,7 +156,7 @@ pub fn estimate_cardinality(
 /// the micro-batches, `dedup_hits` counts rows whose forward pass was
 /// skipped because an identical sample-path prefix was already queued in
 /// the same batch, and `trie_hits` counts rows served from conditionals a
-/// *previous* batch cached on a shared [`PrefixTrie`].
+/// *previous* batch cached on the estimator's trie.
 struct ObsCounters {
     forwards: std::sync::Arc<sam_obs::Counter>,
     requests: std::sync::Arc<sam_obs::Counter>,
@@ -83,56 +185,11 @@ struct BatchSlot {
     rows: usize,
 }
 
-/// Estimate several queries in one micro-batch, sharing each column's
-/// forward pass across every request's sample paths.
-///
-/// `rngs[j]` drives request `j` alone, and rows are visited per request in
-/// ascending order within each column — so every request consumes its RNG
-/// stream exactly as a sequential [`estimate_cardinality`] call would, and
-/// the returned estimates are bit-identical to sequential ones (the serving
-/// layer's equality guarantee). The network forward pass is row-independent,
-/// so stacking requests changes throughput, not values.
-///
-/// Requests whose predicates fail to resolve against the model schema get
-/// their own `Err` slot without affecting the rest of the batch.
-///
-/// Each call builds a private [`PrefixTrie`] that dedups identical prefixes
-/// within the batch; to additionally reuse conditionals *across* calls,
-/// keep a trie alive and use [`estimate_cardinality_batch_shared`].
-pub fn estimate_cardinality_batch<R: Rng>(
-    model: &FrozenModel,
-    requests: &[(&Query, usize)],
-    rngs: &mut [R],
-) -> Vec<Result<f64, ArError>> {
-    let mut trie = PrefixTrie::new();
-    estimate_cardinality_batch_shared(model, requests, rngs, &mut trie)
-}
-
-/// [`estimate_cardinality_batch`] against a caller-owned [`PrefixTrie`].
-///
-/// The trie caches each visited prefix's conditional-probability row, so
-/// repeated workloads against the same frozen model (DNF
-/// inclusion–exclusion terms, a serving process handling many requests)
-/// skip the forward rows of every previously-seen prefix. Conditionals are
-/// a pure per-row function of the prefix, so cached reuse is bit-preserving
-/// — only cost changes, never estimates. The trie must only ever be shared
-/// across calls with the *same* model (serving keys tries by model
-/// version).
-pub fn estimate_cardinality_batch_shared<R: Rng>(
-    model: &FrozenModel,
-    requests: &[(&Query, usize)],
-    rngs: &mut [R],
-    trie: &mut PrefixTrie,
-) -> Vec<Result<f64, ArError>> {
-    let mut batch = SampleBatch::new();
-    estimate_cardinality_batch_with(model, requests, rngs, trie, &mut batch)
-}
-
-/// [`estimate_cardinality_batch_shared`] against a caller-owned
-/// [`SampleBatch`] as well: the batch's activation/logits/probability
-/// buffers are reused across calls, so a steady-state serving loop performs
-/// no matrix allocations per request. The serving tier keeps one
-/// `SampleBatch` per model version alongside that version's shared trie.
+/// The progressive-sampling loop behind [`Estimator::estimate_batch`]:
+/// `trie` and `batch` must belong to `model` (the estimator guarantees it).
+/// Public only because the harness under `benchmark/` builds against this
+/// name with parts it keeps itself; every other caller uses [`Estimator`].
+#[doc(hidden)]
 pub fn estimate_cardinality_batch_with<R: Rng>(
     model: &FrozenModel,
     requests: &[(&Query, usize)],
@@ -183,7 +240,7 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
             // requests share prefixes (every path starts empty; similar
             // queries stay overlapped for several columns) — the
             // micro-batching throughput win — and prefixes cached by
-            // earlier batches on a shared trie skip the forward entirely.
+            // earlier batches on the trie skip the forward entirely.
             // Values are unchanged either way: each path reads the same
             // conditionals a per-path forward would give.
             let summary = batch.begin_column(model, i, trie);
@@ -248,42 +305,6 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
         .collect()
 }
 
-/// Estimate the cardinality of a disjunctive query via inclusion–exclusion
-/// (paper §2.2): each conjunction term is estimated with progressive
-/// sampling and combined with alternating signs. The result is clamped to
-/// be non-negative (individual term noise can push the sum below zero).
-///
-/// All inclusion–exclusion terms go through one
-/// [`estimate_cardinality_batch_shared`] call: the terms of a DNF differ
-/// only in which predicates constrain them, so their sample paths overlap
-/// heavily and the shared prefix trie collapses the overlapping forward
-/// rows. Each term gets an independent RNG stream seeded from the caller's
-/// RNG, so every term's estimate is exactly what a standalone call with
-/// that stream would return.
-pub fn estimate_dnf_cardinality(
-    model: &FrozenModel,
-    dnf: &sam_query::DnfQuery,
-    n_samples: usize,
-    rng: &mut impl Rng,
-) -> Result<f64, ArError> {
-    let terms = dnf.inclusion_exclusion_terms();
-    if terms.is_empty() {
-        return Ok(0.0);
-    }
-    let mut rngs: Vec<rand::rngs::StdRng> = terms
-        .iter()
-        .map(|_| rand::rngs::StdRng::seed_from_u64(rng.gen()))
-        .collect();
-    let requests: Vec<(&Query, usize)> = terms.iter().map(|(_, q)| (q, n_samples)).collect();
-    let mut trie = PrefixTrie::new();
-    let estimates = estimate_cardinality_batch_shared(model, &requests, &mut rngs, &mut trie);
-    let mut total = 0.0f64;
-    for ((sign, _), est) in terms.iter().zip(estimates) {
-        total += *sign as f64 * est?;
-    }
-    Ok(total.max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,8 +312,16 @@ mod tests {
     use crate::model_schema::{ArSchema, EncodingOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sam_query::Query;
-    use sam_storage::{paper_example, DatabaseStats};
+    use sam_query::{CompareOp, Predicate, Query};
+    use sam_storage::{paper_example, DatabaseStats, Value};
+
+    fn figure3_model() -> FrozenModel {
+        let db = paper_example::figure3_database();
+        let stats = DatabaseStats::from_database(&db);
+        let schema =
+            ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
+        ArModel::new(schema, &ArModelConfig::default()).freeze()
+    }
 
     #[test]
     fn sample_weighted_respects_weights() {
@@ -324,7 +353,9 @@ mod tests {
             ArSchema::build(single.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
         let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
         let mut rng = StdRng::seed_from_u64(2);
-        let est = estimate_cardinality(&model, &Query::single("A", vec![]), 32, &mut rng).unwrap();
+        let est = Estimator::new(model)
+            .estimate(&Query::single("A", vec![]), 32, &mut rng)
+            .unwrap();
         assert!((est - 4.0).abs() < 1e-3);
     }
 
@@ -350,17 +381,83 @@ mod tests {
             .zip(seeds)
             .map(|((q, n), s)| {
                 let mut rng = StdRng::seed_from_u64(s);
-                estimate_cardinality(&model, q, n, &mut rng).unwrap()
+                Estimator::new(model.clone())
+                    .estimate(q, n, &mut rng)
+                    .unwrap()
             })
             .collect();
 
         let requests: Vec<(&Query, usize)> = queries.iter().zip(counts).collect();
         let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let batched = estimate_cardinality_batch(&model, &requests, &mut rngs);
+        let batched = Estimator::new(model).estimate_batch(&requests, &mut rngs);
 
         for (seq, got) in sequential.iter().zip(&batched) {
             let got = *got.as_ref().unwrap();
             assert_eq!(*seq, got, "batched estimate diverged from sequential");
+        }
+    }
+
+    #[test]
+    fn dnf_estimate_is_the_signed_sum_of_its_terms() {
+        let model = figure3_model();
+        let scope = || vec!["A".to_string(), "B".to_string()];
+        let dnf = DnfQuery::new(vec![
+            Query::join(
+                scope(),
+                vec![Predicate::compare("A", "a", CompareOp::Eq, Value::str("m"))],
+            ),
+            Query::join(
+                scope(),
+                vec![Predicate::compare("B", "b", CompareOp::Le, Value::str("b"))],
+            ),
+        ])
+        .unwrap();
+
+        let got = Estimator::new(model.clone())
+            .estimate_dnf(&dnf, 32, &mut StdRng::seed_from_u64(11))
+            .unwrap();
+
+        // The same terms one at a time, each on the seed the caller's RNG
+        // hands out in term order.
+        let mut seeds = StdRng::seed_from_u64(11);
+        let mut alone = Estimator::new(model);
+        let mut total = 0.0f64;
+        for (sign, term) in dnf.inclusion_exclusion_terms() {
+            let mut rng = StdRng::seed_from_u64(seeds.gen());
+            total += sign as f64 * alone.estimate(&term, 32, &mut rng).unwrap();
+        }
+        assert_eq!(got.to_bits(), total.max(0.0).to_bits());
+    }
+
+    #[test]
+    fn capped_trie_falls_back_without_changing_estimates() {
+        // A two-node trie sends almost every path off the trie, onto the
+        // raw-code dedup a long-running server reaches at the node cap.
+        let model = figure3_model();
+        let queries = [
+            Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]),
+            Query::join(
+                vec!["A".into(), "B".into()],
+                vec![Predicate::compare("A", "a", CompareOp::Eq, Value::str("n"))],
+            ),
+        ];
+        let requests: Vec<(&Query, usize)> = queries.iter().map(|q| (q, 24)).collect();
+        let rngs = || -> Vec<StdRng> { (5..7).map(StdRng::seed_from_u64).collect() };
+
+        let mut capped = Estimator {
+            model: model.clone(),
+            trie: PrefixTrie::with_node_cap(2),
+            batch: SampleBatch::new(),
+        };
+        let mut default = Estimator::new(model);
+        // Twice each: the second round runs on whatever the first cached.
+        for _ in 0..2 {
+            let a = capped.estimate_batch(&requests, &mut rngs());
+            let b = default.estimate_batch(&requests, &mut rngs());
+            for (a, b) in a.iter().zip(&b) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert_eq!(a.to_bits(), b.to_bits(), "capped trie changed an estimate");
+            }
         }
     }
 
@@ -376,7 +473,7 @@ mod tests {
         let bad = Query::single("no_such_table", vec![]);
         let requests = vec![(&good, 8usize), (&bad, 8usize), (&good, 8usize)];
         let mut rngs: Vec<StdRng> = (0..3).map(StdRng::seed_from_u64).collect();
-        let out = estimate_cardinality_batch(&model, &requests, &mut rngs);
+        let out = Estimator::new(model).estimate_batch(&requests, &mut rngs);
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
         assert!(out[2].is_ok());
@@ -393,7 +490,7 @@ mod tests {
         let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
         let mut rng = StdRng::seed_from_u64(5);
         let q = Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]);
-        let est = estimate_cardinality(&model, &q, 64, &mut rng).unwrap();
+        let est = Estimator::new(model).estimate(&q, 64, &mut rng).unwrap();
         assert!(est <= 8.0 + 1e-6);
         assert!(est >= 0.0);
     }

@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod checkpoint;
 pub mod encoding;
 pub mod error;
@@ -19,21 +19,24 @@ pub mod model_schema;
 pub mod persist;
 pub mod sample;
 pub mod train;
-pub mod trie;
+mod trie;
 
-pub use batch::SampleBatch;
 pub use checkpoint::CheckpointConfig;
 pub use encoding::ColumnEncoding;
 pub use error::ArError;
-pub use infer::{
-    estimate_cardinality, estimate_cardinality_batch, estimate_cardinality_batch_shared,
-    estimate_cardinality_batch_with, estimate_dnf_cardinality,
-};
+pub use infer::Estimator;
 pub use model::{ArModel, ArModelConfig, FrozenModel};
 pub use model_schema::{ArColumn, ArColumnKind, ArSchema, EncodingOptions, StepRule};
 pub use persist::{load_model, load_model_file, save_model, save_model_file};
-pub use sample::{
-    sample_batch, sample_batch_with, sample_model_rows, sample_model_rows_range, ModelRow,
-};
+pub use sample::{sample_model_rows, sample_model_rows_range, ModelRow};
 pub use train::{train, train_observed, TrainConfig, TrainControl, TrainProgress, TrainReport};
-pub use trie::{PrefixTrie, TrieStats};
+
+// The benchmark harness under `benchmark/` assembles estimates from these
+// parts by hand and builds against these names; everything else estimates
+// through `Estimator`.
+#[doc(hidden)]
+pub use batch::SampleBatch;
+#[doc(hidden)]
+pub use infer::{estimate_cardinality, estimate_cardinality_batch_with};
+#[doc(hidden)]
+pub use trie::PrefixTrie;

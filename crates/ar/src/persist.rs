@@ -408,7 +408,7 @@ fn matrix_from_dto(m: MatrixDto) -> Result<Matrix, ArError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::estimate_cardinality;
+    use crate::infer::Estimator;
     use crate::model::{ArModel, ArModelConfig};
     use crate::model_schema::EncodingOptions;
     use rand::rngs::StdRng;
@@ -444,8 +444,12 @@ mod tests {
 
             // Identical estimates under the same RNG stream.
             let q = Query::join(vec!["A".into(), "B".into()], vec![]);
-            let a = estimate_cardinality(&model, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
-            let b = estimate_cardinality(&loaded, &q, 64, &mut StdRng::seed_from_u64(1)).unwrap();
+            let a = Estimator::new(model.clone())
+                .estimate(&q, 64, &mut StdRng::seed_from_u64(1))
+                .unwrap();
+            let b = Estimator::new(loaded.clone())
+                .estimate(&q, 64, &mut StdRng::seed_from_u64(1))
+                .unwrap();
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
 
             // Identical samples under the same seed.
@@ -488,14 +492,12 @@ mod tests {
         // backend restores bit-exact estimates.
         let q = Query::single("A", vec![]);
         let reference = model.with_backend(sam_nn::BackendKind::ReferenceF32);
-        let a = estimate_cardinality(&reference, &q, 32, &mut StdRng::seed_from_u64(3)).unwrap();
-        let b = estimate_cardinality(
-            &loaded.with_backend(sam_nn::BackendKind::ReferenceF32),
-            &q,
-            32,
-            &mut StdRng::seed_from_u64(3),
-        )
-        .unwrap();
+        let a = Estimator::new(reference)
+            .estimate(&q, 32, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+        let b = Estimator::new(loaded.with_backend(sam_nn::BackendKind::ReferenceF32))
+            .estimate(&q, 32, &mut StdRng::seed_from_u64(3))
+            .unwrap();
         assert_eq!(a, b);
 
         // The quantised kernel round-trips the same way: weights on disk

@@ -58,16 +58,10 @@ pub fn sample_model_rows_range(
         .collect()
 }
 
-/// Sample one batch of rows sequentially (used directly by tests and by the
-/// parallel driver above).
-pub fn sample_batch(model: &FrozenModel, rows: usize, rng: &mut StdRng) -> Vec<ModelRow> {
-    sample_batch_with(model, rows, rng, &mut SampleBatch::new())
-}
-
-/// [`sample_batch`] against caller-owned [`SampleBatch`] scratch, so a
+/// Sample one batch of rows sequentially into caller-owned scratch, so a
 /// driver looping over many batches reuses the matrix buffers. Output is
 /// independent of the scratch's history (it is fully reset per call).
-pub fn sample_batch_with(
+fn sample_batch_with(
     model: &FrozenModel,
     rows: usize,
     rng: &mut StdRng,

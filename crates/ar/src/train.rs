@@ -425,7 +425,7 @@ fn restore_matrices(saved: &[crate::checkpoint::MatrixBits]) -> Result<Vec<Matri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::estimate_cardinality;
+    use crate::infer::Estimator;
     use crate::model::{ArModel, ArModelConfig};
     use crate::model_schema::{ArSchema, EncodingOptions};
     use sam_query::{label_workload, WorkloadGenerator};
@@ -482,11 +482,11 @@ mod tests {
         );
 
         // Estimates should be in the right ballpark for the trained queries.
-        let frozen = model.freeze();
+        let mut estimator = Estimator::new(model.freeze());
         let mut rng = StdRng::seed_from_u64(3);
         let mut ok = 0;
         for lq in workload.iter().take(16) {
-            let est = estimate_cardinality(&frozen, &lq.query, 128, &mut rng).unwrap();
+            let est = estimator.estimate(&lq.query, 128, &mut rng).unwrap();
             let truth = lq.cardinality.max(1) as f64;
             let q_err = (est.max(1.0) / truth).max(truth / est.max(1.0));
             if q_err < 3.0 {

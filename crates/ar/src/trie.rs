@@ -8,13 +8,13 @@
 //! 1. **Within a batch**: paths holding identical prefixes land on the same
 //!    trie node, so the batch runs one forward row per *distinct* prefix
 //!    (subsuming the exact-prefix hash dedup the estimator used to do).
-//! 2. **Across batches**: a trie kept alive between calls (see
-//!    [`crate::infer::estimate_cardinality_batch_shared`]) caches each
-//!    node's conditional-probability row the first time it is computed, so
-//!    later batches that revisit a prefix skip its forward row entirely.
-//!    This is what makes shared estimation *strictly cheaper* than
-//!    per-batch dedup: repeated workloads (DNF inclusion–exclusion terms,
-//!    serving traffic against one model version) re-walk the hot prefixes.
+//! 2. **Across batches**: an [`Estimator`](crate::Estimator) keeps its
+//!    trie between calls, and the trie caches each node's
+//!    conditional-probability row the first time it is computed, so later
+//!    batches that revisit a prefix skip its forward row entirely. This is
+//!    what makes a long-lived estimator *strictly cheaper* than per-batch
+//!    dedup: repeated workloads (DNF inclusion–exclusion terms, serving
+//!    traffic against one model version) re-walk the hot prefixes.
 //!
 //! Because per-row forward arithmetic is row-independent on every backend,
 //! a cached row is bit-identical to the row a fresh forward would produce —
@@ -30,7 +30,7 @@ pub(crate) const OFF_TRIE: usize = usize::MAX;
 
 /// Default maximum node count (~a few hundred MB worst case at serving
 /// domain sizes; real workloads share prefixes heavily and stay far below).
-pub const DEFAULT_NODE_CAP: usize = 1 << 17;
+pub(crate) const DEFAULT_NODE_CAP: usize = 1 << 17;
 
 #[derive(Debug, Default)]
 struct TrieNode {
@@ -40,31 +40,11 @@ struct TrieNode {
     probs: Option<Box<[f32]>>,
 }
 
-/// Cost accounting for one or more estimation calls over a trie.
-///
-/// All counts are cumulative; diff two [`PrefixTrie::stats`] snapshots to
-/// measure a single call. `cached_hits` is the across-batch win; the sum
-/// `forward_rows + cached_hits + dedup_hits` equals the number of live
-/// (path, column) steps taken.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TrieStats {
-    /// Network forward launches (one per column with ≥1 uncached prefix).
-    pub forwards: u64,
-    /// Rows pushed through the network (distinct uncached prefixes).
-    pub forward_rows: u64,
-    /// Live path-steps served from a node's cached conditionals.
-    pub cached_hits: u64,
-    /// Live path-steps deduped within the current batch (prefix already
-    /// queued for this forward).
-    pub dedup_hits: u64,
-}
-
 /// A trie over sampled-code prefixes; see the module docs.
 #[derive(Debug)]
 pub struct PrefixTrie {
     nodes: Vec<TrieNode>,
     cap: usize,
-    stats: TrieStats,
 }
 
 impl Default for PrefixTrie {
@@ -83,11 +63,10 @@ impl PrefixTrie {
     }
 
     /// An empty trie whose node count never exceeds `cap` (min 1: the root).
-    pub fn with_node_cap(cap: usize) -> Self {
+    pub(crate) fn with_node_cap(cap: usize) -> Self {
         PrefixTrie {
             nodes: vec![TrieNode::default()],
             cap: cap.max(1),
-            stats: TrieStats::default(),
         }
     }
 
@@ -95,32 +74,6 @@ impl PrefixTrie {
     #[cfg(test)]
     pub(crate) fn root(&self) -> usize {
         Self::ROOT
-    }
-
-    /// Node count (root included).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when only the root exists.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// Cumulative cost counters.
-    pub fn stats(&self) -> TrieStats {
-        self.stats
-    }
-
-    /// Drop all cached prefixes and counters (keeps the cap).
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.nodes.push(TrieNode::default());
-        self.stats = TrieStats::default();
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut TrieStats {
-        &mut self.stats
     }
 
     /// Step from `node` along `code`, creating the child if the cap allows;
@@ -164,11 +117,10 @@ impl PrefixTrie {
     /// `cached`; the first live row of each remaining prefix group becomes
     /// its `fresh` representative (taking the forward row), and every later
     /// member points at it through `rep`. On-trie groups key by node id,
-    /// off-trie ones by their raw code prefix. Trie-level cost counters are
-    /// updated here; the summary carries the same counts back to the caller
-    /// for process-wide metrics.
+    /// off-trie ones by their raw code prefix. The summary carries the
+    /// counts back to the caller for process-wide metrics.
     pub(crate) fn classify_column(
-        &mut self,
+        &self,
         factors: &[f64],
         node: &[usize],
         codes: &[Vec<u32>],
@@ -201,8 +153,6 @@ impl PrefixTrie {
                 summary.dedup_hits += 1;
             }
         }
-        self.stats.dedup_hits += summary.dedup_hits;
-        self.stats.cached_hits += summary.cached_hits;
         summary
     }
 }
@@ -257,13 +207,13 @@ mod tests {
     #[test]
     fn descend_creates_and_reuses_nodes() {
         let mut t = PrefixTrie::new();
-        assert!(t.is_empty());
+        assert_eq!(t.nodes.len(), 1);
         let a = t.child(t.root(), 3);
         let b = t.child(t.root(), 3);
         assert_eq!(a, b);
         let c = t.child(a, 1);
         assert_ne!(c, a);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.nodes.len(), 3);
     }
 
     #[test]
@@ -286,8 +236,5 @@ mod tests {
         t.set_probs(n, &[1.0, 0.0]);
         assert_eq!(t.probs(n).unwrap(), &[0.25, 0.75]);
         assert!(t.probs(OFF_TRIE).is_none());
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats(), TrieStats::default());
     }
 }

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{estimate_cardinality, load_model};
+use sam_ar::{load_model, Estimator};
 use sam_nn::BackendKind;
 use sam_query::Query;
 
@@ -35,6 +35,8 @@ fn int8_estimates_match_f32_within_q_error_bound() {
         .0
         .with_backend(BackendKind::Int8Blocked);
     assert_eq!(int8_model.backend_kind(), BackendKind::Int8Blocked);
+    let mut full_estimator = Estimator::new(f32_model);
+    let mut quant_estimator = Estimator::new(int8_model);
 
     let queries = [
         Query::join(vec!["A".into()], vec![]),
@@ -43,9 +45,11 @@ fn int8_estimates_match_f32_within_q_error_bound() {
     ];
     for (qi, q) in queries.iter().enumerate() {
         for seed in [1u64, 7, 42] {
-            let full =
-                estimate_cardinality(&f32_model, q, 128, &mut StdRng::seed_from_u64(seed)).unwrap();
-            let quant = estimate_cardinality(&int8_model, q, 128, &mut StdRng::seed_from_u64(seed))
+            let full = full_estimator
+                .estimate(q, 128, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let quant = quant_estimator
+                .estimate(q, 128, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             let qe = q_error(full, quant);
             assert!(
@@ -63,7 +67,11 @@ fn int8_estimates_are_deterministic_per_seed() {
         .0
         .with_backend(BackendKind::Int8Blocked);
     let q = Query::join(vec!["A".into(), "B".into()], vec![]);
-    let a = estimate_cardinality(&model, &q, 64, &mut StdRng::seed_from_u64(3)).unwrap();
-    let b = estimate_cardinality(&model, &q, 64, &mut StdRng::seed_from_u64(3)).unwrap();
+    let a = Estimator::new(model.clone())
+        .estimate(&q, 64, &mut StdRng::seed_from_u64(3))
+        .unwrap();
+    let b = Estimator::new(model)
+        .estimate(&q, 64, &mut StdRng::seed_from_u64(3))
+        .unwrap();
     assert_eq!(a, b);
 }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{estimate_cardinality, ArModel, ArModelConfig, ArSchema, EncodingOptions};
+use sam_ar::{ArModel, ArModelConfig, ArSchema, EncodingOptions, Estimator};
 use sam_query::WorkloadGenerator;
 use sam_storage::DatabaseStats;
 
@@ -33,7 +33,12 @@ fn bench_inference(c: &mut Criterion) {
     for paths in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(paths), &paths, |b, &paths| {
             let mut rng = StdRng::seed_from_u64(0);
-            b.iter(|| estimate_cardinality(&model, &queries[0], paths, &mut rng).unwrap())
+            // A fresh estimator per iteration: the cold cost, no trie reuse.
+            b.iter(|| {
+                Estimator::new(model.clone())
+                    .estimate(&queries[0], paths, &mut rng)
+                    .unwrap()
+            })
         });
     }
     group.finish();
@@ -67,7 +72,11 @@ fn bench_inference(c: &mut Criterion) {
             &width,
             |b, _| {
                 let mut rng = StdRng::seed_from_u64(0);
-                b.iter(|| estimate_cardinality(&model, &queries[0], 64, &mut rng).unwrap())
+                b.iter(|| {
+                    Estimator::new(model.clone())
+                        .estimate(&queries[0], 64, &mut rng)
+                        .unwrap()
+                })
             },
         );
     }

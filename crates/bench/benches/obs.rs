@@ -18,9 +18,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{
-    estimate_cardinality_batch, ArModel, ArModelConfig, ArSchema, EncodingOptions, FrozenModel,
-};
+use sam_ar::{ArModel, ArModelConfig, ArSchema, EncodingOptions, Estimator, FrozenModel};
 use sam_obs::{CacheOutcome, Endpoint, FlightRecorder};
 use sam_query::{Query, WorkloadGenerator};
 use sam_storage::DatabaseStats;
@@ -52,7 +50,9 @@ fn run_batch(model: &FrozenModel, queries: &[Query]) -> f64 {
     let mut rngs: Vec<StdRng> = (0..queries.len())
         .map(|i| StdRng::seed_from_u64(i as u64))
         .collect();
-    estimate_cardinality_batch(model, &requests, &mut rngs)
+    // A fresh estimator per batch: the cold serving-path cost.
+    Estimator::new(model.clone())
+        .estimate_batch(&requests, &mut rngs)
         .into_iter()
         .map(|r| r.unwrap())
         .sum()

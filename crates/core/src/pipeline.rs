@@ -164,9 +164,9 @@ impl TrainedSam {
     ///
     /// The FOJ sampling stage runs in chunks (via
     /// [`sam_ar::sample_model_rows_range`], which reproduces the one-shot
-    /// sampler bit-for-bit and keeps one reusable [`sam_ar::SampleBatch`]
-    /// per worker so the batch-major forward buffers persist across
-    /// batches), checking `control` between chunks, so a cancelled job
+    /// sampler bit-for-bit and keeps one reusable sample batch per worker
+    /// so the batch-major forward buffers persist across batches),
+    /// checking `control` between chunks, so a cancelled job
     /// returns [`SamError::Cancelled`] within one chunk. The generated
     /// database is identical to a plain `generate` call with the same
     /// config.

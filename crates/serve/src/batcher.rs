@@ -5,14 +5,12 @@
 //! never an unbounded backlog. A pool of worker threads drains the queue:
 //! each worker blocks for one request, then opportunistically drains up to
 //! `max_batch - 1` more without waiting, groups the drained requests by model,
-//! and runs one batched progressive-sampling pass per group over the model
-//! entry's shared prefix trie and reusable sample batch
-//! ([`sam_ar::estimate_cardinality_batch_with`]), so conditionals cached by
-//! earlier batches of the same model version are reused and steady-state
-//! flushes allocate no activation matrices. Batched
-//! estimates are bit-identical to sequential ones (each request keeps its
-//! own seeded RNG), so batching is invisible to clients except in
-//! throughput.
+//! and runs one batched progressive-sampling pass per group through the
+//! model entry's [`sam_ar::Estimator`], so conditionals cached by earlier
+//! batches of the same model version are reused and steady-state flushes
+//! allocate no activation matrices. Batched estimates are bit-identical to
+//! sequential ones (each request keeps its own seeded RNG), so batching is
+//! invisible to clients except in throughput.
 //!
 //! Shutdown: dropping the sender side lets workers finish draining whatever
 //! is queued, then exit on channel disconnect.
@@ -23,7 +21,6 @@ use crate::registry::ModelEntry;
 use crate::sync::Lock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::estimate_cardinality_batch_with;
 use sam_query::Query;
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -173,31 +170,25 @@ fn run_group(
     // A panic inside estimation (a model-invariant violation, an indexing
     // bug) must not kill the worker thread: every waiter in the group would
     // hang until its deadline and the pool would silently shrink. Contain
-    // it, answer 500s, and keep the worker alive. `Lock` clears the trie
-    // mutex's poison on the next acquisition.
+    // it, answer 500s, and keep the worker alive. `Lock` clears the
+    // estimator mutex's poison on the next acquisition.
     let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let requests: Vec<(&Query, usize)> = group.iter().map(|j| (&j.query, j.samples)).collect();
         let mut rngs: Vec<StdRng> = group
             .iter()
             .map(|j| StdRng::seed_from_u64(j.seed))
             .collect();
-        let entry = &group[0].entry;
-        // The entry's trie persists across batches of this model version,
-        // so conditionals computed for earlier requests are reused here
-        // (bit-identical results, strictly fewer forward passes), and the
-        // entry's SampleBatch keeps the activation/logits buffers warm so
-        // steady-state flushes allocate no matrices. Holding the locks
-        // across the pass serialises same-version groups; distinct versions
-        // still estimate concurrently.
-        let mut trie = entry.trie.lock();
-        let mut batch = entry.batch.lock();
-        estimate_cardinality_batch_with(
-            entry.trained.model(),
-            &requests,
-            &mut rngs,
-            &mut trie,
-            &mut batch,
-        )
+        // The entry's estimator persists across batches of this model
+        // version, so conditionals computed for earlier requests are reused
+        // here (bit-identical results, strictly fewer forward passes) and
+        // its sample buffers stay warm. Holding the lock across the pass
+        // serialises same-version groups; distinct versions still estimate
+        // concurrently.
+        group[0]
+            .entry
+            .estimator
+            .lock()
+            .estimate_batch(&requests, &mut rngs)
     }));
     let results = match results {
         Ok(results) => results,

@@ -10,7 +10,7 @@
 //!   disturb in-flight requests.
 //! * [`Batcher`] — bounded micro-batching queue: concurrent estimates are
 //!   fused into one batched progressive-sampling pass
-//!   ([`sam_ar::estimate_cardinality_batch`]) with bit-identical results;
+//!   ([`sam_ar::Estimator::estimate_batch`]) with bit-identical results;
 //!   a full queue is immediate 429 backpressure.
 //! * [`JobRegistry`] — the one table of background jobs, generation and
 //!   training alike: stage/progress polling, cooperative cancellation

@@ -17,6 +17,8 @@
 //!   on a bit-exact f32 reference clone of the model
 //!   ([`sam_ar::FrozenModel::reference_clone`], same query / samples /
 //!   seed), so the Q-Error measures inference-backend divergence instead.
+//!   The monitor keeps one [`Estimator`] per model name for this, rebuilt
+//!   when the name's version changes.
 //!
 //! Per (model, version) the monitor keeps a bounded sliding window of
 //! Q-Errors (p50/p95/worst on demand), bumps an alert counter whenever a
@@ -32,7 +34,7 @@ use crate::registry::ModelEntry;
 use crate::sync::Lock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{estimate_cardinality, FrozenModel};
+use sam_ar::Estimator;
 use sam_metrics::q_error;
 use sam_obs::{Counter, Gauge};
 use sam_query::{evaluate_cardinality, Query};
@@ -156,9 +158,11 @@ struct QualityShared {
     counters: QualityCounters,
     /// (model, version) → window stats.
     windows: Lock<BTreeMap<(String, u64), WindowStats>>,
-    /// Lazily built f32 reference clones for parity mode, keyed like
-    /// `windows`. Bounded by the number of distinct versions scored.
-    references: Lock<HashMap<(String, u64), Arc<FrozenModel>>>,
+    /// Parity mode's estimators over lazily built f32 reference clones: one
+    /// per model name, tagged with the version it was built from and
+    /// replaced when that name's version changes. Bounded by the number of
+    /// names, so promotions and rollbacks leak no superseded model.
+    references: Lock<HashMap<String, (u64, Estimator)>>,
     /// Open audit sink (line-buffered; flushed per record so `workgen
     /// mine` can consume the file while the server runs).
     audit: Lock<Option<std::fs::File>>,
@@ -315,24 +319,24 @@ fn score(shared: &QualityShared, task: &QualityTask) -> Option<(f64, &'static st
         let truth = evaluate_cardinality(db, &task.query).ok()?;
         return Some((truth as f64, "exact"));
     }
-    let key = (task.entry.name.clone(), task.entry.version);
-    let reference = {
-        let mut cache = shared.references.lock();
-        Arc::clone(
-            cache
-                .entry(key)
-                .or_insert_with(|| Arc::new(task.entry.trained.model().reference_clone())),
-        )
-    };
+    // Only the scorer thread takes this lock; holding it blocks no one.
+    let mut references = shared.references.lock();
+    let (name, version) = (&task.entry.name, task.entry.version);
+    if references.get(name).map(|(built_from, _)| *built_from) != Some(version) {
+        let reference = task.entry.trained.model().reference_clone();
+        references.insert(name.clone(), (version, Estimator::new(reference)));
+    }
+    let (_, estimator) = references.get_mut(name).expect("inserted above");
     let mut rng = StdRng::seed_from_u64(task.seed);
-    let truth = estimate_cardinality(&reference, &task.query, task.samples, &mut rng).ok()?;
+    let truth = estimator
+        .estimate(&task.query, task.samples, &mut rng)
+        .ok()?;
     Some((truth, "parity"))
 }
 
 /// Fold a scored sample into windows, counters, and the audit file.
 fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static str) {
     let q = q_error(task.estimate, truth);
-    shared.counters.samples.inc();
     let alert = q > shared.config.alert_qerror;
     let worst_anywhere;
     {
@@ -355,6 +359,9 @@ fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static
         shared.counters.alerts.inc();
         append_audit(shared, task, truth, q, mode);
     }
+    // Counted last: whoever sees this sample counted also sees its window
+    // entry, its alert and its audit line.
+    shared.counters.samples.inc();
 }
 
 /// Append one JSONL audit record (a shape `workgen mine` reads as seeds).
@@ -433,6 +440,51 @@ mod tests {
         assert_eq!(s.percentile(0.5), 3.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.worst_in_window(), 100.0);
+    }
+
+    #[test]
+    fn parity_scoring_keeps_one_estimator_per_name_across_hot_swaps() {
+        use crate::registry::ModelRegistry;
+        use sam_ar::{ArModel, ArModelConfig, ArSchema, EncodingOptions, TrainReport};
+        use sam_storage::{paper_example, DatabaseStats};
+
+        let db = paper_example::figure3_database();
+        let stats = DatabaseStats::from_database(&db);
+        let trained = || {
+            let schema =
+                ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
+            let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
+            let report = TrainReport {
+                epoch_losses: Vec::new(),
+                constraints_processed: 0,
+                wall_seconds: 0.0,
+            };
+            sam_core::Sam::from_frozen(db.schema().clone(), model, report)
+        };
+        let shared = QualityShared {
+            config: QualityConfig::default(),
+            counters: test_counters(),
+            windows: Lock::new(BTreeMap::new()),
+            references: Lock::new(HashMap::new()),
+            audit: Lock::new(None),
+        };
+        let registry = ModelRegistry::new();
+        // The first load, then three hot swaps of the same name.
+        for _ in 0..4 {
+            let version = registry.insert("m", trained());
+            let task = QualityTask {
+                entry: registry.get("m").unwrap(),
+                query: Query::single("A", vec![]),
+                estimate: 4.0,
+                samples: 8,
+                seed: 1,
+                trace_id: 0,
+            };
+            assert_eq!(score(&shared, &task).map(|(_, mode)| mode), Some("parity"));
+            let references = shared.references.lock();
+            assert_eq!(references.len(), 1, "one parity estimator per name");
+            assert_eq!(references["m"].0, version, "rebuilt for the new version");
+        }
     }
 
     fn test_counters() -> QualityCounters {

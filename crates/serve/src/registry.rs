@@ -3,11 +3,13 @@
 //! Each named slot holds an [`Arc<ModelEntry>`]; readers clone the `Arc` and
 //! release the lock, so in-flight estimates keep using the model version they
 //! resolved even while a reload swaps the slot underneath them. Versions are
-//! per-name and bump on every swap, letting clients detect reloads.
+//! per-name and bump on every swap, letting clients detect reloads. Every
+//! entry owns one [`Estimator`] built from its own model, so a swap is the
+//! only invalidation the estimator's prefix trie ever needs.
 
 use crate::error::ServeError;
 use crate::sync::{Lock, RwLock};
-use sam_ar::{PrefixTrie, SampleBatch, TrainReport};
+use sam_ar::{Estimator, TrainReport};
 use sam_core::{Sam, TrainedSam};
 use sam_nn::BackendKind;
 use sam_storage::{csv::read_csv, Database, Table};
@@ -23,19 +25,11 @@ pub struct ModelEntry {
     pub version: u64,
     /// The trained pipeline (shared with in-flight requests and jobs).
     pub trained: Arc<TrainedSam>,
-    /// Shared sampled-prefix trie for this exact model version: batched
-    /// estimates reuse conditionals cached by earlier batches
-    /// ([`sam_ar::estimate_cardinality_batch_shared`]). Living on the entry
-    /// means a hot swap starts a fresh trie — a version bump is the only
-    /// invalidation needed, because cached conditionals are pure functions
-    /// of this version's weights.
-    pub trie: Lock<PrefixTrie>,
-    /// Reusable batch-major sample state for this model version: the
-    /// batcher stacks each flush's requests into it, so steady-state
-    /// serving performs no activation/logits matrix allocations. Like the
-    /// trie, it lives on the entry so a hot swap starts fresh buffers
-    /// sized for the new model.
-    pub batch: Lock<SampleBatch>,
+    /// The estimator for this exact model version. The batcher runs each
+    /// flush through it, so batches reuse conditionals cached by earlier
+    /// batches and steady-state serving allocates no activation matrices.
+    /// Living on the entry means a hot swap starts a fresh estimator.
+    pub estimator: Lock<Estimator>,
     /// The relations this model was trained to represent, when the
     /// operator attached them (the `data` field of `POST /models`, or the
     /// third part of a `--models name=path=datadir` spec). With reference
@@ -46,6 +40,22 @@ pub struct ModelEntry {
 }
 
 impl ModelEntry {
+    /// A registered version, with a fresh estimator over its own model.
+    fn new(
+        name: &str,
+        version: u64,
+        trained: Arc<TrainedSam>,
+        reference: Option<Arc<Database>>,
+    ) -> Arc<ModelEntry> {
+        Arc::new(ModelEntry {
+            name: name.to_string(),
+            version,
+            estimator: Lock::new(Estimator::new(trained.model().clone())),
+            trained,
+            reference,
+        })
+    }
+
     /// Table names of the model's target schema.
     pub fn table_names(&self) -> Vec<String> {
         self.trained
@@ -139,14 +149,7 @@ impl ModelRegistry {
             Some(slot) => {
                 let version = slot.next_version;
                 slot.next_version += 1;
-                let entry = Arc::new(ModelEntry {
-                    name: name.to_string(),
-                    version,
-                    trained,
-                    trie: Lock::new(PrefixTrie::new()),
-                    batch: Lock::new(SampleBatch::new()),
-                    reference,
-                });
+                let entry = ModelEntry::new(name, version, trained, reference);
                 let old = std::mem::replace(&mut slot.current, entry);
                 slot.history.push(old);
                 if slot.history.len() > HISTORY_CAP {
@@ -155,14 +158,7 @@ impl ModelRegistry {
                 version
             }
             None => {
-                let entry = Arc::new(ModelEntry {
-                    name: name.to_string(),
-                    version: 1,
-                    trained,
-                    trie: Lock::new(PrefixTrie::new()),
-                    batch: Lock::new(SampleBatch::new()),
-                    reference,
-                });
+                let entry = ModelEntry::new(name, 1, trained, reference);
                 map.insert(
                     name.to_string(),
                     ModelSlot {
@@ -215,10 +211,10 @@ impl ModelRegistry {
 
     /// Roll `name` back to its most recently superseded version. The
     /// restored model is re-registered under a **new** monotone version (so
-    /// version-keyed caches and tries invalidate correctly) but serves the
-    /// prior version's weights bit-for-bit. The rolled-back current is
-    /// dropped from the slot — repeated rollbacks walk further back through
-    /// the history rather than toggling. Returns
+    /// version-keyed caches invalidate correctly and it gets a fresh
+    /// estimator) but serves the prior version's weights bit-for-bit. The
+    /// rolled-back current is dropped from the slot — repeated rollbacks
+    /// walk further back through the history rather than toggling. Returns
     /// `(new_version, restored_from_version)`.
     pub fn rollback(&self, name: &str) -> Result<(u64, u64), ServeError> {
         let mut map = self.inner.write();
@@ -233,14 +229,12 @@ impl ModelRegistry {
         let version = slot.next_version;
         slot.next_version += 1;
         let restored_from = prior.version;
-        slot.current = Arc::new(ModelEntry {
-            name: name.to_string(),
+        slot.current = ModelEntry::new(
+            name,
             version,
-            trained: prior.trained.clone(),
-            trie: Lock::new(PrefixTrie::new()),
-            batch: Lock::new(SampleBatch::new()),
-            reference: prior.reference.clone(),
-        });
+            prior.trained.clone(),
+            prior.reference.clone(),
+        );
         Ok((version, restored_from))
     }
 

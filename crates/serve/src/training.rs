@@ -28,7 +28,7 @@ use crate::journal::Journal;
 use crate::registry::{ModelEntry, ModelRegistry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{estimate_cardinality, save_model, CheckpointConfig, FrozenModel, TrainControl};
+use sam_ar::{save_model, CheckpointConfig, Estimator, FrozenModel, TrainControl};
 use sam_core::{Sam, SamConfig, TrainedSam};
 use sam_metrics::q_error;
 use sam_query::{format_workload, read_labeled_workload, Workload};
@@ -404,14 +404,18 @@ pub fn spawn(jobs: &JobRegistry, job: TrainJob) {
 
 /// Nearest-rank p95 over per-query Q-Errors of `model` on `holdout`, every
 /// estimate drawn with the same `samples` and `seed` — the scoring both
-/// sides of a shadow evaluation get.
+/// sides of a shadow evaluation get. One estimator serves the whole holdout,
+/// one query per call, so later queries reuse earlier prefixes while the
+/// sample buffers stay one query's size.
 fn p95_qerror(model: &FrozenModel, holdout: &Workload, samples: usize, seed: u64) -> f64 {
+    let mut estimator = Estimator::new(model.clone());
     let mut errors: Vec<f64> = holdout
         .iter()
         .map(|lq| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let estimate =
-                estimate_cardinality(model, &lq.query, samples, &mut rng).unwrap_or(f64::INFINITY);
+            let estimate = estimator
+                .estimate(&lq.query, samples, &mut rng)
+                .unwrap_or(f64::INFINITY);
             q_error(estimate, lq.cardinality as f64)
         })
         .collect();

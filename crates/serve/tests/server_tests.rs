@@ -310,13 +310,13 @@ fn backend_override_applies_to_loaded_models() {
 
     // Estimates on the f16 backend stay close to the f32 reference.
     let q = sam_query::parse_query("SELECT COUNT(*) FROM A, B").unwrap();
-    let reference = sam_ar::estimate_cardinality(
-        trained.model(),
-        &q,
-        256,
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
-    )
-    .unwrap();
+    let reference = sam_ar::Estimator::new(trained.model().clone())
+        .estimate(
+            &q,
+            256,
+            &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
+        )
+        .unwrap();
     let body =
         r#"{"model": "f16demo", "sql": "SELECT COUNT(*) FROM A, B", "samples": 256, "seed": 1}"#;
     let (status, est) = http(addr, "POST", "/estimate", body);

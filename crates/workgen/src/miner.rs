@@ -5,17 +5,17 @@
 //! each round keeps the current worst pool, mutates every member a few ways
 //! (shift a literal along the sorted domain, swap the comparison operator,
 //! grow / shrink an IN list), scores all fresh mutants in one batched
-//! estimator call (sharing the sampled-prefix trie across rounds, exactly
-//! like the serving path), and merges survivors back by Q-Error. Seeds are
-//! scored first, so the mined worst set can only be as bad or worse than
-//! the synthesized baseline — the kth-worst Q-Error is monotone
-//! nondecreasing in the round number by construction.
+//! estimator call (one [`Estimator`] across rounds, so its prefix trie is
+//! shared exactly like the serving path's), and merges survivors back by
+//! Q-Error. Seeds are scored first, so the mined worst set can only be as
+//! bad or worse than the synthesized baseline — the kth-worst Q-Error is
+//! monotone nondecreasing in the round number by construction.
 
 use crate::error::WorkgenError;
 use crate::rng::SplitMix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{estimate_cardinality_batch_shared, FrozenModel, PrefixTrie};
+use sam_ar::{Estimator, FrozenModel};
 use sam_metrics::q_error;
 use sam_query::eval::evaluate_cardinality;
 use sam_query::predicate::{CompareOp, Constraint};
@@ -193,14 +193,13 @@ fn mutate(q: &Query, domains: &DomainMap, rng: &mut SplitMix64) -> Option<Query>
     Some(out)
 }
 
-/// Score a batch: model estimate via the shared-trie batched path, truth via
-/// exact evaluation. Queries the estimator rejects are dropped.
+/// Score a batch: model estimate via the run's estimator, truth via exact
+/// evaluation. Queries the estimator rejects are dropped.
 fn score_batch(
-    model: &FrozenModel,
+    estimator: &mut Estimator,
     db: &Database,
     queries: Vec<Query>,
     samples: usize,
-    trie: &mut PrefixTrie,
     rng_seed: &mut u64,
 ) -> Result<Vec<MinedQuery>, WorkgenError> {
     if queries.is_empty() {
@@ -213,7 +212,7 @@ fn score_batch(
             StdRng::seed_from_u64(*rng_seed)
         })
         .collect();
-    let estimates = estimate_cardinality_batch_shared(model, &requests, &mut rngs, trie);
+    let estimates = estimator.estimate_batch(&requests, &mut rngs);
     let mut out = Vec::with_capacity(queries.len());
     for (q, est) in queries.into_iter().zip(estimates) {
         let Ok(estimate) = est else {
@@ -254,17 +253,16 @@ pub fn mine_hard_queries(
         return Err(WorkgenError::Eval("no seed queries to mine from".into()));
     }
     let domains = DomainMap::new(db);
-    let mut trie = PrefixTrie::new();
+    let mut estimator = Estimator::new(model.clone());
     let mut rng = SplitMix64::new(config.seed);
     let mut rng_seed = config.seed ^ 0x6d69_6e65_7221_7221; // estimator streams
     let mut seen: HashSet<u64> = seeds.iter().map(query_key).collect();
 
     let scored_seeds = score_batch(
-        model,
+        &mut estimator,
         db,
         seeds.to_vec(),
         config.samples,
-        &mut trie,
         &mut rng_seed,
     )?;
     if scored_seeds.is_empty() {
@@ -300,7 +298,7 @@ pub fn mine_hard_queries(
         if fresh.is_empty() {
             break; // mutation space exhausted around the pool
         }
-        let scored = score_batch(model, db, fresh, config.samples, &mut trie, &mut rng_seed)?;
+        let scored = score_batch(&mut estimator, db, fresh, config.samples, &mut rng_seed)?;
         evaluated += scored.len() as u64;
         merge_ranked(&mut pool, &scored, cap);
         worst_trail.push(pool[0].q_error);

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam::ar::estimate_cardinality;
+use sam::ar::Estimator;
 use sam::prelude::*;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let mut config = SamConfig::default();
     config.train.epochs = 8;
     let trained = Sam::fit(target.schema(), &stats, &workload, &config).expect("training");
-    let model = trained.model();
+    let mut estimator = Estimator::new(trained.model().clone());
 
     // Estimate cardinalities of unseen queries straight from the model.
     let mut rng = StdRng::seed_from_u64(0);
@@ -37,7 +37,7 @@ fn main() {
     for sql in probes {
         let q = parse_query(sql).expect("valid SQL");
         let truth = evaluate_cardinality(&target, &q).unwrap() as f64;
-        let est = estimate_cardinality(model, &q, 512, &mut rng).expect("estimation");
+        let est = estimator.estimate(&q, 512, &mut rng).expect("estimation");
         let qe = q_error(est, truth);
         errors.push(qe);
         println!("{sql:<70} {truth:>8.0} {est:>10.1} {qe:>7.2}");
@@ -48,7 +48,7 @@ fn main() {
     let mut qs = Vec::new();
     for q in &test {
         let truth = evaluate_cardinality(&target, q).unwrap() as f64;
-        let est = estimate_cardinality(model, q, 256, &mut rng).expect("estimation");
+        let est = estimator.estimate(q, 256, &mut rng).expect("estimation");
         qs.push(q_error(est, truth));
     }
     let p = Percentiles::from_values(&qs);

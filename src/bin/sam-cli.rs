@@ -912,6 +912,7 @@ fn estimate(args: &Args) -> Result<(), String> {
     println!("model trained; enter one SQL query per line (Ctrl-D to end):");
 
     let mut rng = StdRng::seed_from_u64(args.num("seed", 0u64)?);
+    let mut estimator = sam::ar::Estimator::new(trained.model().clone());
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| e.to_string())?;
@@ -920,7 +921,7 @@ fn estimate(args: &Args) -> Result<(), String> {
             continue;
         }
         match parse_query(line) {
-            Ok(q) => match sam::ar::estimate_cardinality(trained.model(), &q, 512, &mut rng) {
+            Ok(q) => match estimator.estimate(&q, 512, &mut rng) {
                 Ok(est) => {
                     let truth = evaluate_cardinality(&db, &q).map_err(|e| e.to_string())?;
                     println!("estimate {est:.1}  (true {truth})");

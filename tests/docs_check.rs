@@ -1,6 +1,6 @@
-//! Docs-drift gate: the operator docs must keep up with the CLI.
+//! Docs-drift gate: the operator docs must keep up with the CLI and the code.
 //!
-//! Two invariants, both cheap and both the kind that silently rot:
+//! Three invariants, all cheap and all the kind that silently rot:
 //!
 //! 1. Every flag printed by `sam-cli <serve|train|router|workgen> --help`
 //!    appears in the corresponding operator guide (docs/SERVING.md,
@@ -9,6 +9,11 @@
 //! 2. Every relative markdown link in README.md, DESIGN.md, ROADMAP.md, and
 //!    docs/*.md resolves to a file that exists — renames and deletions can't
 //!    leave dangling links behind.
+//! 3. Every back-ticked first-party Rust path in README.md, DESIGN.md and
+//!    docs/*.md names an item defined under `crates/*/src` or `src/`: a
+//!    path rooted at one of our crates (`sam-ar::X`, `sam_serve::x`) or at
+//!    one of our types (`Type::method`). Std and vendored paths are skipped.
+//!    Deleting or renaming an item the docs cite fails CI.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -161,5 +166,220 @@ fn every_relative_markdown_link_resolves() {
         broken.is_empty(),
         "dangling markdown links (relative targets that do not exist):\n{}",
         broken.join("\n")
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The leading identifier of `text`, if it starts with one.
+fn leading_ident(text: &str) -> Option<&str> {
+    let end = text.find(|c: char| !is_ident_char(c)).unwrap_or(text.len());
+    (end > 0 && !text.starts_with(|c: char| c.is_ascii_digit())).then(|| &text[..end])
+}
+
+/// Names the sources under `src` define: items after a declaring keyword
+/// (`fn`, `struct`, `mod`, … and `as` renames), plus every identifier that
+/// opens a line as a field, variant or parameter does (`name: T`, `Name,`,
+/// `Name(…)`, `Name {`). A generous superset: the gate is after names that
+/// no longer exist, not after a precise resolver.
+fn defined_names(src: &Path) -> BTreeSet<String> {
+    const DECLARING: &str = "fn struct enum trait type const static mod union macro_rules as";
+    let mut files = Vec::new();
+    rust_files(src, &mut files);
+    let mut names = BTreeSet::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        let words: Vec<&str> = text
+            .split(|c: char| !is_ident_char(c))
+            .filter(|w| !w.is_empty())
+            .collect();
+        for pair in words.windows(2) {
+            if DECLARING.split(' ').any(|keyword| keyword == pair[0]) {
+                names.insert(pair[1].to_string());
+            }
+        }
+        for line in text.lines() {
+            let line = line.trim_start();
+            let line = line
+                .strip_prefix("pub(crate) ")
+                .or_else(|| line.strip_prefix("pub "))
+                .unwrap_or(line);
+            if let Some(name) = leading_ident(line) {
+                let rest = line[name.len()..].trim_start();
+                let opens = rest.is_empty()
+                    || rest.starts_with([',', '(', '{', '='])
+                    || (rest.starts_with(':') && !rest.starts_with("::"));
+                if opens {
+                    names.insert(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Inline code spans of `text` outside fenced blocks. Spans may wrap
+/// across lines, as they do in markdown.
+fn code_spans(text: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut in_fence = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if !in_fence {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    prose
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|span| span.replace('\n', ""))
+        .collect()
+}
+
+/// Parse one path starting at `chars[i]`: identifier segments (crate names
+/// may contain `-`) joined by `::`, with `::{a, b::c}` groups expanded into
+/// one path each. Returns the expanded paths and the index after the path.
+fn parse_path(chars: &[char], mut i: usize) -> (Vec<Vec<String>>, usize) {
+    let ident = |i: &mut usize| {
+        let start = *i;
+        while *i < chars.len() && (is_ident_char(chars[*i]) || chars[*i] == '-') {
+            *i += 1;
+        }
+        chars[start..*i].iter().collect::<String>()
+    };
+    let mut prefix = vec![ident(&mut i)];
+    while chars.get(i) == Some(&':') && chars.get(i + 1) == Some(&':') {
+        i += 2;
+        if chars.get(i) == Some(&'{') {
+            i += 1;
+            let mut paths = Vec::new();
+            loop {
+                while chars.get(i).is_some_and(|c| c.is_whitespace() || *c == ',') {
+                    i += 1;
+                }
+                match chars.get(i) {
+                    Some(c) if is_ident_char(*c) => {
+                        let (inner, next) = parse_path(chars, i);
+                        for tail in inner {
+                            paths.push(prefix.iter().cloned().chain(tail).collect());
+                        }
+                        i = next;
+                    }
+                    Some('}') => return (paths, i + 1),
+                    _ => return (paths, i),
+                }
+            }
+        }
+        if !chars.get(i).is_some_and(|c| is_ident_char(*c)) {
+            break;
+        }
+        prefix.push(ident(&mut i));
+    }
+    (vec![prefix], i)
+}
+
+/// Every multi-segment path inside one code span.
+fn paths_in(span: &str) -> Vec<Vec<String>> {
+    let chars: Vec<char> = span.chars().collect();
+    let mut paths = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let starts_path = (chars[i].is_ascii_alphabetic() || chars[i] == '_')
+            && (i == 0 || !(is_ident_char(chars[i - 1]) || matches!(chars[i - 1], '.' | '-')));
+        if starts_path {
+            let (found, next) = parse_path(&chars, i);
+            paths.extend(found.into_iter().filter(|p| p.len() > 1));
+            i = next.max(i + 1);
+        } else {
+            i += 1;
+        }
+    }
+    paths
+}
+
+#[test]
+fn every_first_party_code_path_in_the_docs_exists() {
+    let root = repo_root();
+    let mut files: Vec<PathBuf> = vec![root.join("README.md"), root.join("DESIGN.md")];
+    for entry in std::fs::read_dir(root.join("docs")).expect("read docs/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            files.push(path);
+        }
+    }
+    // Names per first-party crate (`sam_ar` → crates/ar/src), and all of
+    // them together for the facade (`sam::`) and type-rooted paths.
+    let mut by_crate = std::collections::BTreeMap::new();
+    by_crate.insert("sam".to_string(), defined_names(&root.join("src")));
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = entry.expect("dir entry").path();
+        if dir.join("src").is_dir() {
+            let name = dir.file_name().unwrap().to_string_lossy();
+            by_crate.insert(format!("sam_{name}"), defined_names(&dir.join("src")));
+        }
+    }
+    let defined: BTreeSet<String> = by_crate.values().flatten().cloned().collect();
+
+    let mut stale = Vec::new();
+    let mut checked = 0usize;
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for span in code_spans(&text) {
+            for path in paths_in(&span) {
+                let head = path[0].replace('-', "_");
+                // A crate-rooted path resolves in that crate (the facade in
+                // all of them); a type-rooted one anywhere in the tree.
+                let scope = match by_crate.get(&head) {
+                    Some(_) if head == "sam" => &defined,
+                    Some(names) => names,
+                    None if head.starts_with(|c: char| c.is_ascii_uppercase())
+                        && defined.contains(&head) =>
+                    {
+                        &defined
+                    }
+                    None => continue,
+                };
+                checked += 1;
+                let missing: Vec<&String> =
+                    path[1..].iter().filter(|s| !scope.contains(*s)).collect();
+                if !missing.is_empty() {
+                    stale.push(format!(
+                        "{}: `{}` ({missing:?} not defined)",
+                        file.display(),
+                        path.join("::")
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        checked >= 20,
+        "suspiciously few first-party paths found in the docs: {checked}"
+    );
+    assert!(
+        stale.is_empty(),
+        "docs cite first-party paths that no longer exist:\n{}",
+        stale.join("\n")
     );
 }

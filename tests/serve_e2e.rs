@@ -56,8 +56,8 @@ fn train_demo_model() -> (TrainedSam, Vec<Query>) {
     (trained, queries)
 }
 
-/// ≥8 concurrent clients hammer `/estimate`; every response must equal the
-/// in-process `estimate_cardinality` with the same (query, samples, seed) —
+/// ≥8 concurrent clients hammer `/estimate`; every response must equal an
+/// in-process `Estimator::estimate` with the same (query, samples, seed) —
 /// micro-batching must be invisible in the results.
 #[test]
 fn concurrent_http_estimates_are_bit_identical_to_in_process() {
@@ -80,7 +80,8 @@ fn concurrent_http_estimates_are_bit_identical_to_in_process() {
     for (c, q) in (0..CLIENTS).flat_map(|c| queries.iter().map(move |q| (c, q))) {
         let seed = 1000 + c as u64;
         let mut rng = StdRng::seed_from_u64(seed);
-        let est = sam::ar::estimate_cardinality(model.trained.model(), q, SAMPLES, &mut rng)
+        let est = sam::ar::Estimator::new(model.trained.model().clone())
+            .estimate(q, SAMPLES, &mut rng)
             .expect("in-process estimate");
         expected.push((c, q.to_string(), seed, est));
     }
