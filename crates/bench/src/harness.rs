@@ -1,10 +1,10 @@
 //! Shared experiment harness: scales, dataset bundles, method drivers.
 //!
-//! Every experiment binary accepts `--scale {smoke|quick|full}` and
-//! `--seed N`. `smoke` is a seconds-level sanity run, `quick` (default)
-//! reproduces every trend in minutes on a laptop CPU, `full` pushes sizes
-//! toward the paper's (hours; still CPU-bound — see DESIGN.md scale
-//! substitution).
+//! `run_all` accepts `--scale {smoke|quick|full}`, `--seed N` and
+//! `--only <id>[,<id>...]` ([`parse_args`]). `smoke` is a seconds-level
+//! sanity run, `quick` (default) reproduces every trend in minutes on a
+//! laptop CPU, `full` pushes sizes toward the paper's (hours; still
+//! CPU-bound — see DESIGN.md scale substitution).
 
 use sam_ar::{ArModelConfig, EncodingOptions, TrainConfig};
 use sam_core::{GenerationConfig, JoinKeyStrategy, Sam, SamConfig, TrainedSam};
@@ -46,30 +46,56 @@ pub struct ExpContext {
     pub seed: u64,
 }
 
-/// Parse `--scale` / `--seed` from `std::env::args`.
-pub fn parse_args() -> ExpContext {
-    let mut scale = Scale::Quick;
-    let mut seed = 0u64;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                if let Some(s) = args.get(i + 1).and_then(|s| Scale::parse(s)) {
-                    scale = s;
-                }
-                i += 2;
+/// `run_all`'s command line, printed with every argument error.
+pub const USAGE: &str =
+    "usage: run_all [--scale smoke|quick|full] [--seed N] [--only <id>[,<id>...]]";
+
+/// Parse `--scale`, `--seed` and `--only` from `args` (program name
+/// excluded). `suites` are the ids `--only` may name; the second result is
+/// the ids it named, or all of `suites` without it.
+///
+/// # Errors
+///
+/// A one-line message for an unknown argument, a flag without a value, a
+/// scale or seed that does not parse, or an `--only` id not in `suites`.
+pub fn parse_args<'a>(
+    args: impl IntoIterator<Item = String>,
+    suites: &[&'a str],
+) -> Result<(ExpContext, Vec<&'a str>), String> {
+    let mut ctx = ExpContext {
+        scale: Scale::Quick,
+        seed: 0,
+    };
+    let mut selected = suites.to_vec();
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        match (flag.as_str(), args.next()) {
+            ("--scale" | "--seed" | "--only", None) => {
+                return Err(format!("`{flag}` needs a value"))
             }
-            "--seed" => {
-                if let Some(s) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    seed = s;
-                }
-                i += 2;
+            ("--scale", Some(value)) => {
+                ctx.scale = Scale::parse(&value)
+                    .ok_or_else(|| format!("unknown scale `{value}` (smoke, quick or full)"))?;
             }
-            _ => i += 1,
+            ("--seed", Some(value)) => {
+                ctx.seed = value
+                    .parse()
+                    .map_err(|_| format!("seed `{value}` is not a non-negative integer"))?;
+            }
+            ("--only", Some(value)) => {
+                selected = value
+                    .split(',')
+                    .map(|id| {
+                        suites.iter().copied().find(|s| *s == id).ok_or_else(|| {
+                            format!("unknown experiment `{id}`; valid: {}", suites.join(", "))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            _ => return Err(format!("unknown argument `{flag}`")),
         }
     }
-    ExpContext { scale, seed }
+    Ok((ctx, selected))
 }
 
 /// A dataset ready for experiments.
@@ -313,4 +339,66 @@ pub fn table_cross_entropy(original: &Database, generated: &Database, table: &st
         generated.table_by_name(table).expect("table exists"),
         32,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SUITES: &[&str] = &["fig5", "table1", "seeds"];
+
+    fn parse(args: &[&str]) -> Result<(ExpContext, Vec<&'static str>), String> {
+        parse_args(args.iter().map(|a| a.to_string()), SUITES)
+    }
+
+    #[test]
+    fn defaults_to_quick_seed_zero_and_every_suite() {
+        let (ctx, only) = parse(&[]).unwrap();
+        assert_eq!((ctx.scale, ctx.seed), (Scale::Quick, 0));
+        assert_eq!(only, SUITES);
+    }
+
+    #[test]
+    fn reads_every_flag() {
+        let (ctx, only) =
+            parse(&["--scale", "smoke", "--seed", "7", "--only", "seeds,fig5"]).unwrap();
+        assert_eq!((ctx.scale, ctx.seed), (Scale::Smoke, 7));
+        assert_eq!(only, ["seeds", "fig5"]);
+    }
+
+    #[test]
+    fn rejects_unknown_arguments() {
+        assert!(parse(&["--scales", "smoke"])
+            .unwrap_err()
+            .contains("--scales"));
+        assert!(parse(&["smoke"]).unwrap_err().contains("smoke"));
+    }
+
+    #[test]
+    fn rejects_a_misspelled_scale() {
+        assert!(parse(&["--scale", "ful"]).unwrap_err().contains("ful"));
+    }
+
+    #[test]
+    fn rejects_a_seed_that_is_not_a_number() {
+        assert!(parse(&["--seed", "x"]).unwrap_err().contains("`x`"));
+        assert!(parse(&["--seed", "-1"]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_flag_without_its_value() {
+        for flag in ["--scale", "--seed", "--only"] {
+            assert!(parse(&[flag]).unwrap_err().contains("needs a value"));
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_only_ids_and_lists_the_valid_ones() {
+        let err = parse(&["--only", "fig5,fig9"]).unwrap_err();
+        assert!(
+            err.contains("`fig9`") && err.contains("fig5, table1, seeds"),
+            "{err}"
+        );
+        assert!(parse(&["--only", ""]).is_err());
+    }
 }

@@ -1,7 +1,8 @@
 //! # sam-bench — experiment harness for the SAM reproduction
 //!
-//! One binary per table/figure of the paper's §5 (see DESIGN.md's
-//! experiment index), Criterion microbenchmarks, and the shared harness.
+//! One module per table/figure of the paper's §5 (see DESIGN.md's
+//! experiment index), the shared harness, and `run_all`, the one binary
+//! that runs them (`--only <id>` for a subset).
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,10 @@
 //! IEEE CRC-32 (the polynomial used by gzip/zip/PNG), table-driven.
 //!
-//! Used for the journal's per-record framing and checkpoint file
-//! checksums. CRC-32 detects every single-bit error and every burst up to
-//! 32 bits — exactly the corruption classes a torn write or a flaky disk
-//! produces — at a few cycles per byte.
+//! Used for the journal's per-record framing, checkpoint file checksums
+//! and, through [`Crc32`], the gzip trailer of exports and uploads. CRC-32
+//! detects every single-bit error and every burst up to 32 bits — exactly
+//! the corruption classes a torn write or a flaky disk produces — at a few
+//! cycles per byte.
 
 /// Lazily built 256-entry lookup table for polynomial `0xEDB88320`
 /// (reflected `0x04C11DB7`).
@@ -27,15 +28,47 @@ fn table() -> &'static [u32; 256] {
     })
 }
 
+/// Incremental IEEE CRC-32, for checksums over a stream (the gzip
+/// trailer). Feeding the bytes in any split gives [`crc32`] of the whole.
+#[derive(Debug, Clone)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// Fresh checksum.
+    pub fn new() -> Self {
+        Crc32 { state: !0 }
+    }
+
+    /// Fold `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let table = table();
+        let mut crc = self.state;
+        for &byte in data {
+            crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything folded in so far.
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
 /// IEEE CRC-32 of `data` (initial value `0xFFFFFFFF`, final XOR, reflected
 /// — byte-compatible with `zlib`'s `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -51,6 +84,17 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn split_updates_match_one_shot() {
+        let data = b"the quick brown fox jumps over the lazy dog";
+        for split in 0..=data.len() {
+            let mut crc = Crc32::new();
+            crc.update(&data[..split]);
+            crc.update(&data[split..]);
+            assert_eq!(crc.finish(), crc32(data), "split at {split}");
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! panic would. Production cost of an unarmed crash point is one relaxed
 //! atomic load.
 //!
-//! [`crc32`] is the IEEE CRC-32 used by the journal's per-record framing
-//! and the checkpoint files; [`sweep_tmp_files`] removes `*.tmp` orphans a
-//! crash may have left between tmp-write and rename.
+//! [`crc32`] is the IEEE CRC-32 used by the journal's per-record framing,
+//! the checkpoint files and, as the incremental [`Crc32`], gzip;
+//! [`sweep_tmp_files`] removes `*.tmp` orphans a crash may have left
+//! between tmp-write and rename.
 
 #![warn(missing_docs)]
 
@@ -33,7 +34,7 @@ pub mod plan;
 pub mod sweep;
 
 pub use crash::{armed_crash_point, crash_point, CRASH_ENV, CRASH_EXIT_CODE};
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use fs::{tmp_sibling, write_atomic, FaultFile, FaultFs, FaultyFs, RealFs};
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
 pub use sweep::sweep_tmp_files;

@@ -18,6 +18,7 @@
 //! our output in turn because the encoder only emits spec-compliant
 //! blocks.
 
+use sam_fault::Crc32;
 use std::io::Write;
 
 /// Input buffered per DEFLATE block (also the LZ77 match window, since the
@@ -104,43 +105,6 @@ const DIST_TABLE: [(u32, u16); 30] = [
 ];
 
 // ------------------------------------------------------------ checksums
-
-/// Incremental IEEE CRC-32 (the gzip trailer checksum). Byte-compatible
-/// with [`sam_fault::crc32`], but usable over a stream.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: !0 }
-    }
-
-    /// Fold `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.state;
-        for &byte in data {
-            c ^= byte as u32;
-            for _ in 0..8 {
-                c = (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1));
-            }
-        }
-        self.state = c;
-    }
-
-    /// The checksum of everything folded in so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
 
 /// Incremental Adler-32 (the zlib trailer checksum).
 #[derive(Debug, Clone)]
@@ -869,16 +833,6 @@ mod tests {
             Coding::Gzip => gunzip(&framed).unwrap(),
             Coding::Deflate => zlib_decode(&framed).unwrap(),
         }
-    }
-
-    #[test]
-    fn incremental_crc_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut crc = Crc32::new();
-        crc.update(&data[..10]);
-        crc.update(&data[10..]);
-        assert_eq!(crc.finish(), sam_fault::crc32(data));
-        assert_eq!(Crc32::new().finish(), sam_fault::crc32(b""));
     }
 
     #[test]

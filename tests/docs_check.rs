@@ -1,6 +1,6 @@
 //! Docs-drift gate: the operator docs must keep up with the CLI and the code.
 //!
-//! Three invariants, all cheap and all the kind that silently rot:
+//! Four invariants, all cheap and all the kind that silently rot:
 //!
 //! 1. Every flag printed by `sam-cli <serve|train|router|workgen> --help`
 //!    appears in the corresponding operator guide (docs/SERVING.md,
@@ -14,6 +14,10 @@
 //!    path rooted at one of our crates (`sam-ar::X`, `sam_serve::x`) or at
 //!    one of our types (`Type::method`). Std and vendored paths are skipped.
 //!    Deleting or renaming an item the docs cite fails CI.
+//! 4. Every experiment the docs name is a suite of `run_all`: an `--only`
+//!    id in README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md must be in
+//!    its suite table, and an `exp_*` name (the per-experiment binaries it
+//!    replaced) must not appear at all. README and DESIGN list every suite.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -381,5 +385,87 @@ fn every_first_party_code_path_in_the_docs_exists() {
         stale.is_empty(),
         "docs cite first-party paths that no longer exist:\n{}",
         stale.join("\n")
+    );
+}
+
+/// The `--only` ids of `run_all`: the quoted first element of each
+/// `("id", module::run)` row of its suite table.
+fn run_all_suites() -> BTreeSet<String> {
+    let path = repo_root().join("crates/bench/src/bin/run_all.rs");
+    let src =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    src.lines()
+        .filter_map(|line| line.trim().strip_prefix("(\""))
+        .filter_map(|rest| rest.split_once('"'))
+        .map(|(id, _)| id.to_string())
+        .collect()
+}
+
+/// Experiment names in `text`: every id after `--only`, and every
+/// `exp_*` identifier that is not a file name (`exp_results.json`).
+fn experiment_names(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for (at, _) in text.match_indices("--only") {
+        let ids: String = text[at + "--only".len()..]
+            .trim_start()
+            .chars()
+            .take_while(|c| is_ident_char(*c) || *c == ',')
+            .collect();
+        names.extend(ids.split(',').filter(|id| !id.is_empty()).map(String::from));
+    }
+    for (at, _) in text.match_indices("exp_") {
+        if text[..at].ends_with(is_ident_char) {
+            continue;
+        }
+        let name = leading_ident(&text[at..]).unwrap_or_default();
+        if !text[at + name.len()..].starts_with('.') {
+            names.push(name.to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn every_experiment_name_in_the_docs_is_a_run_all_suite() {
+    let root = repo_root();
+    let suites = run_all_suites();
+    assert!(
+        suites.len() >= 10,
+        "suspiciously few suites parsed from run_all.rs: {suites:?}"
+    );
+    let mut files: Vec<PathBuf> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+        .iter()
+        .map(|f| root.join(f))
+        .collect();
+    for entry in std::fs::read_dir(root.join("docs")).expect("read docs/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            files.push(path);
+        }
+    }
+    let mut unknown = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        let names = experiment_names(&text);
+        unknown.extend(
+            names
+                .iter()
+                .filter(|name| !suites.contains(*name))
+                .map(|name| format!("{}: `{name}`", file.display())),
+        );
+        if *file == root.join("README.md") || *file == root.join("DESIGN.md") {
+            unknown.extend(
+                suites
+                    .iter()
+                    .filter(|id| !names.contains(id))
+                    .map(|id| format!("{}: no `--only {id}` row", file.display())),
+            );
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "docs name experiments run_all does not have (ids: {suites:?}):\n{}",
+        unknown.join("\n")
     );
 }
