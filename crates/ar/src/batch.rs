@@ -230,13 +230,13 @@ impl SampleBatch {
         self.masks.fresh.resize(rows, true);
     }
 
-    /// Forward the whole batch and softmax column `i`'s conditionals into
-    /// the probability buffer (unconditional sampling: every row is live
-    /// and fresh every column).
+    /// Forward the whole batch for column `i`'s logit block and softmax it
+    /// into the probability buffer (unconditional sampling: every row is
+    /// live and fresh every column, and only block `i` is read).
     pub(crate) fn forward_column_dense(&mut self, model: &FrozenModel, i: usize) {
         model
             .net
-            .forward_batch_into(&self.input, None, &mut self.logits);
+            .forward_column_into(&self.input, i, &mut self.logits);
         model.net.conditional_probs_masked_into(
             &self.logits,
             i,

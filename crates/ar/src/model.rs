@@ -120,7 +120,7 @@ impl FrozenModel {
     /// this to re-score sampled estimates: any divergence between the live
     /// backend and the reference clone (same query, samples, and seed) is a
     /// backend-parity defect, not model drift. Cheap: the weights are
-    /// `Arc`-shared.
+    /// `Arc`-shared; the f32 kernel adds one transposed copy of them.
     pub fn reference_clone(&self) -> FrozenModel {
         self.clone().with_backend(BackendKind::ReferenceF32)
     }

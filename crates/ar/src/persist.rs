@@ -393,6 +393,10 @@ pub fn load_model(json: &str) -> Result<(FrozenModel, DatabaseSchema), ArError> 
 }
 
 /// A file-supplied matrix, checked before [`Matrix::from_vec`] would assert.
+/// Every value must be finite: the JSON reader turns a number past `f32`'s
+/// range (`1e39`) into `±inf`, and the forward kernels agree to the bit only
+/// on finite weights (`0 · inf` is NaN in a dot product, while the axpy
+/// forward skips the zero input).
 fn matrix_from_dto(m: MatrixDto) -> Result<Matrix, ArError> {
     if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
         return Err(ArError::Invalid(format!(
@@ -400,6 +404,12 @@ fn matrix_from_dto(m: MatrixDto) -> Result<Matrix, ArError> {
             m.rows,
             m.cols,
             m.data.len()
+        )));
+    }
+    if let Some(at) = m.data.iter().position(|v| !v.is_finite()) {
+        return Err(ArError::Invalid(format!(
+            "matrix value {at} is not a finite f32 ({})",
+            m.data[at]
         )));
     }
     Ok(Matrix::from_vec(m.rows, m.cols, m.data))
@@ -472,6 +482,23 @@ mod tests {
         assert!(load_model(&bad).is_err());
         let bad_layout = json.replace("\"weights\":\"f32\"", "\"weights\":\"f64\"");
         assert!(load_model(&bad_layout).is_err());
+    }
+
+    /// A value past `f32`'s range reads as `±inf`; the matrix is refused
+    /// rather than handed to a kernel.
+    #[test]
+    fn rejects_values_that_overflow_f32() {
+        let read = |data: &str| {
+            let text = format!(r#"{{"rows":1,"cols":3,"data":[0.5,{data},-0.25]}}"#);
+            matrix_from_dto(serde_json::from_str(&text).expect("well-formed DTO"))
+        };
+        assert!(read("3e38").is_ok(), "the largest finite range still loads");
+        for value in ["1e39", "-1e39"] {
+            match read(value) {
+                Err(ArError::Invalid(msg)) => assert!(msg.contains("finite"), "{msg}"),
+                other => panic!("{value}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! * [`ReferenceF32`] — exactly the historical `FrozenMade::forward` loop,
 //!   bit-for-bit. It shares the effective f32 weights with the frozen handle
-//!   (no copy) and doubles as the parity oracle for every other backend.
+//!   and doubles as the parity oracle for every other backend. It also keeps
+//!   each weight transposed once (`in×out`) for its column-block forward, an
+//!   axpy walk with the dot product's bits that generation runs on.
 //! * [`BlockedF16`] — weights repacked at freeze time into column-major
 //!   blocks sized for the row-chunked loop and stored as IEEE 754 `binary16`
 //!   bits (no external crates). The inner kernel dequantises one block into
@@ -35,9 +37,17 @@
 //! its bit-lock. The blocked kernels' inner loops use the portable
 //! eight-lane `F32x8` helper — plain fixed-size arrays the compiler lowers
 //! to SIMD registers on stable Rust, no intrinsics and no new dependencies.
+//!
+//! Unconditional sampling (tuple generation) reads one column's logit block
+//! per forward, so it enters through
+//! [`InferenceBackend::forward_cols_into`]: hidden layers at full width, the
+//! output layer for the requested block only. [`ReferenceF32`] computes just
+//! that block; the blocked kernels use the default, their full forward. The
+//! estimate path stays on [`InferenceBackend::forward_batch_into`].
 
 use crate::matrix::Matrix;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 // ------------------------------------------------------------------ binary16
@@ -216,6 +226,20 @@ pub trait InferenceBackend: Send + Sync + fmt::Debug {
     fn forward_batch_into(&self, input: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
         forward_masked_via_gather(self, input, live, out);
     }
+
+    /// Column-block forward: every row of `input` runs the hidden layers at
+    /// full width and the output layer for logits `cols` only. Every element
+    /// of `out[·, cols]` is overwritten, with the bits
+    /// [`forward_into`](Self::forward_into) gives that block; an
+    /// implementation may leave the rest of `out` untouched.
+    ///
+    /// The default is the full [`forward_into`](Self::forward_into), so the
+    /// blocked kernels keep their bits and their speed. [`ReferenceF32`]
+    /// overrides it with an axpy walk that computes the block alone.
+    fn forward_cols_into(&self, input: &Matrix, cols: Range<usize>, out: &mut Matrix) {
+        let _ = cols;
+        self.forward_into(input, out);
+    }
 }
 
 /// Gather→forward→scatter fallback for
@@ -264,19 +288,28 @@ pub fn build_backend(kind: BackendKind, params: &Arc<FrozenLayers>) -> Arc<dyn I
 
 // -------------------------------------------------------------- ReferenceF32
 
-/// The historical `FrozenMade::forward` loop, unchanged: row-major
+/// The f32 oracle. [`forward_into`](InferenceBackend::forward_into) is the
+/// historical `FrozenMade::forward` loop, unchanged: row-major
 /// `matmul_transb`, bias broadcast, optional residual, ReLU between layers.
-/// Shares the f32 weights with the frozen handle; bit-identical by
-/// construction and locked by parity tests.
+/// [`forward_cols_into`](InferenceBackend::forward_cols_into) walks the same
+/// layers through [`Matrix::matmul_block`] against each weight transposed
+/// once here, and evaluates the output layer for the requested block only;
+/// for finite weights it has the serial dot product's bits (the axpy
+/// argument on `matmul_block`). Shares the f32 weights with the frozen
+/// handle; both forwards are locked by parity tests.
 #[derive(Debug, Clone)]
 pub struct ReferenceF32 {
     params: Arc<FrozenLayers>,
+    /// Per layer: the effective weights transposed (`in×out`), the rows the
+    /// column-block forward adds up.
+    eff_t: Vec<Matrix>,
 }
 
 impl ReferenceF32 {
     /// Wrap shared frozen layers.
     pub fn new(params: Arc<FrozenLayers>) -> Self {
-        ReferenceF32 { params }
+        let eff_t = params.layers.iter().map(|(w, _)| w.transpose()).collect();
+        ReferenceF32 { params, eff_t }
     }
 }
 
@@ -310,6 +343,47 @@ impl InferenceBackend for ReferenceF32 {
             "output buffer shape mismatch"
         );
         out.data_mut().copy_from_slice(h.data());
+    }
+
+    /// `forward_into`'s walk with an ascending-`p` axpy per layer (zero
+    /// inputs skipped) in place of the dot product, then bias, residual and
+    /// ReLU in the same order; the last layer computes `cols` only.
+    fn forward_cols_into(&self, input: &Matrix, cols: Range<usize>, out: &mut Matrix) {
+        let last = self.eff_t.len() - 1;
+        let mut h: Option<Matrix> = None;
+        for (i, (w_t, (_, b))) in self.eff_t.iter().zip(&self.params.layers).enumerate() {
+            let x = h.as_ref().unwrap_or(input);
+            let range = if i == last {
+                cols.clone()
+            } else {
+                0..w_t.cols()
+            };
+            let mut y = x.matmul_block(w_t, 0..w_t.rows(), range.clone());
+            let bias = &b.row(0)[range.clone()];
+            let residual = self.params.residual[i];
+            for r in 0..y.rows() {
+                let row = y.row_mut(r);
+                for (o, &bb) in row.iter_mut().zip(bias) {
+                    *o += bb;
+                }
+                if residual {
+                    for (o, &a) in row.iter_mut().zip(&x.row(r)[range.clone()]) {
+                        *o += a;
+                    }
+                }
+                if i != last {
+                    for v in row {
+                        *v = v.max(0.0);
+                    }
+                }
+            }
+            h = Some(y);
+        }
+        let h = h.expect("a frozen stack has at least one layer");
+        assert_eq!(out.rows(), h.rows(), "output buffer shape mismatch");
+        for r in 0..h.rows() {
+            out.row_mut(r)[cols.clone()].copy_from_slice(h.row(r));
+        }
     }
 }
 

@@ -375,8 +375,8 @@ impl FrozenMade {
     }
 
     /// The same model re-hosted on a different inference backend (weights
-    /// are repacked from the canonical f32 stack; cheap for f32, one-time
-    /// quantisation cost for f16).
+    /// are repacked from the canonical f32 stack; one transpose for f32,
+    /// one-time quantisation cost for f16 and int8).
     pub fn with_backend(&self, kind: BackendKind) -> FrozenMade {
         let mut out = self.clone();
         out.backend = build_backend(kind, &self.params);
@@ -432,6 +432,16 @@ impl FrozenMade {
     /// bit-identical to an unmasked forward.
     pub fn forward_batch_into(&self, input: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
         self.backend.forward_batch_into(input, live, out);
+    }
+
+    /// Forward every row of `input` for column `i`'s logit block only:
+    /// `out[·, offset(i)..offset(i) + domain_size(i)]` is written with the
+    /// bits of that block of [`FrozenMade::forward`]; the rest of `out` may
+    /// be left untouched (see [`InferenceBackend::forward_cols_into`]).
+    pub fn forward_column_into(&self, input: &Matrix, i: usize, out: &mut Matrix) {
+        let offset = self.offset(i);
+        self.backend
+            .forward_cols_into(input, offset..offset + self.domain_size(i), out);
     }
 
     /// Row-wise softmax of column `i`'s logit block.

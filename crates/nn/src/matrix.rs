@@ -155,9 +155,11 @@ impl Matrix {
     }
 
     /// `self @ other.T` (`self: m×k`, `other: n×k`), one serial dot product
-    /// per output element. It is the kernel of the inference oracle only
-    /// ([`crate::backend::ReferenceF32`], which every other backend and the
-    /// model files are bit-locked against); training multiplies through
+    /// per output element. It is the kernel of the inference oracle's full
+    /// forward only (`forward_into` of [`crate::backend::ReferenceF32`],
+    /// which every other backend and the model files are bit-locked against,
+    /// and which f32 estimates still run on); training and the oracle's
+    /// column-block forward, which generation runs on, multiply through
     /// [`Matrix::matmul_block`], which produces the same bits.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");

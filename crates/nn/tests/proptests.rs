@@ -182,7 +182,8 @@ proptest! {
     /// within float tolerance of the tape-bound training forward,
     /// `BlockedF16` stays within its half-precision tolerance, and
     /// `Int8Blocked` within its stated per-block-quantisation tolerance —
-    /// all on random model shapes, seeds, and residual settings.
+    /// all on random model shapes, seeds, and residual settings. Every
+    /// backend's column-block forward bit-matches its full forward's block.
     #[test]
     fn backend_parity(
         domains in prop::collection::vec(2usize..5, 2..5),
@@ -238,6 +239,55 @@ proptest! {
         for (x, y) in reference.data().iter().zip(quant.data()) {
             let tol = 1e-1 * (1.0 + x.abs());
             prop_assert!((x - y).abs() <= tol, "f32 {} vs int8 {}", x, y);
+        }
+
+        // (e) The column-block forward: every column's block, asked for
+        // alone, overwrites that block of a poisoned buffer with the bits of
+        // the full forward — on f32 the legacy loop's, on f16 and int8 the
+        // backend's own. Biases start at zero, so they get seeded values
+        // here for the order of the bias add to show in the bits. The
+        // one-hot rows get an all-zero row beside them (the first column's
+        // empty prefix).
+        let layers = frozen
+            .layers()
+            .iter()
+            .enumerate()
+            .map(|(l, (w, b))| {
+                let step = |j: usize| (seed as usize * 31 + l * 17 + j * 7) % 97;
+                let bias = Matrix::from_fn(1, b.cols(), |_, j| step(j) as f32 / 97.0 - 0.5);
+                (w.clone(), bias)
+            })
+            .collect();
+        let biased =
+            FrozenMade::from_parts(layers, frozen.residual_flags().to_vec(), domains.clone()).unwrap();
+        let rows = input.rows() + 1;
+        let width = biased.total_width();
+        let input = Matrix::from_fn(rows, width, |r, c| {
+            if r < input.rows() { input.get(r, c) } else { 0.0 }
+        });
+        let (f16, int8) = (
+            biased.with_backend(BackendKind::BlockedF16),
+            biased.with_backend(BackendKind::Int8Blocked),
+        );
+        for (net, full) in [
+            (&biased, legacy_forward(&biased, &input)),
+            (&f16, f16.forward(&input)),
+            (&int8, int8.forward(&input)),
+        ] {
+            for i in 0..domains.len() {
+                let block = biased.offset(i)..biased.offset(i) + biased.domain_size(i);
+                let mut out = Matrix::full(rows, width, f32::NAN);
+                net.forward_column_into(&input, i, &mut out);
+                for r in 0..rows {
+                    for c in block.clone() {
+                        prop_assert_eq!(
+                            out.get(r, c).to_bits(),
+                            full.get(r, c).to_bits(),
+                            "{:?}: column {} row {} logit {}", net.backend_kind(), i, r, c
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! A model file is outside input: `POST /models` hands `load_model` whatever
 //! path a client names. Shapes that do not describe a MADE over the file's
-//! own schema must be refused as `ArError::Invalid` — and by the server as
-//! `400` with the serving model untouched — never asserted on by a `Matrix`
-//! or a forward kernel.
+//! own schema, or that hold a weight or bias outside `f32`'s finite range,
+//! must be refused as `ArError::Invalid` — and by the server as `400` with
+//! the serving model untouched — never asserted on by a `Matrix` or handed
+//! to a forward kernel.
 
 use sam::ar::{load_model, ArError};
 use sam::serve::{ServeConfig, Server};
@@ -39,6 +40,10 @@ fn malformed() -> Vec<(&'static str, String)> {
         let layers = items(field(doc, "layers"));
         *field(&mut items(&mut layers[layer])[part], key) = v;
     };
+    let first_value = |doc: &mut Json, layer: usize, part: usize, v: Json| {
+        let layers = items(field(doc, "layers"));
+        items(field(&mut items(&mut layers[layer])[part], "data"))[0] = v;
+    };
     vec![
         edit("rows x cols != data.len()", &|doc| {
             matrix(doc, 0, 0, "rows", json!(15))
@@ -72,6 +77,9 @@ fn malformed() -> Vec<(&'static str, String)> {
         edit("column of a table the schema lacks", &|doc| {
             *field(&mut items(field(doc, "columns"))[1], "table") = json!(3)
         }),
+        // Past f32's range: the reader turns these into ±inf.
+        edit("weight of 1e39", &|doc| first_value(doc, 0, 0, json!(1e39))),
+        edit("bias of -1e39", &|doc| first_value(doc, 1, 1, json!(-1e39))),
     ]
 }
 
