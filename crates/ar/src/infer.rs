@@ -231,6 +231,8 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
         obs.requests.add(slots.len() as u64);
         obs.batch_rows.add(total_rows as u64);
         batch.reset(model, total_rows);
+        // A constrained step's in-range conditional, reused across rows.
+        let mut masked: Vec<f32> = Vec::new();
 
         for i in 0..n_cols {
             // Paths with identical code prefixes sit on the same trie node
@@ -266,12 +268,10 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
                             sample_weighted(batch.p_row(trie, r, d), rng).unwrap_or(0)
                         }
                         StepRule::InRange(frac) => {
-                            let masked: Vec<f32> = batch
-                                .p_row(trie, r, d)
-                                .iter()
-                                .zip(frac)
-                                .map(|(p, f)| p * f)
-                                .collect();
+                            masked.clear();
+                            masked.extend(
+                                batch.p_row(trie, r, d).iter().zip(frac).map(|(p, f)| p * f),
+                            );
                             let mass: f32 = masked.iter().sum();
                             batch.scale_factor(r, mass as f64);
                             match sample_weighted(&masked, rng) {

@@ -425,23 +425,29 @@ impl FrozenMade {
         out
     }
 
-    /// Batch-major forward with an optional row-liveness mask: only rows
-    /// with `live[r] == true` are forwarded and written in `out`;
-    /// masked-out rows are left untouched (see
-    /// [`InferenceBackend::forward_batch_into`]). Per-row results are
-    /// bit-identical to an unmasked forward.
+    /// Full-width forward of the rows with `live[r] == true` (every row for
+    /// `None`); masked-out rows of `out` are left untouched. Per-row results
+    /// are bit-identical to an unmasked forward.
     pub fn forward_batch_into(&self, input: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
-        self.backend.forward_batch_into(input, live, out);
+        self.backend
+            .forward_cols_into(input, live, 0..self.total_width, out);
     }
 
-    /// Forward every row of `input` for column `i`'s logit block only:
-    /// `out[·, offset(i)..offset(i) + domain_size(i)]` is written with the
-    /// bits of that block of [`FrozenMade::forward`]; the rest of `out` may
-    /// be left untouched (see [`InferenceBackend::forward_cols_into`]).
-    pub fn forward_column_into(&self, input: &Matrix, i: usize, out: &mut Matrix) {
+    /// Forward the live rows of `input` for column `i`'s logit block only:
+    /// `out[r, offset(i)..offset(i) + domain_size(i)]` of each live row is
+    /// written with the bits of that block of [`FrozenMade::forward`];
+    /// masked-out rows are left untouched and a live row's other logits may
+    /// be (see [`InferenceBackend::forward_cols_into`]).
+    pub fn forward_column_into(
+        &self,
+        input: &Matrix,
+        live: Option<&[bool]>,
+        i: usize,
+        out: &mut Matrix,
+    ) {
         let offset = self.offset(i);
         self.backend
-            .forward_cols_into(input, offset..offset + self.domain_size(i), out);
+            .forward_cols_into(input, live, offset..offset + self.domain_size(i), out);
     }
 
     /// Row-wise softmax of column `i`'s logit block.

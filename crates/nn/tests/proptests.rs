@@ -13,13 +13,20 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
-/// The pre-refactor `FrozenMade::forward` loop, kept verbatim as the oracle
-/// the `ReferenceF32` backend must bit-match forever.
+/// The pre-refactor `FrozenMade::forward` loop, one serial dot product per
+/// output written out, kept as the oracle the `ReferenceF32` backend must
+/// bit-match forever.
 fn legacy_forward(frozen: &FrozenMade, input: &Matrix) -> Matrix {
     let mut h = input.clone();
     let last = frozen.layers().len() - 1;
     for (i, (w, b)) in frozen.layers().iter().enumerate() {
-        let mut y = h.matmul_transb(w);
+        let mut y = Matrix::from_fn(h.rows(), w.rows(), |r, j| {
+            let mut acc = 0.0f32;
+            for p in 0..h.cols() {
+                acc += h.get(r, p) * w.get(j, p);
+            }
+            acc
+        });
         for r in 0..y.rows() {
             let row = y.row_mut(r);
             for (o, &bb) in row.iter_mut().zip(b.row(0)) {
@@ -244,10 +251,12 @@ proptest! {
         // (e) The column-block forward: every column's block, asked for
         // alone, overwrites that block of a poisoned buffer with the bits of
         // the full forward — on f32 the legacy loop's, on f16 and int8 the
-        // backend's own. Biases start at zero, so they get seeded values
-        // here for the order of the bias add to show in the bits. The
-        // one-hot rows get an all-zero row beside them (the first column's
-        // empty prefix).
+        // backend's own — once for every row and once under a row mask.
+        // Masked-out rows stay poisoned, and on f32 so does every logit of
+        // a live row outside the block. Biases start at zero, so they get
+        // seeded values here for the order of the bias add to show in the
+        // bits. The one-hot rows get an all-zero row beside them (the first
+        // column's empty prefix).
         let layers = frozen
             .layers()
             .iter()
@@ -274,17 +283,31 @@ proptest! {
             (&f16, f16.forward(&input)),
             (&int8, int8.forward(&input)),
         ] {
+            let narrow = net.backend_kind() == BackendKind::ReferenceF32;
             for i in 0..domains.len() {
                 let block = biased.offset(i)..biased.offset(i) + biased.domain_size(i);
-                let mut out = Matrix::full(rows, width, f32::NAN);
-                net.forward_column_into(&input, i, &mut out);
-                for r in 0..rows {
-                    for c in block.clone() {
-                        prop_assert_eq!(
-                            out.get(r, c).to_bits(),
-                            full.get(r, c).to_bits(),
-                            "{:?}: column {} row {} logit {}", net.backend_kind(), i, r, c
-                        );
+                let mask: Vec<bool> = (0..rows).map(|r| !(r + i + seed as usize).is_multiple_of(3)).collect();
+                for live in [None, Some(mask.as_slice())] {
+                    let mut out = Matrix::full(rows, width, f32::NAN);
+                    net.forward_column_into(&input, live, i, &mut out);
+                    for r in 0..rows {
+                        let row_live = live.is_none_or(|m| m[r]);
+                        for c in 0..width {
+                            if row_live && block.contains(&c) {
+                                prop_assert_eq!(
+                                    out.get(r, c).to_bits(),
+                                    full.get(r, c).to_bits(),
+                                    "{:?}: column {} row {} logit {} (masked: {})",
+                                    net.backend_kind(), i, r, c, live.is_some()
+                                );
+                            } else if !row_live || narrow {
+                                prop_assert!(
+                                    out.get(r, c).is_nan(),
+                                    "{:?}: column {} wrote row {} logit {} outside the live block",
+                                    net.backend_kind(), i, r, c
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -4,8 +4,8 @@
 //! where a training step's arithmetic lives. The tape multiplies through
 //! step-packed weights with an axpy kernel and evaluates one column's logit
 //! block at a time; the commit before that (`7bd41c8`) multiplied through
-//! `Matrix::matmul_transb`, one serial dot product per output. Its
-//! `masked_linear` is written out below with `Matrix` ops as the oracle, and
+//! `Matrix::matmul_transb` (since deleted), one serial dot product per
+//! output. Its `masked_linear` is written out below as the oracle, and
 //! the tape must reproduce it to the bit. Nothing on the compared path calls
 //! libm (no softmax, no log), so the expected bits do not depend on the
 //! machine.
@@ -60,7 +60,14 @@ fn parent_forward(x: &Matrix, w: &Matrix, b: &Matrix, mask: Option<&Matrix>) -> 
         Some(m) => w.mul_elem(m),
         None => w.clone(),
     };
-    let mut y = x.matmul_transb(&eff);
+    // One serial dot product per output, `acc += a·b` for `p` ascending.
+    let mut y = Matrix::from_fn(x.rows(), eff.rows(), |r, j| {
+        let mut acc = 0.0f32;
+        for p in 0..x.cols() {
+            acc += x.get(r, p) * eff.get(j, p);
+        }
+        acc
+    });
     for r in 0..y.rows() {
         let row = y.row_mut(r);
         for (o, &bb) in row.iter_mut().zip(b.row(0)) {
