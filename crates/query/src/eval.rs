@@ -3,12 +3,17 @@
 //! [`evaluate_cardinality`] computes `Card(q)` — the number of tuples in the
 //! (inner) join of the query's table closure that satisfy all predicates —
 //! in `O(rows)` per involved table via a bottom-up weighted count along the
-//! join tree, without materialising the join. A naive nested-loop reference
-//! ([`evaluate_naive`]) backs the property tests.
+//! join tree, without materialising the join. Child weights meet parent rows
+//! on dictionary codes ([`Database::join_sums`]); no `Value` is cloned or
+//! hashed. [`label_workload`] evaluates a workload's queries in parallel and
+//! returns them in input order. A naive nested-loop reference
+//! ([`evaluate_naive`]), keyed by `Value`, is the independent oracle of the
+//! property tests.
 
 #![allow(clippy::needless_range_loop, clippy::only_used_in_recursion)]
 use crate::predicate::CodeSet;
 use crate::query::{LabeledQuery, Query, Workload};
+use rayon::prelude::*;
 use sam_storage::{Database, StorageError, Table, Value, NULL_CODE};
 use std::collections::HashMap;
 
@@ -54,46 +59,19 @@ pub fn evaluate_cardinality(db: &Database, query: &Query) -> Result<u64, Storage
     let in_closure = |t: usize| closure.contains(&t);
 
     // Bottom-up weights, children before parents.
-    let mut weights: HashMap<usize, Vec<u64>> = HashMap::new();
+    let mut weights: Vec<Vec<u64>> = vec![Vec::new(); graph.len()];
     for &t in graph.topo_order().iter().rev() {
         if !in_closure(t) {
             continue;
         }
-        let table = db.table(t);
-        let mask = predicate_mask(table, query)?;
+        let mask = predicate_mask(db.table(t), query)?;
         let mut w: Vec<u64> = mask.iter().map(|&m| m as u64).collect();
-        let closure_children: Vec<usize> = graph
-            .children(t)
-            .iter()
-            .copied()
-            .filter(|&c| in_closure(c))
-            .collect();
-        if !closure_children.is_empty() {
-            let pk_idx = table.schema().pk_index().ok_or_else(|| {
-                StorageError::SchemaViolation(format!("{} lacks a pk", table.name()))
-            })?;
-            for c in closure_children {
-                let fk_name = graph.fk_column(c).expect("closure child has fk");
-                let child = db.table(c);
-                let fk_idx = child.schema().column_index(fk_name).ok_or_else(|| {
-                    StorageError::UnknownColumn(child.name().into(), fk_name.into())
-                })?;
-                let child_w = &weights[&c];
-                let mut sums: HashMap<Value, u64> = HashMap::new();
-                for (r, &wc) in child_w.iter().enumerate() {
-                    if wc > 0 {
-                        *sums.entry(child.value(r, fk_idx)).or_insert(0) += wc;
-                    }
-                }
-                for (r, wt) in w.iter_mut().enumerate() {
-                    if *wt > 0 {
-                        let key = table.value(r, pk_idx);
-                        *wt *= sums.get(&key).copied().unwrap_or(0);
-                    }
-                }
+        for &c in graph.children(t).iter().filter(|&&c| in_closure(c)) {
+            for (wt, s) in w.iter_mut().zip(db.join_sums(c, &weights[c])?) {
+                *wt *= s;
             }
         }
-        weights.insert(t, w);
+        weights[t] = w;
     }
 
     // The closure root: the unique closure table whose parent is outside it.
@@ -102,7 +80,7 @@ pub fn evaluate_cardinality(db: &Database, query: &Query) -> Result<u64, Storage
         .copied()
         .find(|&t| graph.parent(t).is_none_or(|p| !in_closure(p)))
         .expect("closure is non-empty");
-    Ok(weights[&root].iter().sum())
+    Ok(weights[root].iter().sum())
 }
 
 /// Naive reference evaluator: materialises the inner join by nested loops.
@@ -173,17 +151,18 @@ pub fn evaluate_naive(db: &Database, query: &Query) -> Result<u64, StorageError>
 }
 
 /// Label a set of queries with their true cardinalities on `db`.
+///
+/// Queries are evaluated in parallel on rayon's global pool; the workload
+/// keeps the input order. On failure the error is that of the first failing
+/// query in input order, whatever order the workers finished in.
 pub fn label_workload(db: &Database, queries: Vec<Query>) -> Result<Workload, StorageError> {
-    let labelled = queries
-        .into_iter()
-        .map(|q| {
-            let cardinality = evaluate_cardinality(db, &q)?;
-            Ok(LabeledQuery {
-                query: q,
-                cardinality,
-            })
+    let labelled: Vec<Result<LabeledQuery, StorageError>> = queries
+        .into_par_iter()
+        .map(|query| {
+            evaluate_cardinality(db, &query).map(|cardinality| LabeledQuery { query, cardinality })
         })
-        .collect::<Result<Vec<_>, StorageError>>()?;
+        .collect();
+    let labelled = labelled.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(Workload::new(labelled))
 }
 
@@ -281,6 +260,35 @@ mod tests {
         let db = db();
         let w = label_workload(&db, vec![Query::single("A", vec![])]).unwrap();
         assert_eq!(w.queries[0].cardinality, 4);
+    }
+
+    #[test]
+    fn label_workload_keeps_input_order_and_reports_the_first_error() {
+        let db = db();
+        let join = Query::join(vec!["A".into(), "B".into()], vec![]);
+        let queries: Vec<Query> = (0..40)
+            .map(|i| {
+                if i % 3 == 0 {
+                    join.clone()
+                } else {
+                    Query::single("A", vec![])
+                }
+            })
+            .collect();
+        let w = label_workload(&db, queries.clone()).unwrap();
+        for (lq, q) in w.queries.iter().zip(&queries) {
+            assert_eq!(&lq.query, q);
+            assert_eq!(lq.cardinality, if *q == join { 3 } else { 4 });
+        }
+        // Two failures in different worker chunks: the earlier one wins.
+        let mut queries = queries;
+        queries[17] = Query::single("X", vec![]);
+        queries[31] = Query::single("Y", vec![]);
+        let err = label_workload(&db, queries).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::UnknownTable(t) if t == "X"),
+            "{err}"
+        );
     }
 
     #[test]

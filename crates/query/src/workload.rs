@@ -209,11 +209,19 @@ impl<'a> WorkloadGenerator<'a> {
             let row = match parent_pick {
                 Some((p, prow)) => {
                     let pk_idx = self.db.table(p).schema().pk_index().expect("parent pk");
-                    let key = self.db.table(p).value(prow, pk_idx);
+                    let pk = self.db.table(p).column(pk_idx);
                     let fk_name = graph.fk_column(t).expect("non-root fk");
-                    let fk_idx = table.schema().column_index(fk_name).expect("fk col");
+                    let fk = table.column(table.schema().column_index(fk_name).expect("fk col"));
+                    // The parent's key as a code of the child's fk dictionary;
+                    // a NULL or absent key (or an empty parent) matches no row.
+                    let key = match pk.codes().get(prow) {
+                        Some(&code) if code != NULL_CODE => {
+                            fk.domain().code_of(pk.domain().value(code))
+                        }
+                        _ => None,
+                    };
                     let matches: Vec<usize> = (0..table.num_rows())
-                        .filter(|&r| table.value(r, fk_idx) == key)
+                        .filter(|&r| Some(fk.code(r)) == key)
                         .collect();
                     match matches.choose(&mut self.rng) {
                         Some(&r) => r,

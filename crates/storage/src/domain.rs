@@ -63,6 +63,27 @@ impl Domain {
         self.values.binary_search(v).ok().map(|i| i as u32)
     }
 
+    /// For every code of `self`, the code of the equal value in `target`, or
+    /// [`NULL_CODE`] where `target` lacks it, in one merge of the two sorted
+    /// dictionaries. This is how a child's fk codes meet its parent's pk
+    /// codes: a join on codes, never on [`Value`]s.
+    pub fn codes_in(&self, target: &Domain) -> Vec<u32> {
+        let mut out = vec![NULL_CODE; self.values.len()];
+        let (mut i, mut j) = (0, 0);
+        while i < self.values.len() && j < target.values.len() {
+            match self.values[i].cmp(&target.values[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out[i] = j as u32;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out
+    }
+
     /// Codes whose values satisfy `value <= bound`, as a half-open code range.
     pub fn codes_le(&self, bound: &Value) -> std::ops::Range<u32> {
         let end = self.values.partition_point(|v| v <= bound);
@@ -145,6 +166,22 @@ mod tests {
         assert_eq!(d.codes_le(&Value::Int(4)), 0..2);
         assert_eq!(d.codes_ge(&Value::Int(0)), 0..3);
         assert_eq!(d.codes_ge(&Value::Int(6)), 3..3);
+    }
+
+    #[test]
+    fn codes_in_merges_sorted_dictionaries() {
+        let d = dom(); // 1, 3, 5
+        let wide = Domain::int_range(0, 4); // 0..=4
+        assert_eq!(d.codes_in(&wide), vec![1, 3, NULL_CODE]);
+        assert_eq!(
+            wide.codes_in(&d),
+            vec![NULL_CODE, 0, NULL_CODE, 1, NULL_CODE]
+        );
+        assert_eq!(d.codes_in(&d), vec![0, 1, 2]);
+        assert_eq!(d.codes_in(&Domain::new(vec![])), vec![NULL_CODE; 3]);
+        // Equality is `Value`'s `Ord`: an Int never equals a Float.
+        let floats = Domain::new(vec![Value::Float(1.0), Value::Float(3.0)]);
+        assert_eq!(d.codes_in(&floats), vec![NULL_CODE; 3]);
     }
 
     #[test]

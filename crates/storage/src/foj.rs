@@ -419,28 +419,13 @@ pub fn foj_size(db: &Database) -> u128 {
     let mut weights: Vec<Vec<u128>> = vec![Vec::new(); n];
     // Process children before parents: reverse topological order.
     for &t in graph.topo_order().iter().rev() {
-        let table = db.table(t);
-        let mut w = vec![1u128; table.num_rows()];
-        if !graph.children(t).is_empty() {
-            let pk_idx = table.schema().pk_index().expect("table with children");
-            for &c in graph.children(t) {
-                let fk_name = graph.fk_column(c).expect("child fk");
-                let fk_idx = db
-                    .table(c)
-                    .schema()
-                    .column_index(fk_name)
-                    .expect("fk column");
-                // Sum child subtree weights per key value.
-                let mut sums: HashMap<Value, u128> = HashMap::new();
-                let child = db.table(c);
-                for (r, wc) in weights[c].iter().enumerate() {
-                    *sums.entry(child.value(r, fk_idx)).or_insert(0) += wc;
-                }
-                for (r, wt) in w.iter_mut().enumerate() {
-                    let key = table.value(r, pk_idx);
-                    let s = sums.get(&key).copied().unwrap_or(0);
-                    *wt *= s.max(1);
-                }
+        let mut w = vec![1u128; db.table(t).num_rows()];
+        for &c in graph.children(t) {
+            let sums = db
+                .join_sums(c, &weights[c])
+                .expect("a validated join edge has fk and pk columns");
+            for (wt, s) in w.iter_mut().zip(sums) {
+                *wt *= s.max(1);
             }
         }
         weights[t] = w;
