@@ -1,13 +1,21 @@
 //! Golden bytes of generation: same model and seed ⇒ the same CSVs, under
-//! every inference backend.
+//! every inference backend and both join-key strategies, for joins and for a
+//! single relation.
 //!
 //! A small 6-table IMDB bundle is trained for two epochs at a fixed seed,
 //! then generated from under `f32`, `f16` and `int8` with `foj_samples` not
-//! a multiple of `batch`, so the last sampling batch is ragged. The model
-//! file and every table's CSV rendering are hashed with FNV-1a and compared
-//! with constants recorded before generation moved to the column-block
-//! forward. A change to training, sampling or assembly that moves a byte of
-//! either fails here. A sampled code only moves when a logit crosses its
+//! a multiple of `batch`, so the last sampling batch is ragged; the f32 model
+//! also generates with `PairwiseViews` keys. A small census model generates
+//! its single relation, again with a ragged last batch. The model files and
+//! every table's CSV rendering are hashed with FNV-1a and compared with
+//! recorded constants (the imdb Group-and-Merge ones from before generation
+//! moved to the column-block forward, the pairwise and census ones from
+//! before assembly went column-major). A change to training, sampling or
+//! assembly that moves a byte of either fails here.
+//!
+//! A CSV cannot show a dictionary wider than the values its column holds, so
+//! a second test rebuilds every generated table with `Table::from_rows` from
+//! its own rows and asks for the same dictionaries and codes. A sampled code only moves when a logit crosses its
 //! draw, so a one-ulp kernel change can leave the CSVs as they were: the
 //! forward kernels' bits are locked per logit by `backend_parity` in
 //! `crates/nn/tests/proptests.rs`.
@@ -24,9 +32,11 @@
 
 use sam::nn::BackendKind;
 use sam::prelude::*;
+use std::sync::OnceLock;
 
-/// `(backend, file, FNV-1a of its bytes)`: the trained model file, then
-/// each backend's generated CSVs in schema order.
+/// `(case, file, FNV-1a of its bytes)`: the trained imdb model file, each
+/// backend's generated CSVs in schema order, the f32 pairwise CSVs, then the
+/// census model file and its generated relation.
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32", "model.json", 0xa94ebe8694a7ae36),
     ("f32", "title", 0x2efc16c7fb820327),
@@ -47,6 +57,14 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("int8", "movie_info", 0x42ce83df7ae64aa9),
     ("int8", "movie_info_idx", 0x3609142906699d37),
     ("int8", "movie_keyword", 0xdbf488676ca1a924),
+    ("f32-pairwise", "title", 0xbea96683cd31d6b0),
+    ("f32-pairwise", "cast_info", 0x1b6a27f7515f6508),
+    ("f32-pairwise", "movie_companies", 0x1d423f7e80968f8c),
+    ("f32-pairwise", "movie_info", 0x300173d24cbed1ed),
+    ("f32-pairwise", "movie_info_idx", 0xdb7ea2607d0cb485),
+    ("f32-pairwise", "movie_keyword", 0x08afc3d10a6bc729),
+    ("census", "model.json", 0x02a2d0a710ef14c1),
+    ("census", "census", 0x1a7969584cdfcd62),
 ];
 
 /// FNV-1a, 64-bit.
@@ -63,17 +81,9 @@ fn csv_hash(table: &Table) -> u64 {
     fnv1a(&csv)
 }
 
-fn trained() -> TrainedSam {
-    let target = sam::datasets::imdb(&sam::datasets::ImdbConfig {
-        titles: 250,
-        seed: 5,
-        ..Default::default()
-    });
-    let stats = DatabaseStats::from_database(&target);
-    let mut gen = WorkloadGenerator::new(&target, 5);
-    let workload = label_workload(&target, gen.multi_workload(200, 2)).unwrap();
-    // Two residual hidden layers, so the skip path is in the locked bits.
-    let config = SamConfig {
+/// Two residual hidden layers, so the skip path is in the locked bits.
+fn config() -> SamConfig {
+    SamConfig {
         model: ArModelConfig {
             hidden: vec![24, 24],
             seed: 5,
@@ -87,39 +97,87 @@ fn trained() -> TrainedSam {
             ..Default::default()
         },
         encoding: EncodingOptions::default(),
-    };
-    Sam::fit(target.schema(), &stats, &workload, &config).unwrap()
+    }
+}
+
+fn trained_imdb() -> TrainedSam {
+    let target = sam::datasets::imdb(&sam::datasets::ImdbConfig {
+        titles: 250,
+        seed: 5,
+        ..Default::default()
+    });
+    let stats = DatabaseStats::from_database(&target);
+    let mut gen = WorkloadGenerator::new(&target, 5);
+    let workload = label_workload(&target, gen.multi_workload(200, 2)).unwrap();
+    Sam::fit(target.schema(), &stats, &workload, &config()).unwrap()
+}
+
+/// A census model: its single relation has intervalized columns, so
+/// decoding draws within bins.
+fn trained_census() -> TrainedSam {
+    let target = sam::datasets::census(400, 5);
+    let stats = DatabaseStats::from_database(&target);
+    let mut gen = WorkloadGenerator::new(&target, 5);
+    let workload = label_workload(&target, gen.single_workload("census", 150)).unwrap();
+    Sam::fit(target.schema(), &stats, &workload, &config()).unwrap()
+}
+
+/// Every locked case: `(case, model file or None, generated database)`.
+fn cases() -> &'static [(String, Option<String>, Database)] {
+    static CASES: OnceLock<Vec<(String, Option<String>, Database)>> = OnceLock::new();
+    CASES.get_or_init(|| {
+        let imdb = trained_imdb();
+        let mut config = GenerationConfig {
+            foj_samples: 1_000,
+            batch: 96, // 1 000 = 10 × 96 + 40: the last batch is ragged
+            seed: 3,
+            strategy: JoinKeyStrategy::GroupAndMerge,
+        };
+        let model_file = |t: &TrainedSam| sam::ar::save_model(t.model(), t.db_schema());
+        let mut cases = Vec::new();
+        for kind in BackendKind::ALL {
+            let (db, _) = imdb.clone().with_backend(kind).generate(&config).unwrap();
+            let file = (kind == BackendKind::ReferenceF32).then(|| model_file(&imdb));
+            cases.push((kind.name().to_string(), file, db));
+        }
+        config.strategy = JoinKeyStrategy::PairwiseViews;
+        let (db, _) = imdb.generate(&config).unwrap();
+        cases.push(("f32-pairwise".into(), None, db));
+        // A single relation samples exactly |T| = 400 rows: 4 × 96 + 16.
+        let census = trained_census();
+        config.strategy = JoinKeyStrategy::GroupAndMerge;
+        let (db, _) = census.generate(&config).unwrap();
+        cases.push(("census".into(), Some(model_file(&census)), db));
+        cases
+    })
+}
+
+fn on_pinned_platform() -> bool {
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        return true;
+    }
+    eprintln!(
+        "generation_bytes: skipped, the golden hashes are recorded on x86_64 Linux \
+         (softmax and Gumbel noise go through the platform libm)"
+    );
+    false
 }
 
 #[test]
 fn generated_csvs_match_the_recorded_bytes_under_every_backend() {
-    if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-        eprintln!(
-            "generation_bytes: skipped, the golden hashes are recorded on x86_64 Linux \
-             (softmax and Gumbel noise go through the platform libm)"
-        );
+    if !on_pinned_platform() {
         return;
     }
-    let trained = trained();
-    let config = GenerationConfig {
-        foj_samples: 1_000,
-        batch: 96, // 1 000 = 10 × 96 + 40: the last batch is ragged
-        seed: 3,
-        strategy: JoinKeyStrategy::GroupAndMerge,
-    };
-    // One `(backend, file, hash)` line per file, in `GOLDEN`'s layout.
+    // One `(case, file, hash)` line per file, in `GOLDEN`'s layout.
     let line =
-        |kind: &str, file: &str, hash: u64| format!("    ({kind:?}, {file:?}, 0x{hash:016x}),\n");
-    let model_file = sam::ar::save_model(trained.model(), trained.db_schema());
-    let mut got = line("f32", "model.json", fnv1a(model_file.as_bytes()));
-    for kind in BackendKind::ALL {
-        let (db, _) = trained
-            .clone()
-            .with_backend(kind)
-            .generate(&config)
-            .unwrap();
+        |case: &str, file: &str, hash: u64| format!("    ({case:?}, {file:?}, 0x{hash:016x}),\n");
+    let mut got = String::new();
+    for (case, model_file, db) in cases() {
+        if let Some(file) = model_file {
+            got += &line(case, "model.json", fnv1a(file.as_bytes()));
+        }
         for table in db.tables() {
-            got += &line(kind.name(), table.name(), csv_hash(table));
+            got += &line(case, table.name(), csv_hash(table));
         }
     }
     let want: String = GOLDEN.iter().map(|&(k, f, h)| line(k, f, h)).collect();
@@ -127,4 +185,34 @@ fn generated_csvs_match_the_recorded_bytes_under_every_backend() {
         got == want,
         "generated bytes moved\nexpected:\n{want}actual:\n{got}"
     );
+}
+
+#[test]
+fn generated_tables_equal_a_from_rows_rebuild_of_their_rows() {
+    if !on_pinned_platform() {
+        return;
+    }
+    for (case, _, db) in cases() {
+        for table in db.tables() {
+            let rows: Vec<Vec<Value>> = table.iter_rows().collect();
+            let rebuilt = Table::from_rows(table.schema().clone(), &rows).unwrap();
+            assert_eq!(rebuilt.num_rows(), table.num_rows());
+            for c in 0..table.num_columns() {
+                let (got, want) = (table.column(c), rebuilt.column(c));
+                let name = &table.schema().columns[c].name;
+                assert_eq!(
+                    got.domain().values(),
+                    want.domain().values(),
+                    "{case}: {}.{name} has another dictionary",
+                    table.name()
+                );
+                assert_eq!(
+                    got.codes(),
+                    want.codes(),
+                    "{case}: {}.{name} has other codes",
+                    table.name()
+                );
+            }
+        }
+    }
 }
