@@ -57,6 +57,9 @@ pub struct SampleBatch {
     masks: ColumnMasks,
     /// Per-path factor product; `0.0` marks a dead path.
     factors: Vec<f64>,
+    /// Dense path only: each row's running first-layer sum over its set
+    /// inputs, so a column's forward does not rescan the one-hot row.
+    carry: Matrix,
     /// Sampled codes per path (the off-trie dedup key).
     codes: Vec<Vec<u32>>,
     /// Each path's trie node (depth == column index), or `OFF_TRIE`.
@@ -79,6 +82,7 @@ impl SampleBatch {
             logits: Matrix::zeros(0, 0),
             probs: Matrix::zeros(0, 0),
             masks: ColumnMasks::default(),
+            carry: Matrix::zeros(0, 0),
             factors: Vec::new(),
             codes: Vec::new(),
             node: Vec::new(),
@@ -230,20 +234,22 @@ impl SampleBatch {
 
     /// Prepare for unconditional sampling: like
     /// [`reset`](SampleBatch::reset), plus an all-live mask so every row is
-    /// forwarded each column.
+    /// forwarded each column and a zeroed first-layer carry.
     pub(crate) fn reset_dense(&mut self, model: &FrozenModel, rows: usize) {
         self.reset(model, rows);
         self.masks.fresh.clear();
         self.masks.fresh.resize(rows, true);
+        model.net.reset_carry(&mut self.carry, rows);
     }
 
     /// Forward the whole batch for column `i`'s logit block and softmax it
     /// into the probability buffer (unconditional sampling: every row is
-    /// live and fresh every column, and only block `i` is read).
+    /// live and fresh every column, and only block `i` is read). The first
+    /// layer starts from the carried sums.
     pub(crate) fn forward_column_dense(&mut self, model: &FrozenModel, i: usize) {
         model
             .net
-            .forward_column_into(&self.input, None, i, &mut self.logits);
+            .forward_column_carried_into(&self.input, &self.carry, i, &mut self.logits);
         model.net.conditional_probs_masked_into(
             &self.logits,
             i,
@@ -258,10 +264,13 @@ impl SampleBatch {
         &self.probs.row(r)[..d]
     }
 
-    /// Set one activation element directly (unconditional sampling records
-    /// codes in its own output rows, not in the batch).
-    pub(crate) fn set_input_onehot(&mut self, r: usize, pos: usize) {
+    /// Set one activation element directly and add it to the row's
+    /// first-layer carry (unconditional sampling records codes in its own
+    /// output rows, not in the batch). Columns are sampled in offset order,
+    /// so every row's inputs arrive in ascending `pos`.
+    pub(crate) fn set_input_onehot(&mut self, model: &FrozenModel, r: usize, pos: usize) {
         self.input.set(r, pos, 1.0);
+        model.net.carry_onehot(&mut self.carry, r, pos);
     }
 }
 

@@ -77,7 +77,7 @@ fn sample_batch_with(
         for (r, row) in out.iter_mut().enumerate() {
             let code = sample_weighted(scratch.dense_probs_row(r, d), rng).unwrap_or(0);
             row[i] = code as u32;
-            scratch.set_input_onehot(r, offset + code);
+            scratch.set_input_onehot(model, r, offset + code);
         }
     }
     out

@@ -219,6 +219,31 @@ pub trait InferenceBackend: Send + Sync + fmt::Debug {
         cols: Range<usize>,
         out: &mut Matrix,
     );
+
+    /// Row `pos` of the first layer's transposed weights, when this kernel
+    /// can start a forward from a carried first-layer sum
+    /// ([`forward_carried_cols_into`](InferenceBackend::forward_carried_cols_into));
+    /// `None` (the default) when it walks every layer from the input.
+    fn carry_row(&self, _pos: usize) -> Option<&[f32]> {
+        None
+    }
+
+    /// The forward of every row of a one-hot `input` for logits `cols`,
+    /// given `carry`: per row, the first layer's pre-bias sum, built by
+    /// adding [`carry_row`](InferenceBackend::carry_row)`(pos)` for each set
+    /// input `pos` in ascending order, starting from zero. A kernel that
+    /// carries starts from that sum; the default ignores it and runs
+    /// [`forward_cols_into`](InferenceBackend::forward_cols_into) on
+    /// `input`. Either way the block has the bits of the full walk.
+    fn forward_carried_cols_into(
+        &self,
+        input: &Matrix,
+        _carry: &Matrix,
+        cols: Range<usize>,
+        out: &mut Matrix,
+    ) {
+        self.forward_cols_into(input, None, cols, out);
+    }
 }
 
 /// Build a backend of `kind` over `params`.
@@ -241,7 +266,9 @@ pub fn build_backend(kind: BackendKind, params: &Arc<FrozenLayers>) -> Arc<dyn I
 /// axpy argument on `matmul_block`, for finite weights each output has the
 /// bits of the serial dot product `((0 + x₀w₀) + x₁w₁) + …` that the
 /// historical `FrozenMade::forward` computed, a lock the parity tests keep
-/// against that loop written out.
+/// against that loop written out. Unconditional sampling carries each row's
+/// first-layer sum from column to column and enters the walk after it
+/// (`forward_carried_cols_into`), with the same bits.
 #[derive(Debug, Clone)]
 pub struct ReferenceF32 {
     params: Arc<FrozenLayers>,
@@ -255,6 +282,54 @@ impl ReferenceF32 {
     pub fn new(params: Arc<FrozenLayers>) -> Self {
         let eff_t = params.layers.iter().map(|(w, _)| w.transpose()).collect();
         ReferenceF32 { params, eff_t }
+    }
+
+    /// The walk over the rows of `input` for logits `cols`: per layer the axpy
+    /// `x.matmul_block(effᵀ, 0..in, range)`, then bias, residual and ReLU,
+    /// with `range` the full width for hidden layers and `cols` for the
+    /// output layer. `carry`, when given, holds the first layer's pre-bias
+    /// sums for the rows of `input` and replaces that layer's axpy.
+    fn walk(&self, input: &Matrix, carry: Option<&Matrix>, cols: Range<usize>) -> Matrix {
+        let last = self.eff_t.len() - 1;
+        let mut h: Option<Matrix> = None;
+        for (i, (w_t, (_, b))) in self.eff_t.iter().zip(&self.params.layers).enumerate() {
+            let x = h.as_ref().unwrap_or(input);
+            let range = if i == last {
+                cols.clone()
+            } else {
+                0..w_t.cols()
+            };
+            let mut y = match carry {
+                Some(carry) if i == 0 => {
+                    let mut y = Matrix::zeros(carry.rows(), range.len());
+                    for k in 0..carry.rows() {
+                        y.row_mut(k).copy_from_slice(&carry.row(k)[range.clone()]);
+                    }
+                    y
+                }
+                _ => x.matmul_block(w_t, 0..w_t.rows(), range.clone()),
+            };
+            let bias = &b.row(0)[range.clone()];
+            let residual = self.params.residual[i];
+            for k in 0..y.rows() {
+                let row = y.row_mut(k);
+                for (o, &bb) in row.iter_mut().zip(bias) {
+                    *o += bb;
+                }
+                if residual {
+                    for (o, &a) in row.iter_mut().zip(&x.row(k)[range.clone()]) {
+                        *o += a;
+                    }
+                }
+                if i != last {
+                    for v in row {
+                        *v = v.max(0.0);
+                    }
+                }
+            }
+            h = Some(y);
+        }
+        h.expect("a frozen stack has at least one layer")
     }
 }
 
@@ -281,39 +356,37 @@ impl InferenceBackend for ReferenceF32 {
             }
             compact
         });
-        let last = self.eff_t.len() - 1;
-        let mut h: Option<Matrix> = None;
-        for (i, (w_t, (_, b))) in self.eff_t.iter().zip(&self.params.layers).enumerate() {
-            let x = h.as_ref().or(compact.as_ref()).unwrap_or(input);
-            let range = if i == last {
-                cols.clone()
-            } else {
-                0..w_t.cols()
-            };
-            let mut y = x.matmul_block(w_t, 0..w_t.rows(), range.clone());
-            let bias = &b.row(0)[range.clone()];
-            let residual = self.params.residual[i];
-            for k in 0..y.rows() {
-                let row = y.row_mut(k);
-                for (o, &bb) in row.iter_mut().zip(bias) {
-                    *o += bb;
-                }
-                if residual {
-                    for (o, &a) in row.iter_mut().zip(&x.row(k)[range.clone()]) {
-                        *o += a;
-                    }
-                }
-                if i != last {
-                    for v in row {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
-            h = Some(y);
-        }
-        let h = h.expect("a frozen stack has at least one layer");
+        let h = self.walk(compact.as_ref().unwrap_or(input), None, cols.clone());
         for (k, &r) in live_rows.iter().enumerate() {
             out.row_mut(r)[cols.clone()].copy_from_slice(h.row(k));
+        }
+    }
+
+    fn carry_row(&self, pos: usize) -> Option<&[f32]> {
+        Some(self.eff_t[0].row(pos))
+    }
+
+    /// Layer 1 starts from `carry` instead of scanning `input`: for a
+    /// one-hot input the axpy adds `1.0 · effᵀ₀[pos]` = `effᵀ₀[pos]` for
+    /// the set inputs in ascending order from zero, which is how `carry`
+    /// was built, so the sums have the same bits. Bias, residual and ReLU
+    /// follow as in the walk, then layers 2..n unchanged.
+    fn forward_carried_cols_into(
+        &self,
+        input: &Matrix,
+        carry: &Matrix,
+        cols: Range<usize>,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(out.rows(), input.rows(), "output buffer shape mismatch");
+        assert_eq!(
+            (carry.rows(), carry.cols()),
+            (input.rows(), self.eff_t[0].cols()),
+            "carried sum shape mismatch"
+        );
+        let h = self.walk(input, Some(carry), cols.clone());
+        for k in 0..h.rows() {
+            out.row_mut(k)[cols.clone()].copy_from_slice(h.row(k));
         }
     }
 }

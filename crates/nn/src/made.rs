@@ -450,6 +450,52 @@ impl FrozenMade {
             .forward_cols_into(input, live, offset..offset + self.domain_size(i), out);
     }
 
+    /// Make `carry` the first-layer sums of `rows` empty inputs: `rows ×`
+    /// the first layer's width, all zero (the sum starts at zero; the bias
+    /// is added after it). Keeps the allocation when the shape fits.
+    pub fn reset_carry(&self, carry: &mut Matrix, rows: usize) {
+        let width = self.params.layers[0].0.rows();
+        if (carry.rows(), carry.cols()) == (rows, width) {
+            carry.clear();
+        } else {
+            *carry = Matrix::zeros(rows, width);
+        }
+    }
+
+    /// Record input `pos` of row `r` as set to `1.0` in `carry` (from
+    /// [`reset_carry`](FrozenMade::reset_carry)): adds row `pos` of the
+    /// transposed first layer on a kernel that carries, nothing on one that
+    /// does not. Inputs must be set in ascending `pos`, which sampling
+    /// column by column does.
+    pub fn carry_onehot(&self, carry: &mut Matrix, r: usize, pos: usize) {
+        if let Some(w) = self.backend.carry_row(pos) {
+            for (o, &v) in carry.row_mut(r).iter_mut().zip(w) {
+                *o += v;
+            }
+        }
+    }
+
+    /// [`forward_column_into`](FrozenMade::forward_column_into) of every row
+    /// of a one-hot `input` whose first-layer sums were carried into `carry`
+    /// by [`carry_onehot`](FrozenMade::carry_onehot): the same bits, without
+    /// rescanning the input on a kernel that carries (see
+    /// [`InferenceBackend::forward_carried_cols_into`]).
+    pub fn forward_column_carried_into(
+        &self,
+        input: &Matrix,
+        carry: &Matrix,
+        i: usize,
+        out: &mut Matrix,
+    ) {
+        let offset = self.offset(i);
+        self.backend.forward_carried_cols_into(
+            input,
+            carry,
+            offset..offset + self.domain_size(i),
+            out,
+        );
+    }
+
     /// Row-wise softmax of column `i`'s logit block.
     pub fn conditional_probs(&self, logits: &Matrix, i: usize) -> Matrix {
         let mut out = Matrix::zeros(logits.rows(), self.domain_sizes[i]);

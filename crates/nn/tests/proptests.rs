@@ -1,8 +1,8 @@
 //! Property-based tests for the neural substrate: algebraic identities of
 //! the matrix kernels, randomized gradient checks of the tape, MADE's
 //! autoregressive invariant under random configurations, and inference
-//! backend parity (the `ReferenceF32` bit-match lock and the `BlockedF16`
-//! / `Int8Blocked` tolerance bounds).
+//! backend parity (the `ReferenceF32` bit-match lock, its carried first
+//! layer, and the `BlockedF16` / `Int8Blocked` tolerance bounds).
 
 use proptest::prelude::*;
 use sam_nn::{BackendKind, FrozenMade, Made, MadeConfig, Matrix, ParamStore, Tape};
@@ -197,6 +197,7 @@ proptest! {
         hidden in 6usize..20,
         seed in 0u64..1000,
         residual in any::<bool>(),
+        prefix_seed in any::<u64>(),
     ) {
         let (frozen, input) = random_frozen(&domains, vec![hidden, hidden], seed, residual);
         let reference = frozen.forward(&input);
@@ -309,6 +310,46 @@ proptest! {
                             }
                         }
                     }
+                }
+            }
+        }
+
+        // (f) The carried first layer: rows get random one-hot prefixes
+        // column by column, as sampling sets them, with each set input added
+        // to the row's carried sum. Before every column is set, the carried
+        // forward's block has the bits of `forward_column_into` on the same
+        // one-hot rows, on every kernel (f16 and int8 ignore the carry).
+        let mut state = prefix_seed | 1;
+        let mut next_code = |d: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % d as u64) as usize
+        };
+        for net in [&biased, &f16, &int8] {
+            let mut onehot = Matrix::zeros(rows, width);
+            let mut carry = Matrix::full(3, 5, f32::NAN); // reset reshapes it
+            net.reset_carry(&mut carry, rows);
+            for (i, &d) in domains.iter().enumerate() {
+                let block = net.offset(i)..net.offset(i) + d;
+                let mut want = Matrix::full(rows, width, f32::NAN);
+                net.forward_column_into(&onehot, None, i, &mut want);
+                let mut got = Matrix::full(rows, width, f32::NAN);
+                net.forward_column_carried_into(&onehot, &carry, i, &mut got);
+                for r in 0..rows {
+                    for c in block.clone() {
+                        prop_assert_eq!(
+                            got.get(r, c).to_bits(),
+                            want.get(r, c).to_bits(),
+                            "{:?}: carried column {} row {} logit {}",
+                            net.backend_kind(), i, r, c
+                        );
+                    }
+                }
+                for r in 0..rows {
+                    let pos = net.offset(i) + next_code(d);
+                    onehot.set(r, pos, 1.0);
+                    net.carry_onehot(&mut carry, r, pos);
                 }
             }
         }
