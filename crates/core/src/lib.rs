@@ -6,7 +6,7 @@
 //! * [`pipeline::Sam::fit`] — learning stage: train a single deep AR model
 //!   of the full outer join from (query, cardinality) pairs via
 //!   Differentiable Progressive Sampling (§4.1).
-//! * [`single::generate_single_relation`] — Algorithm 1.
+//! * [`single::assemble_single_relation`] — Algorithm 1's tuples as a relation.
 //! * [`weights`] — inverse probability weighting + scaling (§4.3.1, Alg 2).
 //! * [`group_merge`] — Group-and-Merge join-key assignment (§4.3.2, Alg 3),
 //!   including the recursive multi-key extension.
@@ -28,5 +28,5 @@ pub use error::SamError;
 pub use group_merge::{assign_keys_group_merge, AssignedKeys, Piece, PkTuple};
 pub use job::{JobControl, JobStage};
 pub use pipeline::{GenerationConfig, GenerationReport, Sam, SamConfig, TrainedSam};
-pub use single::generate_single_relation;
+pub use single::assemble_single_relation;
 pub use weights::{weigh_samples, WeightedSamples};

@@ -11,7 +11,7 @@
 use crate::assemble::{assemble_database, JoinKeyStrategy};
 use crate::error::SamError;
 use crate::job::{JobControl, JobStage};
-use crate::single::generate_single_relation;
+use crate::single::assemble_single_relation;
 use sam_ar::{
     sample_model_rows_range, train_observed, ArModel, ArModelConfig, ArSchema, EncodingOptions,
     FrozenModel, TrainConfig, TrainReport,
@@ -162,14 +162,14 @@ impl TrainedSam {
     /// [`generate`](Self::generate) with cooperative cancellation and
     /// progress reporting through `control`.
     ///
-    /// The FOJ sampling stage runs in chunks (via
-    /// [`sam_ar::sample_model_rows_range`], which reproduces the one-shot
-    /// sampler bit-for-bit and keeps one reusable sample batch per worker
-    /// so the batch-major forward buffers persist across batches),
-    /// checking `control` between chunks, so a cancelled job
-    /// returns [`SamError::Cancelled`] within one chunk. The generated
-    /// database is identical to a plain `generate` call with the same
-    /// config.
+    /// Sampling — the FOJ sample of a join, or the `|T|` tuples of a single
+    /// relation — runs in chunks (via [`sam_ar::sample_model_rows_range`],
+    /// which reproduces the one-shot sampler bit-for-bit and keeps one
+    /// reusable sample batch per worker so the batch-major forward buffers
+    /// persist across batches), checking `control` between chunks, so a
+    /// cancelled job returns [`SamError::Cancelled`] within one chunk. The
+    /// generated database is identical to a plain `generate` call with the
+    /// same config.
     pub fn generate_controlled(
         &self,
         config: &GenerationConfig,
@@ -183,49 +183,52 @@ impl TrainedSam {
             return Err(SamError::Cancelled);
         }
         let graph = self.model.schema.graph();
+        let single = graph.len() == 1;
         let mut gen_span = sam_obs::span!(
             "generate",
             tables = graph.len(),
             foj_samples = config.foj_samples,
             batch = config.batch
         );
-        let db = if graph.len() == 1 {
-            control.set_stage(JobStage::Sampling);
-            let _sample_span = sam_obs::span!("sample", rows = self.model.schema.table_size(0));
-            let table_schema = self
-                .db_schema
-                .table(&graph.tables()[0])
-                .expect("single table present")
-                .clone();
-            let rows = self.model.schema.table_size(0) as usize;
-            generate_single_relation(&self.model, &table_schema, rows, config.batch, config.seed)?
+        let count = if single {
+            self.model.schema.table_size(0) as usize
         } else {
-            control.set_stage(JobStage::Sampling);
-            let batch = config.batch.max(1);
-            let n_batches = config.foj_samples.div_ceil(batch);
-            let mut rows = Vec::with_capacity(config.foj_samples);
-            let sample_span = sam_obs::span!("sample", rows = config.foj_samples, batch = batch);
-            let mut next = 0usize;
-            while next < n_batches {
-                if control.is_cancelled() {
-                    return Err(SamError::Cancelled);
-                }
-                let upto = (next + CHUNK_BATCHES).min(n_batches);
-                rows.extend(sample_model_rows_range(
-                    &self.model,
-                    config.foj_samples,
-                    batch,
-                    config.seed,
-                    next..upto,
-                ));
-                next = upto;
-                control.set_progress(rows.len(), config.foj_samples);
-            }
-            drop(sample_span);
+            config.foj_samples
+        };
+        control.set_stage(JobStage::Sampling);
+        let batch = config.batch.max(1);
+        let n_batches = count.div_ceil(batch);
+        let mut rows = Vec::with_capacity(count);
+        let sample_span = sam_obs::span!("sample", rows = count, batch = batch);
+        let mut next = 0usize;
+        while next < n_batches {
             if control.is_cancelled() {
                 return Err(SamError::Cancelled);
             }
-            control.set_stage(JobStage::Assembling);
+            let upto = (next + CHUNK_BATCHES).min(n_batches);
+            rows.extend(sample_model_rows_range(
+                &self.model,
+                count,
+                batch,
+                config.seed,
+                next..upto,
+            ));
+            next = upto;
+            control.set_progress(rows.len(), count);
+        }
+        drop(sample_span);
+        if control.is_cancelled() {
+            return Err(SamError::Cancelled);
+        }
+        control.set_stage(JobStage::Assembling);
+        let db = if single {
+            let _span = sam_obs::span!("assemble", strategy = "single");
+            let table_schema = self
+                .db_schema
+                .table(&graph.tables()[0])
+                .expect("single table present");
+            assemble_single_relation(table_schema, &self.model.schema, &rows, config.seed)?
+        } else {
             assemble_database(
                 &self.db_schema,
                 &self.model.schema,
@@ -356,6 +359,61 @@ mod tests {
             Err(SamError::Cancelled) => {}
             other => panic!("expected Cancelled, got {:?}", other.map(|_| "db")),
         }
+    }
+
+    /// A single relation samples in chunks too: a census generation run on
+    /// another thread reports progress while it samples and stops with
+    /// `Cancelled` when cancelled part-way.
+    #[test]
+    fn single_relation_generation_reports_progress_and_cancels() {
+        let db = sam_datasets::census(2_000, 8);
+        let stats = DatabaseStats::from_database(&db);
+        let mut gen = WorkloadGenerator::new(&db, 8);
+        let workload = label_workload(&db, gen.single_workload("census", 32)).unwrap();
+        let config = SamConfig {
+            model: sam_ar::ArModelConfig {
+                hidden: vec![16],
+                seed: 8,
+                residual: false,
+            },
+            train: sam_ar::TrainConfig {
+                epochs: 1,
+                batch_size: 16,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let trained = Sam::fit(db.schema(), &stats, &workload, &config).unwrap();
+        // 2 000 rows at batch 4: 500 batches, 63 chunks.
+        let gen_config = GenerationConfig {
+            batch: 4,
+            ..Default::default()
+        };
+        // The poller may miss the sampling window on a busy machine, in
+        // which case the run completes and is tried again.
+        for _ in 0..20 {
+            let control = crate::job::JobControl::new();
+            let result = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| trained.generate_controlled(&gen_config, &control));
+                while !worker.is_finished() {
+                    let p = control.progress();
+                    if p > 0.0 && p < 1.0 {
+                        control.cancel();
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                worker.join().unwrap()
+            });
+            match result {
+                Err(SamError::Cancelled) => return,
+                Ok((db, _)) if !control.is_cancelled() => {
+                    assert_eq!(db.tables()[0].num_rows(), 2_000);
+                }
+                other => panic!("expected Cancelled, got {:?}", other.map(|_| "db")),
+            }
+        }
+        panic!("never observed the sampling stage part-way");
     }
 
     /// End-to-end multi-relation on the Figure-3 database.

@@ -1,71 +1,49 @@
 //! Single-relation generation (paper §4.2, Algorithm 1).
 //!
-//! Sample `|T|` tuples from the AR model (batched, embarrassingly parallel)
-//! and decode each model bin to a concrete value — uniform within
-//! intervalized bins (§4.3.2). Primary keys, if declared, are sequential.
+//! `|T|` tuples are sampled from the AR model (batched, embarrassingly
+//! parallel; [`TrainedSam::generate_controlled`] samples them in cancellable
+//! chunks), then each model bin is decoded to a concrete value — uniform
+//! within intervalized bins (§4.3.2). Primary keys, if declared, are
+//! sequential.
+//!
+//! [`TrainedSam::generate_controlled`]: crate::pipeline::TrainedSam::generate_controlled
 
+use crate::assemble::TableEmitter;
 use crate::error::SamError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sam_ar::{sample_model_rows, FrozenModel};
-use sam_storage::{ColumnRole, Database, Table, TableSchema, Value};
+use sam_ar::{ArSchema, ModelRow};
+use sam_storage::{Database, TableSchema};
 
-/// Generate a single-relation database of `num_rows` tuples.
-pub fn generate_single_relation(
-    model: &FrozenModel,
+/// Emit the single-relation database of the sampled `rows`, one tuple per
+/// row, decoding with an RNG derived from `seed`.
+pub fn assemble_single_relation(
     table_schema: &TableSchema,
-    num_rows: usize,
-    batch: usize,
+    ar: &ArSchema,
+    rows: &[ModelRow],
     seed: u64,
 ) -> Result<Database, SamError> {
-    let ar = &model.schema;
     if ar.graph().len() != 1 {
         return Err(SamError::Invalid(
-            "generate_single_relation requires a single-table model".into(),
+            "single-relation generation requires a single-table model".into(),
         ));
     }
-    let rows = sample_model_rows(model, num_rows, batch, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDECAF);
-
-    let content = ar.content_pos(0);
-    let mut out_rows = Vec::with_capacity(num_rows);
-    let mut seq_pk = 0u64;
-    for row in &rows {
-        let tuple: Vec<Value> = table_schema
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(ci, col)| match &col.role {
-                ColumnRole::Content => match content.iter().find(|&&(c, _)| c == ci) {
-                    Some(&(_, pos)) => {
-                        let enc = &ar.columns()[pos].encoding;
-                        let code = enc.decode(row[pos] as usize, &mut rng);
-                        enc.base_domain().value(code).clone()
-                    }
-                    // Unmodelled column (empty observed domain).
-                    None => Value::Null,
-                },
-                ColumnRole::PrimaryKey => {
-                    seq_pk += 1;
-                    Value::Int(seq_pk as i64)
-                }
-                ColumnRole::ForeignKey { .. } => Value::Null,
-            })
-            .collect();
-        out_rows.push(tuple);
+    let mut emitter = TableEmitter::new(ar, 0, table_schema.clone());
+    for row in rows {
+        emitter.push(row, None, None, &mut rng);
     }
-    let table = Table::from_rows(table_schema.clone(), &out_rows)?;
-    Ok(Database::single(table))
+    Ok(Database::single(emitter.finish()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_ar::{ArModel, ArModelConfig, ArSchema, EncodingOptions};
-    use sam_storage::{paper_example, DatabaseStats};
+    use sam_ar::{sample_model_rows, ArModel, ArModelConfig, EncodingOptions};
+    use sam_storage::{paper_example, DatabaseStats, Value};
 
     #[test]
-    fn generates_requested_row_count() {
+    fn emits_one_tuple_per_sampled_row() {
         let db = paper_example::figure3_database();
         let single = Database::single(db.table_by_name("A").unwrap().clone());
         let stats = DatabaseStats::from_database(&single);
@@ -73,7 +51,8 @@ mod tests {
             ArSchema::build(single.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
         let model = ArModel::new(ar, &ArModelConfig::default()).freeze();
         let schema = single.schema().table("A").unwrap().clone();
-        let gen = generate_single_relation(&model, &schema, 37, 8, 5).unwrap();
+        let rows = sample_model_rows(&model, 37, 8, 5);
+        let gen = assemble_single_relation(&schema, &model.schema, &rows, 5).unwrap();
         let t = gen.table_by_name("A").unwrap();
         assert_eq!(t.num_rows(), 37);
         // Sequential pks.
@@ -90,8 +69,7 @@ mod tests {
         let db = paper_example::figure3_database();
         let stats = DatabaseStats::from_database(&db);
         let ar = ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-        let model = ArModel::new(ar, &ArModelConfig::default()).freeze();
         let schema = db.schema().table("A").unwrap().clone();
-        assert!(generate_single_relation(&model, &schema, 10, 8, 1).is_err());
+        assert!(assemble_single_relation(&schema, &ar, &[], 1).is_err());
     }
 }

@@ -225,8 +225,8 @@ mod tests {
         // descendant must still be treated as absent. (Use the deeper-tree
         // schema from sam-storage's tests via a quick inline build.)
         use sam_storage::{
-            ColumnDef, DataType, Database, DatabaseSchema, ForeignKeyEdge, Table, TableSchema,
-            Value,
+            Column, ColumnDef, DataType, Database, DatabaseSchema, ForeignKeyEdge, Table,
+            TableSchema,
         };
         let a_schema = TableSchema::new(
             "A",
@@ -266,13 +266,17 @@ mod tests {
             ],
         )
         .unwrap();
-        let a = Table::from_rows(a_schema, &[vec![Value::Int(1), Value::Int(10)]]).unwrap();
-        let b = Table::from_rows(
-            b_schema,
-            &[vec![Value::Int(1), Value::Int(1), Value::Int(5)]],
-        )
-        .unwrap();
-        let d = Table::from_rows(d_schema, &[vec![Value::Int(1), Value::Int(7)]]).unwrap();
+        // One tuple per table, as integer columns.
+        let table = |schema: TableSchema, ints: &[i64]| {
+            let columns = ints
+                .iter()
+                .map(|&v| Column::from_ints(&[Some(v)]))
+                .collect();
+            Table::new(schema, columns).unwrap()
+        };
+        let a = table(a_schema, &[1, 10]);
+        let b = table(b_schema, &[1, 1, 5]);
+        let d = table(d_schema, &[1, 7]);
         let db = Database::new(schema, vec![a, b, d], true).unwrap();
         let stats = DatabaseStats::from_database(&db);
         let s = ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();

@@ -55,6 +55,57 @@ impl Column {
         Some(Column { domain, codes })
     }
 
+    /// Build from codes into a wider `base` domain ([`NULL_CODE`] for
+    /// NULL), over the dictionary of the values present — what
+    /// [`Column::from_values`] derives from the decoded values, in one pass
+    /// over `base` instead of a sort.
+    pub fn from_base_codes(base: &Domain, mut codes: Vec<u32>) -> Self {
+        let mut remap = vec![NULL_CODE; base.len()];
+        for &c in &codes {
+            if c != NULL_CODE {
+                remap[c as usize] = 0;
+            }
+        }
+        let mut values = Vec::new();
+        for (c, slot) in remap.iter_mut().enumerate() {
+            if *slot != NULL_CODE {
+                *slot = values.len() as u32;
+                values.push(base.value(c as u32).clone());
+            }
+        }
+        for c in &mut codes {
+            if *c != NULL_CODE {
+                *c = remap[*c as usize];
+            }
+        }
+        Column {
+            domain: Domain::from_sorted(values).shared(),
+            codes,
+        }
+    }
+
+    /// Build from integers (`None` for NULL): the same column as
+    /// [`Column::from_values`] of the matching [`Value::Int`]s.
+    pub fn from_ints(ints: &[Option<i64>]) -> Self {
+        let mut distinct: Vec<i64> = ints.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let codes = ints
+            .iter()
+            .map(|v| match v {
+                Some(k) => distinct
+                    .binary_search(k)
+                    .expect("value is in the dictionary") as u32,
+                None => NULL_CODE,
+            })
+            .collect();
+        let values = distinct.into_iter().map(Value::Int).collect();
+        Column {
+            domain: Domain::from_sorted(values).shared(),
+            codes,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
@@ -115,28 +166,6 @@ impl Column {
             domain: Arc::clone(&self.domain),
             codes: rows.iter().map(|&r| self.codes[r]).collect(),
         }
-    }
-
-    /// Append a decoded value, which must already be in the domain.
-    ///
-    /// # Panics
-    /// Panics if the value is non-null and absent from the domain.
-    pub fn push_value(&mut self, v: &Value) {
-        if v.is_null() {
-            self.codes.push(NULL_CODE);
-        } else {
-            let c = self
-                .domain
-                .code_of(v)
-                .expect("pushed value must be in column domain");
-            self.codes.push(c);
-        }
-    }
-
-    /// Append a raw code.
-    pub fn push_code(&mut self, code: u32) {
-        debug_assert!(code == NULL_CODE || (code as usize) < self.domain.len());
-        self.codes.push(code);
     }
 
     /// Per-code occurrence counts (`counts[code]`), ignoring NULLs.
@@ -212,12 +241,38 @@ mod tests {
     }
 
     #[test]
-    fn push_value_and_code() {
-        let mut c = Column::from_values(&vals());
-        c.push_value(&Value::Int(1));
-        c.push_value(&Value::Null);
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.value(5), Value::Int(1));
-        assert!(c.value(6).is_null());
+    fn from_base_codes_matches_from_values_of_the_decoded_values() {
+        let base = Domain::int_range(10, 19);
+        let codes = vec![7, 2, NULL_CODE, 7, 0, 9];
+        let c = Column::from_base_codes(&base, codes.clone());
+        let decoded: Vec<Value> = codes
+            .iter()
+            .map(|&k| match k {
+                NULL_CODE => Value::Null,
+                k => base.value(k).clone(),
+            })
+            .collect();
+        let want = Column::from_values(&decoded);
+        assert_eq!(c.domain().values(), want.domain().values());
+        assert_eq!(c.codes(), want.codes());
+        assert_eq!(c.domain().len(), 4);
+        // No value present: an empty dictionary.
+        let nulls = Column::from_base_codes(&base, vec![NULL_CODE; 2]);
+        assert!(nulls.domain().is_empty());
+        assert_eq!(nulls.null_count(), 2);
+    }
+
+    #[test]
+    fn from_ints_matches_from_values() {
+        let ints = [Some(5), None, Some(-3), Some(5), Some(12)];
+        let c = Column::from_ints(&ints);
+        let values: Vec<Value> = ints
+            .iter()
+            .map(|v| v.map_or(Value::Null, Value::Int))
+            .collect();
+        let want = Column::from_values(&values);
+        assert_eq!(c.domain().values(), want.domain().values());
+        assert_eq!(c.codes(), want.codes());
+        assert!(Column::from_ints(&[]).is_empty());
     }
 }

@@ -28,6 +28,15 @@ impl Domain {
         Domain { values }
     }
 
+    /// A domain from values that are already sorted, distinct and non-null
+    /// (a subset of another domain in its order, or sorted distinct
+    /// integers), without sorting them again.
+    pub(crate) fn from_sorted(values: Vec<Value>) -> Self {
+        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(values.iter().all(|v| !v.is_null()));
+        Domain { values }
+    }
+
     /// Domain of consecutive integers `lo..=hi`.
     pub fn int_range(lo: i64, hi: i64) -> Self {
         Domain {

@@ -32,5 +32,5 @@ pub use foj::{foj_size, materialize_foj, Foj, FojColumn, FojColumnKind, FojSchem
 pub use join_graph::JoinGraph;
 pub use schema::{ColumnDef, ColumnRole, DatabaseSchema, ForeignKeyEdge, TableSchema};
 pub use stats::{ColumnStats, DatabaseStats, TableStats};
-pub use table::{Table, TableBuilder};
+pub use table::Table;
 pub use value::{DataType, Value};

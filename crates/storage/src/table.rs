@@ -1,12 +1,11 @@
 //! In-memory relations (columnar, dictionary-encoded).
 
 use crate::column::Column;
-use crate::domain::{Domain, NULL_CODE};
+use crate::domain::NULL_CODE;
 use crate::error::StorageError;
 use crate::schema::TableSchema;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A materialised relation: a [`TableSchema`] plus one [`Column`] per
 /// declared column, all with equal row counts.
@@ -149,80 +148,6 @@ impl Table {
     }
 }
 
-/// Incremental row-at-a-time builder with fixed per-column domains.
-///
-/// Use this when the domains are known up front (e.g. when generating
-/// synthetic tuples whose values were sampled from model domains).
-#[derive(Debug)]
-pub struct TableBuilder {
-    schema: TableSchema,
-    columns: Vec<Column>,
-    rows: usize,
-}
-
-impl TableBuilder {
-    /// Start building a table whose columns draw from the given domains.
-    ///
-    /// # Panics
-    /// Panics if `domains.len() != schema.arity()`.
-    pub fn new(schema: TableSchema, domains: Vec<Arc<Domain>>) -> Self {
-        assert_eq!(
-            domains.len(),
-            schema.arity(),
-            "one domain per schema column required"
-        );
-        let columns = domains
-            .into_iter()
-            .map(|d| Column::new(d, Vec::new()))
-            .collect();
-        TableBuilder {
-            schema,
-            columns,
-            rows: 0,
-        }
-    }
-
-    /// Append one decoded row.
-    ///
-    /// # Panics
-    /// Panics if the row arity mismatches or a value is outside its domain.
-    pub fn push_row(&mut self, row: &[Value]) {
-        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-        for (c, v) in self.columns.iter_mut().zip(row) {
-            c.push_value(v);
-        }
-        self.rows += 1;
-    }
-
-    /// Append one row of raw codes ([`NULL_CODE`] for NULL).
-    pub fn push_codes(&mut self, codes: &[u32]) {
-        assert_eq!(codes.len(), self.columns.len(), "row arity mismatch");
-        for (c, &code) in self.columns.iter_mut().zip(codes) {
-            c.push_code(code);
-        }
-        self.rows += 1;
-    }
-
-    /// Number of rows appended so far.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True iff no rows were appended.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Finish into an immutable [`Table`].
-    pub fn finish(self) -> Table {
-        Table {
-            schema: self.schema,
-            columns: self.columns,
-            rows: self.rows,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,23 +212,5 @@ mod tests {
         assert_eq!(g.num_rows(), 2);
         assert_eq!(g.value(0, 0), Value::Int(2));
         assert_eq!(g.value(1, 0), Value::Int(1));
-    }
-
-    #[test]
-    fn builder_appends_rows() {
-        let t0 = Table::from_rows(schema(), &rows()).unwrap();
-        let domains = vec![
-            Arc::clone(t0.column(0).domain()),
-            Arc::clone(t0.column(1).domain()),
-        ];
-        let mut b = TableBuilder::new(schema(), domains);
-        assert!(b.is_empty());
-        b.push_row(&[Value::Int(2), Value::str("n")]);
-        b.push_codes(&[0, NULL_CODE]);
-        let t = b.finish();
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.value(0, 0), Value::Int(2));
-        assert_eq!(t.value(1, 0), Value::Int(1));
-        assert!(t.value(1, 1).is_null());
     }
 }
