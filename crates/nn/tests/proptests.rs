@@ -2,9 +2,11 @@
 //! the matrix kernels, randomized gradient checks of the tape, MADE's
 //! autoregressive invariant under random configurations, and inference
 //! backend parity (the `ReferenceF32` bit-match lock, its carried first
-//! layer, and the `BlockedF16` / `Int8Blocked` tolerance bounds).
+//! layer, its register-tiled dense layers, and the `BlockedF16` /
+//! `Int8Blocked` tolerance bounds).
 
 use proptest::prelude::*;
+use sam_nn::backend::{dense_tiled, TileIsa, TILE_PAD};
 use sam_nn::{BackendKind, FrozenMade, Made, MadeConfig, Matrix, ParamStore, Tape};
 use std::rc::Rc;
 
@@ -366,6 +368,84 @@ proptest! {
             let sum: f32 = out.row(r).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
             prop_assert!(out.row(r).iter().all(|&x| (0.0..=1.0001).contains(&x)));
+        }
+    }
+}
+
+/// `n` floats from a xorshift stream: uniform in `[-2, 2)`, and every other
+/// one (at random) an exact zero when `half_zero`.
+fn xorshift_values(seed: u64, n: usize, half_zero: bool) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..n)
+        .map(|_| {
+            let bits = next();
+            if half_zero && bits & 1 == 0 {
+                0.0
+            } else {
+                ((bits >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The register-tiled dense layer, through every compiled instance this
+    /// CPU runs, has the bits of `matmul_block` followed by bias, residual
+    /// and ReLU in that order: on row counts that leave a partial tile, on
+    /// hidden widths that are and are not a multiple of the tile width, and
+    /// on blocks that end at the padded edge. Half the inputs are zeros and
+    /// weights are signed, so `−0` products occur.
+    #[test]
+    fn backend_parity_dense_tile(
+        rows in prop_oneof![Just(1usize), Just(3), Just(5), Just(257)],
+        hidden in prop_oneof![Just(16usize), Just(24), Just(64)],
+        wide_out in any::<bool>(),
+        residual in any::<bool>(),
+        relu in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let width = if wide_out && !residual { 2 * hidden + 5 } else { hidden };
+        let x = Matrix::from_vec(rows, hidden, xorshift_values(seed, rows * hidden, true));
+        let w = xorshift_values(seed ^ 0x5bd1_e995, hidden * width, false);
+        let w_t = Matrix::from_fn(hidden, width + TILE_PAD, |p, j| {
+            if j < width { w[p * width + j] } else { 0.0 }
+        });
+        let bias = xorshift_values(seed ^ 0x27d4_eb2f, width, false);
+        for cols in [0..width, 3..width.min(21), width - 2..width] {
+            let mut want = x.matmul_block(&w_t, 0..hidden, cols.clone());
+            for r in 0..rows {
+                for (c, o) in cols.clone().zip(want.row_mut(r)) {
+                    *o += bias[c];
+                    if residual {
+                        *o += x.get(r, c);
+                    }
+                    if relu {
+                        *o = o.max(0.0);
+                    }
+                }
+            }
+            for isa in TileIsa::available() {
+                let got = dense_tiled(
+                    isa, &x, &w_t, cols.clone(), &bias[cols.clone()], residual, relu,
+                );
+                prop_assert_eq!((got.rows(), got.cols()), (rows, cols.len()));
+                for (i, (g, e)) in got.data().iter().zip(want.data()).enumerate() {
+                    prop_assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "{:?} block {:?}: row {} output {}",
+                        isa, cols, i / cols.len(), cols.start + i % cols.len()
+                    );
+                }
+            }
         }
     }
 }
