@@ -43,9 +43,10 @@ pub fn sample_model_rows_range(
     let batch = batch.max(1);
     let n_batches = count.div_ceil(batch);
     let batches = batches.start.min(n_batches)..batches.end.min(n_batches);
-    // One `SampleBatch` per rayon worker: steady-state generation reuses its
-    // activation/logits/probability buffers across every batch the worker
-    // draws instead of allocating three matrices per batch.
+    // `map_init` builds one `SampleBatch` per rayon job split, not per
+    // worker: a split reuses its activation/logits/probability buffers
+    // across the batches it draws, and a call pays for a few splits' worth
+    // of allocation and reset rather than three matrices per batch.
     batches
         .into_par_iter()
         .map_init(SampleBatch::new, |scratch, b| {

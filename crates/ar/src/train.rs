@@ -328,6 +328,22 @@ pub fn train_observed(
             f32::NAN
         };
         epoch_losses.push(mean_loss);
+        // A diverged run must not hand back (or checkpoint) a model whose
+        // every forward is NaN: sampling would then emit code 0 for every
+        // column, and the kernels' bit-identity assumes finite weights.
+        if let Some(i) = (0..store.len()).find(|&i| {
+            store
+                .value(ParamId(i))
+                .data()
+                .iter()
+                .any(|v| !v.is_finite())
+        }) {
+            return Err(ArError::Invalid(format!(
+                "training diverged: epoch {} left parameter tensor {i} non-finite (lr {})",
+                epoch + 1,
+                config.lr
+            )));
+        }
 
         epochs_counter.inc();
         loss_gauge.set(mean_loss as f64);
@@ -658,6 +674,33 @@ mod tests {
         }
         let after = crate::persist::save_model(&model.freeze(), db.schema());
         assert_eq!(before, after, "a refused run must not touch the model");
+    }
+
+    /// A learning rate that overflows the weights is refused at the first
+    /// epoch that leaves a non-finite parameter, not returned as a model.
+    #[test]
+    fn diverged_training_is_invalid() {
+        let (mut model, workload, _) = figure3_a(8);
+        let config = TrainConfig {
+            epochs: 5,
+            lr: f32::MAX,
+            ..TrainConfig::default()
+        };
+        let mut epochs_seen = 0;
+        let result = train_observed(&mut model, &workload, &config, &mut |p| {
+            epochs_seen = p.epoch;
+            TrainControl::Continue
+        });
+        match result {
+            Err(ArError::Invalid(message)) => {
+                assert!(message.contains("non-finite"), "{message}")
+            }
+            other => panic!("a diverged run returned {other:?}"),
+        }
+        assert!(
+            epochs_seen < config.epochs,
+            "the run stopped at the bad epoch"
+        );
     }
 
     /// A checkpoint from a different training setup must be refused, not
