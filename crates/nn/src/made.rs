@@ -227,20 +227,33 @@ impl<'m> BoundMade<'m> {
     /// Forward pass on the tape: `input` (batch × total_width) → logits
     /// (batch × total_width). ReLU between layers, none after the last.
     pub fn forward(&self, tape: &mut Tape, input: Var) -> Var {
-        self.forward_cols(tape, input, 0..self.made.total_width)
+        let width = self.made.total_width;
+        self.forward_cols(tape, input, width, 0..width)
     }
 
     /// Forward pass that evaluates the last layer for column `i`'s logit
     /// block only (batch × domain_size(i)) — what one DPS step reads. The
     /// block is bit-identical to that block of [`BoundMade::forward`].
+    ///
+    /// The first layer reads only the inputs of columns `< i`, the prefix
+    /// `0..offset(i)`: by the masks, a first-layer unit that sees a later
+    /// input has a degree no unit on the way to column `i`'s logits takes
+    /// from, so the block's sums meet its value only times an exact zero
+    /// weight, and its gradient is an exact `+0`.
     pub fn forward_column(&self, tape: &mut Tape, input: Var, i: usize) -> Var {
         let offset = self.made.offset(i);
-        self.forward_cols(tape, input, offset..offset + self.made.domain_size(i))
+        self.forward_cols(
+            tape,
+            input,
+            offset,
+            offset..offset + self.made.domain_size(i),
+        )
     }
 
-    /// The layer walk: hidden layers at full width, then logits `cols` of
-    /// the output layer (which is never residual).
-    fn forward_cols(&self, tape: &mut Tape, input: Var, cols: Range<usize>) -> Var {
+    /// The layer walk: the one-hot first layer on inputs `0..live`, hidden
+    /// layers at full width, then logits `cols` of the output layer (which
+    /// is never residual).
+    fn forward_cols(&self, tape: &mut Tape, input: Var, live: usize, cols: Range<usize>) -> Var {
         let mut h = input;
         let last = self.vars.len() - 1;
         for (i, ((w, b), layer)) in self.vars.iter().zip(&self.made.layers).enumerate() {
@@ -249,7 +262,12 @@ impl<'m> BoundMade<'m> {
             } else {
                 0..layer.mask.rows()
             };
-            let lin = tape.masked_linear_cols(h, *w, *b, Some(Rc::clone(&layer.mask)), out);
+            let mask = Some(Rc::clone(&layer.mask));
+            let lin = if i == 0 {
+                tape.onehot_linear_cols(h, *w, *b, mask, live, out)
+            } else {
+                tape.masked_linear_cols(h, *w, *b, mask, out)
+            };
             let pre = if layer.residual {
                 tape.add(lin, h)
             } else {

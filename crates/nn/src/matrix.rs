@@ -128,8 +128,9 @@ impl Matrix {
     /// an accumulator that is never `−0` — so for finite values the result is
     /// bit-identical to one serial dot product per output element against the
     /// transposed block, while the inner loop vectorises over outputs and a
-    /// one-hot row of `self` costs one row-add per set column. The training
-    /// tape and the f32 inference backend both multiply through it.
+    /// one-hot row of `self` costs one row-add per set column. The f32
+    /// inference backend's first layer multiplies through it, and it is the
+    /// oracle the register tile (`backend::dense_tiled`) is held to.
     pub fn matmul_block(&self, other: &Matrix, rows: Range<usize>, cols: Range<usize>) -> Matrix {
         assert!(
             rows.end <= other.rows && cols.end <= other.cols,
@@ -155,16 +156,12 @@ impl Matrix {
         out
     }
 
-    /// `self.T @ other` (`self: k×m`, `other: k×n`).
-    pub fn matmul_transa(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_transa_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_transa`] written into `out`, which is reshaped to
-    /// `m×n` and keeps its allocation — a caller that multiplies at one shape
-    /// again and again passes the same `out`.
+    /// `self.T @ other` (`self: k×m`, `other: k×n`) written into `out`, which
+    /// is reshaped to `m×n` and keeps its allocation — a caller that
+    /// multiplies at one shape again and again passes the same `out`. An
+    /// axpy over `p` ascending that skips zeros of `self`, so each element is
+    /// the serial sum `((0 + a₀b₀) + a₁b₁) + …` as in
+    /// [`Matrix::matmul_block`].
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_transa shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
@@ -307,14 +304,6 @@ mod tests {
         let mut out = Matrix::full(7, 1, 9.0);
         a().transpose().matmul_transa_into(&b(), &mut out);
         assert_eq!(out, a().matmul(&b()));
-    }
-
-    #[test]
-    fn matmul_transa_matches_explicit_transpose() {
-        let at = a().transpose();
-        let c1 = a().matmul(&b());
-        let c2 = at.matmul_transa(&b());
-        assert_eq!(c1, c2);
     }
 
     #[test]
