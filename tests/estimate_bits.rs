@@ -2,15 +2,17 @@
 //! estimates, to the bit, under every inference backend.
 //!
 //! The small 6-table IMDB bundle of `generation_bytes.rs` is trained for two
-//! epochs at a fixed seed. One long-lived `Estimator` per backend answers a
-//! fixed query set twice in small micro-batches (the second pass on other
-//! seeds, so its paths mix trie hits with fresh prefixes), then once in a
-//! single call whose sample paths put more than 64 fresh rows into a column
-//! (the parallel forward branch of the sample batch). The `to_bits` of every
-//! estimate are hashed with FNV-1a and compared with constants recorded
-//! before cold estimates moved to the column-block forward. A one-ulp change
-//! of any logit the estimator reads moves a conditional mass, hence an
-//! estimate's bits, so this guards the estimate path the way the per-logit
+//! epochs at a fixed seed on a 24×24 residual MADE, and again at the
+//! benchmark's model shape, `SamConfig::default()` (MADE 64×64, no
+//! residual). One long-lived `Estimator` per backend on the first model, and
+//! one f32 `Estimator` on the second, answers a fixed query set twice in
+//! small micro-batches (the second pass on other seeds, so its paths mix
+//! trie hits with fresh prefixes), then once in a single call whose sample
+//! paths put more than 64 fresh rows into a column (the parallel forward
+//! branch of the sample batch). The `to_bits` of every estimate are hashed
+//! with FNV-1a and compared with recorded constants. A one-ulp change of any
+//! logit the estimator reads moves a conditional mass, hence an estimate's
+//! bits, so this guards the estimate path the way the per-logit
 //! `backend_parity` guards the kernels.
 //!
 //! Progressive sampling goes through `f32::exp` (softmax) and training
@@ -29,11 +31,15 @@ use sam::ar::Estimator;
 use sam::nn::BackendKind;
 use sam::prelude::*;
 
-/// `(backend, FNV-1a of every estimate's bits)`.
+/// `(backend, FNV-1a of every estimate's bits)`: the residual model on every
+/// backend (recorded before cold estimates moved to the column-block
+/// forward), then the default-shape model on f32 (recorded before each
+/// column's forward ran on only the hidden units its logits read).
 const GOLDEN: &[(&str, u64)] = &[
     ("f32", 0xa28e3932941de023),
     ("f16", 0x1004d188e855eb44),
     ("int8", 0x27e9fc5067000fb2),
+    ("f32-default", 0xbe6baad7788ade78),
 ];
 
 /// FNV-1a, 64-bit, continued from `h`.
@@ -45,7 +51,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-fn trained() -> (TrainedSam, Vec<Query>) {
+/// The imdb bundle trained under `config`, and the held-out queries.
+fn trained(config: &SamConfig) -> (TrainedSam, Vec<Query>) {
     let target = sam::datasets::imdb(&sam::datasets::ImdbConfig {
         titles: 250,
         seed: 5,
@@ -54,8 +61,16 @@ fn trained() -> (TrainedSam, Vec<Query>) {
     let stats = DatabaseStats::from_database(&target);
     let mut gen = WorkloadGenerator::new(&target, 5);
     let workload = label_workload(&target, gen.multi_workload(200, 2)).unwrap();
-    // Two residual hidden layers, so the skip path is in the locked bits.
-    let config = SamConfig {
+    let trained = Sam::fit(target.schema(), &stats, &workload, config).unwrap();
+    // Held-out queries on another seed: joins and range predicates, so both
+    // free and constrained steps are sampled.
+    let queries = WorkloadGenerator::new(&target, 9).multi_workload(24, 2);
+    (trained, queries)
+}
+
+/// Two residual hidden layers, so the skip path is in the locked bits.
+fn residual_config() -> SamConfig {
+    SamConfig {
         model: ArModelConfig {
             hidden: vec![24, 24],
             seed: 5,
@@ -69,12 +84,20 @@ fn trained() -> (TrainedSam, Vec<Query>) {
             ..Default::default()
         },
         encoding: EncodingOptions::default(),
-    };
-    let trained = Sam::fit(target.schema(), &stats, &workload, &config).unwrap();
-    // Held-out queries on another seed: joins and range predicates, so both
-    // free and constrained steps are sampled.
-    let queries = WorkloadGenerator::new(&target, 9).multi_workload(24, 2);
-    (trained, queries)
+    }
+}
+
+/// `SamConfig::default()` for two epochs: MADE 64×64 without residual
+/// skips, the model shape `pipeline_join` trains and `serve_distinct`
+/// estimates with.
+fn default_config() -> SamConfig {
+    let mut config = SamConfig::default();
+    config.train.epochs = 2;
+    assert_eq!(
+        (config.model.hidden.as_slice(), config.model.residual),
+        (&[64, 64][..], false)
+    );
+    config
 }
 
 /// Every estimate one long-lived estimator gives over the fixed schedule,
@@ -116,13 +139,17 @@ fn estimates_match_the_recorded_bits_under_every_backend() {
         );
         return;
     }
-    let (trained, queries) = trained();
+    let (residual, queries) = trained(&residual_config());
     let line = |kind: &str, hash: u64| format!("    ({kind:?}, 0x{hash:016x}),\n");
     let mut got = String::new();
     for kind in BackendKind::ALL {
-        let mut estimator = Estimator::new(trained.model().clone().with_backend(kind));
+        let mut estimator = Estimator::new(residual.model().clone().with_backend(kind));
         got += &line(kind.name(), estimate_hash(&mut estimator, &queries));
     }
+    // The benchmark's model shape, on the f32 kernel.
+    let (default, queries) = trained(&default_config());
+    let mut estimator = Estimator::new(default.model().clone());
+    got += &line("f32-default", estimate_hash(&mut estimator, &queries));
     let want: String = GOLDEN.iter().map(|&(k, h)| line(k, h)).collect();
     assert!(
         got == want,

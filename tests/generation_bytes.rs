@@ -1,17 +1,21 @@
 //! Golden bytes of generation: same model and seed ⇒ the same CSVs, under
 //! every inference backend and both join-key strategies, for joins and for a
-//! single relation.
+//! single relation, at two model shapes.
 //!
-//! A small 6-table IMDB bundle is trained for two epochs at a fixed seed,
-//! then generated from under `f32`, `f16` and `int8` with `foj_samples` not
-//! a multiple of `batch`, so the last sampling batch is ragged; the f32 model
-//! also generates with `PairwiseViews` keys. A small census model generates
-//! its single relation, again with a ragged last batch. The model files and
-//! every table's CSV rendering are hashed with FNV-1a and compared with
-//! recorded constants (the imdb Group-and-Merge ones from before generation
-//! moved to the column-block forward, the pairwise and census ones from
-//! before assembly went column-major). A change to training, sampling or
-//! assembly that moves a byte of either fails here.
+//! A small 6-table IMDB bundle is trained for two epochs at a fixed seed on
+//! a 24×24 residual MADE, then generated from under `f32`, `f16` and `int8`
+//! with `foj_samples` not a multiple of `batch`, so the last sampling batch
+//! is ragged; the f32 model also generates with `PairwiseViews` keys. A
+//! small census model generates its single relation, again with a ragged
+//! last batch. The same imdb bundle is also trained at the benchmark's model
+//! shape, `SamConfig::default()` (MADE 64×64, no residual), and generated
+//! from on f32. The model files and every table's CSV rendering are hashed
+//! with FNV-1a and compared with recorded constants (the imdb Group-and-Merge
+//! ones from before generation moved to the column-block forward, the
+//! pairwise and census ones from before assembly went column-major, the
+//! default-shape ones from before each column's forward ran on the hidden
+//! units its logits read). A change to training, sampling or assembly that
+//! moves a byte of either fails here.
 //!
 //! A CSV cannot show a dictionary wider than the values its column holds, so
 //! a second test rebuilds every generated table with `Table::from_rows` from
@@ -35,8 +39,9 @@ use sam::prelude::*;
 use std::sync::OnceLock;
 
 /// `(case, file, FNV-1a of its bytes)`: the trained imdb model file, each
-/// backend's generated CSVs in schema order, the f32 pairwise CSVs, then the
-/// census model file and its generated relation.
+/// backend's generated CSVs in schema order, the f32 pairwise CSVs, the
+/// census model file and its generated relation, then the default-shape imdb
+/// model file and its f32 CSVs.
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32", "model.json", 0xa94ebe8694a7ae36),
     ("f32", "title", 0x2efc16c7fb820327),
@@ -65,6 +70,13 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32-pairwise", "movie_keyword", 0x08afc3d10a6bc729),
     ("census", "model.json", 0x02a2d0a710ef14c1),
     ("census", "census", 0x1a7969584cdfcd62),
+    ("f32-default", "model.json", 0x125901104f5d2dee),
+    ("f32-default", "title", 0x0036010ceafbc90e),
+    ("f32-default", "cast_info", 0xd112dede756d0b7f),
+    ("f32-default", "movie_companies", 0x2a7d8fca8b541558),
+    ("f32-default", "movie_info", 0x979423c598cc36d0),
+    ("f32-default", "movie_info_idx", 0x9763977549c3f979),
+    ("f32-default", "movie_keyword", 0xccfc71b83a731184),
 ];
 
 /// FNV-1a, 64-bit.
@@ -82,7 +94,7 @@ fn csv_hash(table: &Table) -> u64 {
 }
 
 /// Two residual hidden layers, so the skip path is in the locked bits.
-fn config() -> SamConfig {
+fn residual_config() -> SamConfig {
     SamConfig {
         model: ArModelConfig {
             hidden: vec![24, 24],
@@ -100,7 +112,19 @@ fn config() -> SamConfig {
     }
 }
 
-fn trained_imdb() -> TrainedSam {
+/// `SamConfig::default()` for two epochs: MADE 64×64 without residual
+/// skips, the model shape `pipeline_join` trains and generates from.
+fn default_config() -> SamConfig {
+    let mut config = SamConfig::default();
+    config.train.epochs = 2;
+    assert_eq!(
+        (config.model.hidden.as_slice(), config.model.residual),
+        (&[64, 64][..], false)
+    );
+    config
+}
+
+fn trained_imdb(config: &SamConfig) -> TrainedSam {
     let target = sam::datasets::imdb(&sam::datasets::ImdbConfig {
         titles: 250,
         seed: 5,
@@ -109,7 +133,7 @@ fn trained_imdb() -> TrainedSam {
     let stats = DatabaseStats::from_database(&target);
     let mut gen = WorkloadGenerator::new(&target, 5);
     let workload = label_workload(&target, gen.multi_workload(200, 2)).unwrap();
-    Sam::fit(target.schema(), &stats, &workload, &config()).unwrap()
+    Sam::fit(target.schema(), &stats, &workload, config).unwrap()
 }
 
 /// A census model: its single relation has intervalized columns, so
@@ -119,14 +143,14 @@ fn trained_census() -> TrainedSam {
     let stats = DatabaseStats::from_database(&target);
     let mut gen = WorkloadGenerator::new(&target, 5);
     let workload = label_workload(&target, gen.single_workload("census", 150)).unwrap();
-    Sam::fit(target.schema(), &stats, &workload, &config()).unwrap()
+    Sam::fit(target.schema(), &stats, &workload, &residual_config()).unwrap()
 }
 
 /// Every locked case: `(case, model file or None, generated database)`.
 fn cases() -> &'static [(String, Option<String>, Database)] {
     static CASES: OnceLock<Vec<(String, Option<String>, Database)>> = OnceLock::new();
     CASES.get_or_init(|| {
-        let imdb = trained_imdb();
+        let imdb = trained_imdb(&residual_config());
         let mut config = GenerationConfig {
             foj_samples: 1_000,
             batch: 96, // 1 000 = 10 × 96 + 40: the last batch is ragged
@@ -148,6 +172,10 @@ fn cases() -> &'static [(String, Option<String>, Database)] {
         config.strategy = JoinKeyStrategy::GroupAndMerge;
         let (db, _) = census.generate(&config).unwrap();
         cases.push(("census".into(), Some(model_file(&census)), db));
+        // The benchmark's model shape, on the f32 kernel.
+        let imdb = trained_imdb(&default_config());
+        let (db, _) = imdb.generate(&config).unwrap();
+        cases.push(("f32-default".into(), Some(model_file(&imdb)), db));
         cases
     })
 }
