@@ -193,14 +193,23 @@ proptest! {
     /// `Int8Blocked` within its stated per-block-quantisation tolerance —
     /// all on random model shapes, seeds, and residual settings. Every
     /// backend's column-block forward bit-matches its full forward's block.
+    /// Shapes include a first domain wider than the 16-wide tile (column 0
+    /// reads no hidden unit, and its block spans several tiles) and more
+    /// columns than hidden units (some degrees have no unit).
     #[test]
     fn backend_parity(
-        domains in prop::collection::vec(2usize..5, 2..5),
-        hidden in 6usize..20,
+        domains in prop::collection::vec(2usize..5, 2..10),
+        wide_first in prop_oneof![Just(0usize), 17usize..40],
+        hidden in 3usize..20,
         seed in 0u64..1000,
         residual in any::<bool>(),
+        zero_weight in any::<prop::sample::Index>(),
         prefix_seed in any::<u64>(),
     ) {
+        let mut domains = domains;
+        if wide_first != 0 {
+            domains[0] = wide_first;
+        }
         let (frozen, input) = random_frozen(&domains, vec![hidden, hidden], seed, residual);
         let reference = frozen.forward(&input);
 
@@ -259,8 +268,10 @@ proptest! {
         // a live row outside the block. Biases start at zero, so they get
         // seeded values here for the order of the bias add to show in the
         // bits. The one-hot rows get an all-zero row beside them (the first
-        // column's empty prefix).
-        let layers = frozen
+        // column's empty prefix). One weight the masks keep is set to
+        // exactly `0.0`, as training could leave it: the f32 kernel reads
+        // what a forward needs from the weights' zeros, not from the masks.
+        let mut layers: Vec<(Matrix, Matrix)> = frozen
             .layers()
             .iter()
             .enumerate()
@@ -270,6 +281,16 @@ proptest! {
                 (w.clone(), bias)
             })
             .collect();
+        let kept: Vec<(usize, usize, usize)> = layers
+            .iter()
+            .enumerate()
+            .flat_map(|(l, (w, _))| {
+                (0..w.rows()).flat_map(move |r| (0..w.cols()).map(move |c| (l, r, c)))
+            })
+            .filter(|&(l, r, c)| layers[l].0.get(r, c) != 0.0)
+            .collect();
+        let (l, r, c) = kept[zero_weight.index(kept.len())];
+        layers[l].0.set(r, c, 0.0);
         let biased =
             FrozenMade::from_parts(layers, frozen.residual_flags().to_vec(), domains.clone()).unwrap();
         let rows = input.rows() + 1;
@@ -319,8 +340,9 @@ proptest! {
         // (f) The carried first layer: rows get random one-hot prefixes
         // column by column, as sampling sets them, with each set input added
         // to the row's carried sum. Before every column is set, the carried
-        // forward's block has the bits of `forward_column_into` on the same
-        // one-hot rows, on every kernel (f16 and int8 ignore the carry).
+        // forward's block has the bits of the legacy loop on the same
+        // one-hot rows on f32, and of `forward_column_into` on f16 and int8
+        // (which ignore the carry) — on every column's block.
         let mut state = prefix_seed | 1;
         let mut next_code = |d: usize| {
             state ^= state << 13;
@@ -334,8 +356,13 @@ proptest! {
             net.reset_carry(&mut carry, rows);
             for (i, &d) in domains.iter().enumerate() {
                 let block = net.offset(i)..net.offset(i) + d;
-                let mut want = Matrix::full(rows, width, f32::NAN);
-                net.forward_column_into(&onehot, None, i, &mut want);
+                let want = if net.backend_kind() == BackendKind::ReferenceF32 {
+                    legacy_forward(net, &onehot)
+                } else {
+                    let mut want = Matrix::full(rows, width, f32::NAN);
+                    net.forward_column_into(&onehot, None, i, &mut want);
+                    want
+                };
                 let mut got = Matrix::full(rows, width, f32::NAN);
                 net.forward_column_carried_into(&onehot, &carry, i, &mut got);
                 for r in 0..rows {
@@ -405,7 +432,8 @@ proptest! {
     /// at the padded edge or anywhere before it — the live prefix `0..offset_i`
     /// of a first-layer input gradient. The left operand is a post-ReLU
     /// activation (half zeros) or a ReLU-gated gradient (three quarters
-    /// zeros), and weights are signed, so `−0` products occur.
+    /// zeros), and weights are signed, so `−0` products occur. A left
+    /// operand with no columns against a pack with no rows gives `+0` sums.
     #[test]
     fn backend_parity_dense_tile(
         rows in prop_oneof![Just(1usize), Just(3), Just(5), Just(32), Just(33), Just(257)],
@@ -450,6 +478,36 @@ proptest! {
                         "{:?} block {:?}: row {} output {}",
                         isa, cols, i / cols.len(), cols.start + i % cols.len()
                     );
+                }
+            }
+        }
+
+        // No inputs at all, as a logit block that reads no hidden unit
+        // (column 0's) meets the tile: `x` has no columns, the pack no
+        // rows, and the blocks span several tiles. Every sum is `+0`, so an
+        // output is `+0 + bias` (a `−0` bias comes out `+0`), then the ReLU.
+        let width = 37;
+        let x = Matrix::zeros(rows, 0);
+        let w_t = Matrix::zeros(0, width + TILE_PAD);
+        let mut bias = xorshift_values(seed ^ 0x27d4_eb2f, width, 1);
+        bias[(seed >> 3) as usize % width] = -0.0;
+        for cols in [0..width, 17..width, width - 2..width] {
+            for isa in TileIsa::available() {
+                let got = dense_tiled(isa, &x, &w_t, cols.clone(), &bias[cols.clone()], false, relu);
+                prop_assert_eq!((got.rows(), got.cols()), (rows, cols.len()));
+                for r in 0..rows {
+                    for (j, c) in cols.clone().enumerate() {
+                        let mut want = 0.0f32 + bias[c];
+                        if relu {
+                            want = want.max(0.0);
+                        }
+                        prop_assert_eq!(
+                            got.get(r, j).to_bits(),
+                            want.to_bits(),
+                            "{:?} empty input, block {:?}: row {} output {}",
+                            isa, cols, r, c
+                        );
+                    }
                 }
             }
         }
