@@ -21,7 +21,7 @@
 //! worker, so in steady state the batch reallocates none of its buffers.
 //!
 //! Everything here is value-preserving: per-row forward arithmetic is
-//! row-independent on every backend, so masked batch-major forwards are
+//! row-independent, so masked batch-major forwards are
 //! bit-identical, row for row, to the compact per-column forwards they
 //! replace (locked by `batched_estimates_are_bit_identical_to_sequential`
 //! and the determinism tests in [`crate::sample`]).
@@ -142,7 +142,7 @@ impl SampleBatch {
     }
 
     /// Column `i`'s logit block for the fresh rows, the only logits the
-    /// step reads. Small fresh counts go through the backend's masked
+    /// step reads. Small fresh counts go through the kernel's masked
     /// forward in place; large ones (many stacked requests) are gathered
     /// once and forwarded in parallel row chunks, and only block `i` is
     /// copied back. Per-row arithmetic is identical either way, so this is

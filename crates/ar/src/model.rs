@@ -3,7 +3,7 @@
 //! repo's, use MADE, so the backbone is a concrete type, not a choice.
 
 use crate::model_schema::ArSchema;
-use sam_nn::{BackendKind, FrozenMade, Made, MadeConfig, ParamStore};
+use sam_nn::{FrozenMade, Made, MadeConfig, ParamStore};
 
 /// Model hyperparameters.
 #[derive(Debug, Clone)]
@@ -98,32 +98,6 @@ pub struct FrozenModel {
     pub schema: ArSchema,
     /// The frozen backbone.
     pub net: FrozenMade,
-}
-
-impl FrozenModel {
-    /// Rebuild over the given inference backend (weights shared, kernel
-    /// swapped) — see [`FrozenMade::with_backend`].
-    pub fn with_backend(self, kind: BackendKind) -> FrozenModel {
-        FrozenModel {
-            schema: self.schema,
-            net: self.net.with_backend(kind),
-        }
-    }
-
-    /// The active inference backend.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.net.backend_kind()
-    }
-
-    /// A shadow copy of this model running on the bit-exact f32 reference
-    /// backend, leaving `self` untouched. Serving-tier quality monitors use
-    /// this to re-score sampled estimates: any divergence between the live
-    /// backend and the reference clone (same query, samples, and seed) is a
-    /// backend-parity defect, not model drift. Cheap: the weights are
-    /// `Arc`-shared; the f32 kernel adds one transposed copy of them.
-    pub fn reference_clone(&self) -> FrozenModel {
-        self.clone().with_backend(BackendKind::ReferenceF32)
-    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::error::ArError;
 use crate::model::FrozenModel;
 use crate::model_schema::{ArColumn, ArColumnKind, ArSchema};
 use sam_fault::FaultFs;
-use sam_nn::{BackendKind, FrozenMade, Matrix};
+use sam_nn::{FrozenMade, Matrix};
 use sam_storage::{
     ColumnDef, ColumnRole, DataType, DatabaseSchema, Domain, ForeignKeyEdge, TableSchema, Value,
 };
@@ -23,6 +23,9 @@ use serde::{Deserialize, Serialize};
 const VERSION: u32 = 2;
 /// Oldest format version [`load_model`] still accepts.
 const MIN_VERSION: u32 = 1;
+/// Kernel tags a v2 file may carry. Only `"f32"` is written; the other two
+/// name retired quantised kernels and load onto the f32 one.
+const LOADABLE_BACKENDS: [&str; 3] = ["f32", "f16", "int8"];
 
 #[derive(Debug, Serialize, Deserialize)]
 enum ValueDto {
@@ -99,15 +102,17 @@ struct MatrixDto {
 }
 
 /// Weight-layout section (format v2+). On-disk weights are always the
-/// canonical row-major `f32` layout — quantised/blocked layouts are an
-/// *inference-time* repacking, so checkpoints stay lossless and portable —
-/// and `backend` records which kernel the model ran on when saved, restored
-/// as the default on load.
+/// canonical row-major `f32` layout, so checkpoints stay lossless and
+/// portable. `backend` once named the kernel a model ran on when saved;
+/// `"f32"` is the only value written, and files tagged with one of the
+/// retired quantised kernels (`"f16"`, `"int8"`) load onto the f32 kernel,
+/// as v1 files do.
 #[derive(Debug, Serialize, Deserialize)]
 struct LayoutDto {
     /// On-disk weight element encoding; `"f32"` is the only value written.
     weights: String,
-    /// Preferred inference backend (`"f32"` / `"f16"` / `"int8"`).
+    /// Inference kernel tag: `"f32"` is written; [`LOADABLE_BACKENDS`]
+    /// are read.
     backend: String,
 }
 
@@ -125,8 +130,7 @@ struct ModelFile {
     /// Per-layer ResMADE residual flags (absent in plain MADE files).
     #[serde(default)]
     residual: Vec<bool>,
-    /// Weight layout + preferred backend (absent in v1 files ⇒ reference
-    /// `f32`).
+    /// Weight layout + kernel tag (absent in v1 files).
     #[serde(default)]
     layout: Option<LayoutDto>,
 }
@@ -277,7 +281,7 @@ pub fn save_model(model: &FrozenModel, db_schema: &DatabaseSchema) -> String {
         residual: made.residual_flags().to_vec(),
         layout: Some(LayoutDto {
             weights: "f32".into(),
-            backend: made.backend_kind().name().into(),
+            backend: "f32".into(),
         }),
     };
     serde_json::to_string(&file).expect("model serialises")
@@ -316,10 +320,9 @@ pub fn load_model_file(
 
 /// Load a model saved by [`save_model`], returning it with its schema.
 ///
-/// Accepts every format version in `MIN_VERSION..=VERSION`: v1 files
-/// (pre-layout) load onto the reference `f32` backend, v2 files restore the
-/// backend recorded at save time. Either way the loaded model can be
-/// re-targeted afterwards with [`FrozenModel::with_backend`].
+/// Accepts every format version in `MIN_VERSION..=VERSION`. Every model runs
+/// on the f32 kernel: v1 files (pre-layout) and v2 files tagged `f32`, `f16`
+/// or `int8` load onto it; any other tag is refused.
 pub fn load_model(json: &str) -> Result<(FrozenModel, DatabaseSchema), ArError> {
     let file: ModelFile =
         serde_json::from_str(json).map_err(|e| ArError::Invalid(format!("model JSON: {e}")))?;
@@ -329,21 +332,20 @@ pub fn load_model(json: &str) -> Result<(FrozenModel, DatabaseSchema), ArError> 
             file.version
         )));
     }
-    let backend = match &file.layout {
-        None => BackendKind::ReferenceF32,
-        Some(layout) => {
-            if layout.weights != "f32" {
-                return Err(ArError::Invalid(format!(
-                    "unsupported on-disk weight layout {:?} (expected \"f32\")",
-                    layout.weights
-                )));
-            }
-            layout
-                .backend
-                .parse::<BackendKind>()
-                .map_err(ArError::Invalid)?
+    if let Some(layout) = &file.layout {
+        if layout.weights != "f32" {
+            return Err(ArError::Invalid(format!(
+                "unsupported on-disk weight layout {:?} (expected \"f32\")",
+                layout.weights
+            )));
         }
-    };
+        if !LOADABLE_BACKENDS.contains(&layout.backend.as_str()) {
+            return Err(ArError::Invalid(format!(
+                "unknown backend {:?} (model files name f32, f16 or int8)",
+                layout.backend
+            )));
+        }
+    }
     let db_schema = schema_from_dto(&file.tables, &file.edges)?;
 
     let columns = file
@@ -387,8 +389,7 @@ pub fn load_model(json: &str) -> Result<(FrozenModel, DatabaseSchema), ArError> 
         file.residual
     };
     let net = FrozenMade::from_parts(layers, residual, file.domain_sizes)
-        .map_err(|e| ArError::Invalid(format!("model layers: {e}")))?
-        .with_backend(backend);
+        .map_err(|e| ArError::Invalid(format!("model layers: {e}")))?;
     Ok((FrozenModel { schema, net }, db_schema))
 }
 
@@ -501,41 +502,41 @@ mod tests {
         }
     }
 
+    /// A file tagged with a retired quantised kernel loads onto the f32
+    /// kernel with the same estimate bits as the untouched file, an unknown
+    /// tag is refused by name, and re-saving gives the original bytes.
     #[test]
-    fn backend_choice_survives_the_round_trip() {
+    fn quantised_backend_tags_load_onto_f32() {
         let db = paper_example::figure3_database();
         let stats = DatabaseStats::from_database(&db);
         let schema =
             ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-        let model = ArModel::new(schema, &ArModelConfig::default())
-            .freeze()
-            .with_backend(sam_nn::BackendKind::BlockedF16);
-
+        let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
         let json = save_model(&model, db.schema());
-        assert!(json.contains("\"backend\":\"f16\""));
-        let (loaded, _) = load_model(&json).unwrap();
-        assert_eq!(loaded.backend_kind(), sam_nn::BackendKind::BlockedF16);
-        // Weights on disk stay f32, so hopping back to the reference
-        // backend restores bit-exact estimates.
-        let q = Query::single("A", vec![]);
-        let reference = model.with_backend(sam_nn::BackendKind::ReferenceF32);
-        let a = Estimator::new(reference)
-            .estimate(&q, 32, &mut StdRng::seed_from_u64(3))
-            .unwrap();
-        let b = Estimator::new(loaded.with_backend(sam_nn::BackendKind::ReferenceF32))
-            .estimate(&q, 32, &mut StdRng::seed_from_u64(3))
-            .unwrap();
-        assert_eq!(a, b);
-
-        // The quantised kernel round-trips the same way: weights on disk
-        // stay f32, only the preferred-backend tag changes.
-        let int8 = load_model(&json)
-            .unwrap()
-            .0
-            .with_backend(sam_nn::BackendKind::Int8Blocked);
-        let json = save_model(&int8, db.schema());
-        assert!(json.contains("\"backend\":\"int8\""));
-        let (reloaded, _) = load_model(&json).unwrap();
-        assert_eq!(reloaded.backend_kind(), sam_nn::BackendKind::Int8Blocked);
+        assert_eq!(json.matches("\"backend\":\"f32\"").count(), 1);
+        let q = Query::join(vec!["A".into(), "B".into()], vec![]);
+        let estimate = |model| {
+            Estimator::new(model)
+                .estimate(&q, 32, &mut StdRng::seed_from_u64(3))
+                .unwrap()
+                .to_bits()
+        };
+        let (untouched, _) = load_model(&json).unwrap();
+        let want = estimate(untouched);
+        for tag in ["f16", "int8"] {
+            let tagged = json.replace("\"backend\":\"f32\"", &format!("\"backend\":\"{tag}\""));
+            let (loaded, loaded_schema) = load_model(&tagged).unwrap();
+            assert_eq!(
+                save_model(&loaded, &loaded_schema),
+                json,
+                "{tag} re-saves as f32"
+            );
+            assert_eq!(estimate(loaded), want, "{tag} estimates on f32");
+        }
+        let bf16 = json.replace("\"backend\":\"f32\"", "\"backend\":\"bf16\"");
+        match load_model(&bf16) {
+            Err(ArError::Invalid(msg)) => assert!(msg.contains("bf16"), "{msg}"),
+            other => panic!("bf16 tag loaded: {:?}", other.map(|_| ())),
+        }
     }
 }

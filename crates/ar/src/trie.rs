@@ -16,7 +16,7 @@
 //!    dedup: repeated workloads (DNF inclusion–exclusion terms, serving
 //!    traffic against one model version) re-walk the hot prefixes.
 //!
-//! Because per-row forward arithmetic is row-independent on every backend,
+//! Because per-row forward arithmetic is row-independent,
 //! a cached row is bit-identical to the row a fresh forward would produce —
 //! caching changes cost, never values.
 //!

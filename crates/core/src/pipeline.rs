@@ -135,17 +135,6 @@ impl TrainedSam {
         &self.model
     }
 
-    /// Re-target the frozen model onto another inference backend (weights
-    /// shared, kernel swapped): `f32` is the bit-exact reference, `f16` the
-    /// blocked half-precision kernel for throughput-bound generation.
-    pub fn with_backend(self, kind: sam_nn::BackendKind) -> TrainedSam {
-        TrainedSam {
-            db_schema: self.db_schema,
-            model: self.model.with_backend(kind),
-            report: self.report,
-        }
-    }
-
     /// The target database schema.
     pub fn db_schema(&self) -> &DatabaseSchema {
         &self.db_schema

@@ -6,7 +6,7 @@
 //! temperature softmax, add, add-constant, column slice and pad, row-dot
 //! with a constant vector or per-row matrix, log, squared-error mean), the
 //! (Res)MADE masked autoencoder — the one AR architecture, as in the
-//! paper's experiments — with its frozen inference kernels, Gumbel-Softmax
+//! paper's experiments — with its frozen inference kernel, Gumbel-Softmax
 //! sampling, and the Adam optimiser.
 
 #![warn(missing_docs)]
@@ -19,11 +19,10 @@ pub(crate) mod obs_hooks;
 pub mod optim;
 pub mod tape;
 
-pub use backend::{
-    f16_bits_to_f32, f32_to_f16_bits, BackendKind, BlockedF16, FrozenLayers, InferenceBackend,
-    Int8Blocked, ReferenceF32,
-};
+pub use backend::{FrozenLayers, ReferenceF32};
 pub use gumbel::{gumbel_noise, gumbel_softmax, log_mask, NEG_LARGE};
+#[doc(hidden)]
+pub use made::BackendKind;
 pub use made::{BoundMade, FrozenMade, Made, MadeConfig};
 pub use matrix::Matrix;
 pub use optim::{Adam, ParamId, ParamStore};

@@ -7,7 +7,7 @@
 //! `< i`, so `softmax(logits_i)` is `P(X_i | x_{<i})` and their chain product
 //! is the joint (Eq 3 of the paper, no independence assumptions).
 
-use crate::backend::{build_backend, BackendKind, FrozenLayers, InferenceBackend};
+use crate::backend::{FrozenLayers, ReferenceF32};
 use crate::matrix::Matrix;
 use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
@@ -189,14 +189,8 @@ impl Made {
     }
 
     /// Snapshot the effective (masked) weights for fast inference/sampling
-    /// on the bit-exact [`BackendKind::ReferenceF32`] runtime.
+    /// on the f32 kernel ([`ReferenceF32`]).
     pub fn freeze(&self, store: &ParamStore) -> FrozenMade {
-        self.freeze_with(store, BackendKind::ReferenceF32)
-    }
-
-    /// Snapshot onto a chosen inference backend (the weights are repacked at
-    /// freeze time; see [`crate::backend`]).
-    pub fn freeze_with(&self, store: &ParamStore, kind: BackendKind) -> FrozenMade {
         let layers = self
             .layers
             .iter()
@@ -211,7 +205,6 @@ impl Made {
                 residual: self.layers.iter().map(|l| l.residual).collect(),
             }),
             self.config.domain_sizes.clone(),
-            kind,
         )
     }
 }
@@ -298,23 +291,20 @@ impl<'m> BoundMade<'m> {
 /// An immutable snapshot of a trained MADE for inference and sampling
 /// (`Send + Sync`; safe to share across sampling threads).
 ///
-/// A thin handle: the canonical f32 layer stack lives in a shared
-/// [`FrozenLayers`], and every forward pass is executed by the attached
-/// [`InferenceBackend`] — the bit-exact f32 reference by default, or a
-/// repacked kernel chosen at freeze/load time (see [`crate::backend`]).
+/// A thin handle: the canonical f32 layer stack and the plans built from
+/// it live in a shared [`ReferenceF32`], which executes every forward pass
+/// (see [`crate::backend`]), so a clone copies no weights.
 #[derive(Debug, Clone)]
 pub struct FrozenMade {
-    /// Canonical effective (masked) weights — persistence and parity oracle.
-    params: Arc<FrozenLayers>,
-    /// The kernel executing forward passes.
-    backend: Arc<dyn InferenceBackend>,
+    /// The kernel, owning the effective (masked) weights.
+    kernel: Arc<ReferenceF32>,
     offsets: Vec<usize>,
     domain_sizes: Vec<usize>,
     total_width: usize,
 }
 
 impl FrozenMade {
-    fn assemble(params: Arc<FrozenLayers>, domain_sizes: Vec<usize>, kind: BackendKind) -> Self {
+    fn assemble(params: Arc<FrozenLayers>, domain_sizes: Vec<usize>) -> Self {
         let mut offsets = Vec::with_capacity(domain_sizes.len());
         let mut total = 0usize;
         for &d in &domain_sizes {
@@ -329,10 +319,8 @@ impl FrozenMade {
             .map(|(&o, &d)| o..o + d)
             .chain(std::iter::once(0..total))
             .collect();
-        let backend = build_backend(kind, &params, &ranges);
         FrozenMade {
-            params,
-            backend,
+            kernel: Arc::new(ReferenceF32::new(params, &ranges)),
             offsets,
             domain_sizes,
             total_width: total,
@@ -396,31 +384,17 @@ impl FrozenMade {
         Ok(Self::assemble(
             Arc::new(FrozenLayers { layers, residual }),
             domain_sizes,
-            BackendKind::ReferenceF32,
         ))
-    }
-
-    /// The same model re-hosted on a different inference backend (weights
-    /// are repacked from the canonical f32 stack; one transpose and a plan
-    /// per column block and for the full width for f32, one-time
-    /// quantisation cost for f16 and int8).
-    pub fn with_backend(&self, kind: BackendKind) -> FrozenMade {
-        Self::assemble(Arc::clone(&self.params), self.domain_sizes.clone(), kind)
-    }
-
-    /// Which backend executes this model's forward passes.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
     }
 
     /// Per-layer residual flags.
     pub fn residual_flags(&self) -> &[bool] {
-        &self.params.residual
+        &self.kernel.params().residual
     }
 
     /// The effective (masked) layer weights and biases.
     pub fn layers(&self) -> &[(Matrix, Matrix)] {
-        &self.params.layers
+        &self.kernel.params().layers
     }
 
     /// Number of modelled columns.
@@ -454,15 +428,15 @@ impl FrozenMade {
     /// `None`); masked-out rows of `out` are left untouched. Per-row results
     /// are bit-identical to an unmasked forward.
     pub fn forward_batch_into(&self, input: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
-        self.backend
+        self.kernel
             .forward_cols_into(input, live, 0..self.total_width, out);
     }
 
     /// Forward the live rows of `input` for column `i`'s logit block only:
     /// `out[r, offset(i)..offset(i) + domain_size(i)]` of each live row is
     /// written with the bits of that block of [`FrozenMade::forward`];
-    /// masked-out rows are left untouched and a live row's other logits may
-    /// be (see [`InferenceBackend::forward_cols_into`]).
+    /// nothing else of `out` is touched (see
+    /// [`ReferenceF32::forward_cols_into`]).
     pub fn forward_column_into(
         &self,
         input: &Matrix,
@@ -471,7 +445,7 @@ impl FrozenMade {
         out: &mut Matrix,
     ) {
         let offset = self.offset(i);
-        self.backend
+        self.kernel
             .forward_cols_into(input, live, offset..offset + self.domain_size(i), out);
     }
 
@@ -479,7 +453,7 @@ impl FrozenMade {
     /// the first layer's width, all zero (the sum starts at zero; the bias
     /// is added after it). Keeps the allocation when the shape fits.
     pub fn reset_carry(&self, carry: &mut Matrix, rows: usize) {
-        let width = self.params.layers[0].0.rows();
+        let width = self.layers()[0].0.rows();
         if (carry.rows(), carry.cols()) == (rows, width) {
             carry.clear();
         } else {
@@ -489,22 +463,19 @@ impl FrozenMade {
 
     /// Record input `pos` of row `r` as set to `1.0` in `carry` (from
     /// [`reset_carry`](FrozenMade::reset_carry)): adds row `pos` of the
-    /// transposed first layer on a kernel that carries, nothing on one that
-    /// does not. Inputs must be set in ascending `pos`, which sampling
-    /// column by column does.
+    /// transposed first layer. Inputs must be set in ascending `pos`, which
+    /// sampling column by column does.
     pub fn carry_onehot(&self, carry: &mut Matrix, r: usize, pos: usize) {
-        if let Some(w) = self.backend.carry_row(pos) {
-            for (o, &v) in carry.row_mut(r).iter_mut().zip(w) {
-                *o += v;
-            }
+        for (o, &v) in carry.row_mut(r).iter_mut().zip(self.kernel.carry_row(pos)) {
+            *o += v;
         }
     }
 
     /// [`forward_column_into`](FrozenMade::forward_column_into) of every row
     /// of a one-hot `input` whose first-layer sums were carried into `carry`
     /// by [`carry_onehot`](FrozenMade::carry_onehot): the same bits, without
-    /// rescanning the input on a kernel that carries (see
-    /// [`InferenceBackend::forward_carried_cols_into`]).
+    /// rescanning the input (see
+    /// [`ReferenceF32::forward_carried_cols_into`]).
     pub fn forward_column_carried_into(
         &self,
         input: &Matrix,
@@ -513,7 +484,7 @@ impl FrozenMade {
         out: &mut Matrix,
     ) {
         let offset = self.offset(i);
-        self.backend.forward_carried_cols_into(
+        self.kernel.forward_carried_cols_into(
             input,
             carry,
             offset..offset + self.domain_size(i),
@@ -560,12 +531,40 @@ impl FrozenMade {
         }
     }
 
-    /// Compatibility shim, the only one: `benchmark/src/layers.rs` still asks
-    /// `model.net.as_made()` from when the backbone was an enum, and
-    /// `benchmark/` is frozen for PRs that are not about the benchmark.
-    /// Delete together with that call.
+    /// Compatibility shim, the only one, with [`with_backend`](Self::with_backend)
+    /// and [`BackendKind`]: `benchmark/src/layers.rs` still asks
+    /// `model.net.as_made()` from when the backbone was an enum, and times
+    /// `with_backend(kind)` for every kind of `BackendKind::ALL` from when
+    /// there were three kernels. `benchmark/` is frozen for PRs that are not
+    /// about the benchmark. Delete the three together with those calls.
     pub fn as_made(&self) -> Option<&FrozenMade> {
         Some(self)
+    }
+
+    /// Part of the [`as_made`](Self::as_made) compatibility shim: the model
+    /// itself, since there is one kernel.
+    #[doc(hidden)]
+    pub fn with_backend(&self, _kind: BackendKind) -> FrozenMade {
+        self.clone()
+    }
+}
+
+/// Part of the [`FrozenMade::as_made`] compatibility shim: the one kernel,
+/// under the name the frozen benchmark harness iterates over.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendKind {
+    /// The f32 kernel, [`ReferenceF32`].
+    ReferenceF32,
+}
+
+impl BackendKind {
+    /// Every kind: the one kernel.
+    pub const ALL: [BackendKind; 1] = [BackendKind::ReferenceF32];
+
+    /// The name the benchmark keys its metric by.
+    pub fn name(self) -> &'static str {
+        "f32"
     }
 }
 

@@ -128,8 +128,8 @@ impl Matrix {
     /// an accumulator that is never `−0` — so for finite values the result is
     /// bit-identical to one serial dot product per output element against the
     /// transposed block, while the inner loop vectorises over outputs and a
-    /// one-hot row of `self` costs one row-add per set column. The f32
-    /// inference backend's first layer multiplies through it, and it is the
+    /// one-hot row of `self` costs one row-add per set column. The inference
+    /// kernel's first layer multiplies through it, and it is the
     /// oracle the register tile (`backend::dense_tiled`) is held to.
     pub fn matmul_block(&self, other: &Matrix, rows: Range<usize>, cols: Range<usize>) -> Matrix {
         assert!(

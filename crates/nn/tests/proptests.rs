@@ -1,13 +1,12 @@
 //! Property-based tests for the neural substrate: algebraic identities of
 //! the matrix kernels, randomized gradient checks of the tape, MADE's
 //! autoregressive invariant under random configurations, and inference
-//! backend parity (the `ReferenceF32` bit-match lock, its carried first
-//! layer, its register-tiled dense layers, and the `BlockedF16` /
-//! `Int8Blocked` tolerance bounds).
+//! kernel parity (the `ReferenceF32` bit-match lock, its carried first
+//! layer and its register-tiled dense layers).
 
 use proptest::prelude::*;
 use sam_nn::backend::{dense_tiled, matmul_tiled, TileIsa, TILE_PAD};
-use sam_nn::{BackendKind, FrozenMade, Made, MadeConfig, Matrix, ParamStore, Tape};
+use sam_nn::{FrozenMade, Made, MadeConfig, Matrix, ParamStore, Tape};
 use std::rc::Rc;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -16,7 +15,7 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 }
 
 /// The pre-refactor `FrozenMade::forward` loop, one serial dot product per
-/// output written out, kept as the oracle the `ReferenceF32` backend must
+/// output written out, kept as the oracle the `ReferenceF32` kernel must
 /// bit-match forever.
 fn legacy_forward(frozen: &FrozenMade, input: &Matrix) -> Matrix {
     let mut h = input.clone();
@@ -188,11 +187,9 @@ proptest! {
     }
 
     /// `ReferenceF32` bit-matches the pre-refactor forward loop and stays
-    /// within float tolerance of the tape-bound training forward,
-    /// `BlockedF16` stays within its half-precision tolerance, and
-    /// `Int8Blocked` within its stated per-block-quantisation tolerance —
-    /// all on random model shapes, seeds, and residual settings. Every
-    /// backend's column-block forward bit-matches its full forward's block.
+    /// within float tolerance of the tape-bound training forward, on random
+    /// model shapes, seeds, and residual settings. Its column-block forward
+    /// bit-matches the full forward's block.
     /// Shapes include a first domain wider than the 16-wide tile (column 0
     /// reads no hidden unit, and its block spans several tiles) and more
     /// columns than hidden units (some degrees have no unit).
@@ -239,33 +236,11 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-4, "reference {} vs tape {}", x, y);
         }
 
-        // (c) BlockedF16 within relative half-precision tolerance.
-        let f16 = frozen.with_backend(BackendKind::BlockedF16);
-        prop_assert_eq!(f16.backend_kind(), BackendKind::BlockedF16);
-        let half = f16.forward(&input);
-        for (x, y) in reference.data().iter().zip(half.data()) {
-            let tol = 2e-2 * (1.0 + x.abs());
-            prop_assert!((x - y).abs() <= tol, "f32 {} vs f16 {}", x, y);
-        }
-
-        // (d) Int8Blocked within its stated logit tolerance: per-block
-        // symmetric quantisation bounds each weight's error by
-        // max|block| / 254, which across these layer widths stays inside a
-        // 1e-1 relative envelope.
-        let int8 = frozen.with_backend(BackendKind::Int8Blocked);
-        prop_assert_eq!(int8.backend_kind(), BackendKind::Int8Blocked);
-        let quant = int8.forward(&input);
-        for (x, y) in reference.data().iter().zip(quant.data()) {
-            let tol = 1e-1 * (1.0 + x.abs());
-            prop_assert!((x - y).abs() <= tol, "f32 {} vs int8 {}", x, y);
-        }
-
         // (e) The column-block forward: every column's block, asked for
         // alone, overwrites that block of a poisoned buffer with the bits of
-        // the full forward — on f32 the legacy loop's, on f16 and int8 the
-        // backend's own — once for every row and once under a row mask.
-        // Masked-out rows stay poisoned, and on f32 so does every logit of
-        // a live row outside the block. Biases start at zero, so they get
+        // the legacy loop's full forward, once for every row and once under
+        // a row mask. Masked-out rows stay poisoned, and so does every logit
+        // of a live row outside the block. Biases start at zero, so they get
         // seeded values here for the order of the bias add to show in the
         // bits. The one-hot rows get an all-zero row beside them (the first
         // column's empty prefix). One weight the masks keep is set to
@@ -298,39 +273,29 @@ proptest! {
         let input = Matrix::from_fn(rows, width, |r, c| {
             if r < input.rows() { input.get(r, c) } else { 0.0 }
         });
-        let (f16, int8) = (
-            biased.with_backend(BackendKind::BlockedF16),
-            biased.with_backend(BackendKind::Int8Blocked),
-        );
-        for (net, full) in [
-            (&biased, legacy_forward(&biased, &input)),
-            (&f16, f16.forward(&input)),
-            (&int8, int8.forward(&input)),
-        ] {
-            let narrow = net.backend_kind() == BackendKind::ReferenceF32;
-            for i in 0..domains.len() {
-                let block = biased.offset(i)..biased.offset(i) + biased.domain_size(i);
-                let mask: Vec<bool> = (0..rows).map(|r| !(r + i + seed as usize).is_multiple_of(3)).collect();
-                for live in [None, Some(mask.as_slice())] {
-                    let mut out = Matrix::full(rows, width, f32::NAN);
-                    net.forward_column_into(&input, live, i, &mut out);
-                    for r in 0..rows {
-                        let row_live = live.is_none_or(|m| m[r]);
-                        for c in 0..width {
-                            if row_live && block.contains(&c) {
-                                prop_assert_eq!(
-                                    out.get(r, c).to_bits(),
-                                    full.get(r, c).to_bits(),
-                                    "{:?}: column {} row {} logit {} (masked: {})",
-                                    net.backend_kind(), i, r, c, live.is_some()
-                                );
-                            } else if !row_live || narrow {
-                                prop_assert!(
-                                    out.get(r, c).is_nan(),
-                                    "{:?}: column {} wrote row {} logit {} outside the live block",
-                                    net.backend_kind(), i, r, c
-                                );
-                            }
+        let full = legacy_forward(&biased, &input);
+        for i in 0..domains.len() {
+            let block = biased.offset(i)..biased.offset(i) + biased.domain_size(i);
+            let mask: Vec<bool> = (0..rows).map(|r| !(r + i + seed as usize).is_multiple_of(3)).collect();
+            for live in [None, Some(mask.as_slice())] {
+                let mut out = Matrix::full(rows, width, f32::NAN);
+                biased.forward_column_into(&input, live, i, &mut out);
+                for r in 0..rows {
+                    let row_live = live.is_none_or(|m| m[r]);
+                    for c in 0..width {
+                        if row_live && block.contains(&c) {
+                            prop_assert_eq!(
+                                out.get(r, c).to_bits(),
+                                full.get(r, c).to_bits(),
+                                "column {} row {} logit {} (masked: {})",
+                                i, r, c, live.is_some()
+                            );
+                        } else {
+                            prop_assert!(
+                                out.get(r, c).is_nan(),
+                                "column {} wrote row {} logit {} outside the live block",
+                                i, r, c
+                            );
                         }
                     }
                 }
@@ -341,8 +306,7 @@ proptest! {
         // column by column, as sampling sets them, with each set input added
         // to the row's carried sum. Before every column is set, the carried
         // forward's block has the bits of the legacy loop on the same
-        // one-hot rows on f32, and of `forward_column_into` on f16 and int8
-        // (which ignore the carry) — on every column's block.
+        // one-hot rows, on every column's block.
         let mut state = prefix_seed | 1;
         let mut next_code = |d: usize| {
             state ^= state << 13;
@@ -350,36 +314,29 @@ proptest! {
             state ^= state << 17;
             (state % d as u64) as usize
         };
-        for net in [&biased, &f16, &int8] {
-            let mut onehot = Matrix::zeros(rows, width);
-            let mut carry = Matrix::full(3, 5, f32::NAN); // reset reshapes it
-            net.reset_carry(&mut carry, rows);
-            for (i, &d) in domains.iter().enumerate() {
-                let block = net.offset(i)..net.offset(i) + d;
-                let want = if net.backend_kind() == BackendKind::ReferenceF32 {
-                    legacy_forward(net, &onehot)
-                } else {
-                    let mut want = Matrix::full(rows, width, f32::NAN);
-                    net.forward_column_into(&onehot, None, i, &mut want);
-                    want
-                };
-                let mut got = Matrix::full(rows, width, f32::NAN);
-                net.forward_column_carried_into(&onehot, &carry, i, &mut got);
-                for r in 0..rows {
-                    for c in block.clone() {
-                        prop_assert_eq!(
-                            got.get(r, c).to_bits(),
-                            want.get(r, c).to_bits(),
-                            "{:?}: carried column {} row {} logit {}",
-                            net.backend_kind(), i, r, c
-                        );
-                    }
+        let net = &biased;
+        let mut onehot = Matrix::zeros(rows, width);
+        let mut carry = Matrix::full(3, 5, f32::NAN); // reset reshapes it
+        net.reset_carry(&mut carry, rows);
+        for (i, &d) in domains.iter().enumerate() {
+            let block = net.offset(i)..net.offset(i) + d;
+            let want = legacy_forward(net, &onehot);
+            let mut got = Matrix::full(rows, width, f32::NAN);
+            net.forward_column_carried_into(&onehot, &carry, i, &mut got);
+            for r in 0..rows {
+                for c in block.clone() {
+                    prop_assert_eq!(
+                        got.get(r, c).to_bits(),
+                        want.get(r, c).to_bits(),
+                        "carried column {} row {} logit {}",
+                        i, r, c
+                    );
                 }
-                for r in 0..rows {
-                    let pos = net.offset(i) + next_code(d);
-                    onehot.set(r, pos, 1.0);
-                    net.carry_onehot(&mut carry, r, pos);
-                }
+            }
+            for r in 0..rows {
+                let pos = net.offset(i) + next_code(d);
+                onehot.set(r, pos, 1.0);
+                net.carry_onehot(&mut carry, r, pos);
             }
         }
     }

@@ -27,8 +27,8 @@
 //!   the winner as a new registry version — with
 //!   `POST /models/{name}/rollback` to walk back a bad promotion.
 //! * [`QualityMonitor`] — shadow-samples a fraction of live estimates and
-//!   scores them off the hot path (exactly, against attached reference
-//!   relations, or for parity against the f32 reference backend), keeping
+//!   scores them off the hot path against the exact cardinalities of the
+//!   model's attached reference relations, keeping
 //!   per-model-version sliding-window Q-Error stats behind `GET /quality`
 //!   and streaming threshold breaches to a JSONL audit file.
 //! * [`Server`] — hand-rolled HTTP/1.1 + JSON front end: **keep-alive

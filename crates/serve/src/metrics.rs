@@ -134,10 +134,7 @@ impl Default for ServeMetrics {
                 "Worst Q-Error in any model's sliding window",
             ),
             ("sam_uptime_seconds", "Seconds since server start"),
-            (
-                "sam_build_info",
-                "Constant 1; version/git_sha/backend in labels",
-            ),
+            ("sam_build_info", "Constant 1; version/git_sha in labels"),
             ("sam_worker_panics_total", "Recovered worker panics"),
         ] {
             registry.describe(name, help);
@@ -260,15 +257,11 @@ impl ServeMetrics {
 
     /// Publish build identity as the conventional constant-1 `build_info`
     /// gauge with the identity in labels. Called once at server start.
-    pub fn set_build_info(&self, version: &str, git_sha: &str, backend: &str) {
+    pub fn set_build_info(&self, version: &str, git_sha: &str) {
         self.registry
             .gauge_with(
                 "sam_build_info",
-                &[
-                    ("version", version),
-                    ("git_sha", git_sha),
-                    ("backend", backend),
-                ],
+                &[("version", version), ("git_sha", git_sha)],
             )
             .set(1.0);
     }

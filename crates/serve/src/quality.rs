@@ -5,20 +5,12 @@
 //! The serving tier's throughput metrics say nothing about whether the
 //! model's *answers* are still good — a drifting or mis-promoted model
 //! looks healthy until someone runs an offline eval. This module closes
-//! that gap on live traffic: the estimate path submits a configurable
-//! fraction of answered requests (default 1%) to a background scorer,
-//! which re-derives a reference answer and records the Q-Error:
-//!
-//! * **exact mode** — when the model entry carries its reference relations
-//!   ([`crate::registry::ModelEntry::reference`]), the true cardinality is
-//!   computed with [`sam_query::evaluate_cardinality`] and the Q-Error is
-//!   real model error;
-//! * **parity mode** — without reference data, the estimate is recomputed
-//!   on a bit-exact f32 reference clone of the model
-//!   ([`sam_ar::FrozenModel::reference_clone`], same query / samples /
-//!   seed), so the Q-Error measures inference-backend divergence instead.
-//!   The monitor keeps one [`Estimator`] per model name for this, rebuilt
-//!   when the name's version changes.
+//! that gap on live traffic: for models that carry their reference
+//! relations ([`crate::registry::ModelEntry::reference`]), the estimate path
+//! submits a configurable fraction of answered requests (default 1%) to a
+//! background scorer, which computes the true cardinality with
+//! [`sam_query::evaluate_cardinality`] and records the Q-Error, the real
+//! model error. A model served without reference data is not scored.
 //!
 //! Per (model, version) the monitor keeps a bounded sliding window of
 //! Q-Errors (p50/p95/worst on demand), bumps an alert counter whenever a
@@ -32,14 +24,11 @@
 
 use crate::registry::ModelEntry;
 use crate::sync::Lock;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sam_ar::Estimator;
 use sam_metrics::q_error;
 use sam_obs::{Counter, Gauge};
 use sam_query::{evaluate_cardinality, Query};
 use serde_json::{json, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,16 +66,13 @@ impl Default for QualityConfig {
 
 /// One answered estimate handed to the scorer.
 pub struct QualityTask {
-    /// Model entry the estimate ran against (pins the version).
+    /// Model entry the estimate ran against (pins the version); it carries
+    /// the reference relations the estimate is scored against.
     pub entry: Arc<ModelEntry>,
     /// The parsed query.
     pub query: Query,
     /// The estimate the client received.
     pub estimate: f64,
-    /// Progressive-sampling paths used.
-    pub samples: usize,
-    /// RNG seed used (parity mode replays it exactly).
-    pub seed: u64,
     /// Trace id of the originating request.
     pub trace_id: u64,
 }
@@ -112,8 +98,6 @@ struct WindowStats {
     all_time_worst: f64,
     /// Alert-threshold crossings for this version.
     alerts: u64,
-    /// Scoring mode of the latest sample: "exact" or "parity".
-    mode: &'static str,
 }
 
 impl WindowStats {
@@ -122,7 +106,6 @@ impl WindowStats {
             qerrors: Vec::new(),
             all_time_worst: 0.0,
             alerts: 0,
-            mode: "parity",
         }
     }
 
@@ -158,11 +141,6 @@ struct QualityShared {
     counters: QualityCounters,
     /// (model, version) → window stats.
     windows: Lock<BTreeMap<(String, u64), WindowStats>>,
-    /// Parity mode's estimators over lazily built f32 reference clones: one
-    /// per model name, tagged with the version it was built from and
-    /// replaced when that name's version changes. Bounded by the number of
-    /// names, so promotions and rollbacks leak no superseded model.
-    references: Lock<HashMap<String, (u64, Estimator)>>,
     /// Open audit sink (line-buffered; flushed per record so `workgen
     /// mine` can consume the file while the server runs).
     audit: Lock<Option<std::fs::File>>,
@@ -199,7 +177,6 @@ impl QualityMonitor {
             config,
             counters,
             windows: Lock::new(BTreeMap::new()),
-            references: Lock::new(HashMap::new()),
             audit: Lock::new(audit),
         });
         let (tx, worker) = if sample_every > 0 {
@@ -259,7 +236,7 @@ impl QualityMonitor {
                 json!({
                     "model": model.clone(),
                     "version": *version,
-                    "mode": stats.mode,
+                    "mode": "exact",
                     "window": stats.qerrors.len(),
                     "p50_qerror": stats.percentile(0.50),
                     "p95_qerror": stats.percentile(0.95),
@@ -305,38 +282,23 @@ impl Drop for QualityMonitor {
 fn score_task(shared: &QualityShared, task: &QualityTask) {
     // Estimation can panic on a malformed model; a scoring panic must not
     // kill the monitor thread.
-    let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| score(shared, task)));
+    let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| score(task)));
     match scored {
-        Ok(Some((truth, mode))) => record(shared, task, truth, mode),
+        Ok(Some(truth)) => record(shared, task, truth),
         Ok(None) | Err(_) => shared.counters.dropped.inc(),
     }
 }
 
-/// Reference answer for the task: exact truth when the entry carries its
-/// relations, f32-reference re-estimate otherwise.
-fn score(shared: &QualityShared, task: &QualityTask) -> Option<(f64, &'static str)> {
-    if let Some(db) = &task.entry.reference {
-        let truth = evaluate_cardinality(db, &task.query).ok()?;
-        return Some((truth as f64, "exact"));
-    }
-    // Only the scorer thread takes this lock; holding it blocks no one.
-    let mut references = shared.references.lock();
-    let (name, version) = (&task.entry.name, task.entry.version);
-    if references.get(name).map(|(built_from, _)| *built_from) != Some(version) {
-        let reference = task.entry.trained.model().reference_clone();
-        references.insert(name.clone(), (version, Estimator::new(reference)));
-    }
-    let (_, estimator) = references.get_mut(name).expect("inserted above");
-    let mut rng = StdRng::seed_from_u64(task.seed);
-    let truth = estimator
-        .estimate(&task.query, task.samples, &mut rng)
-        .ok()?;
-    Some((truth, "parity"))
+/// The task's exact cardinality on the entry's reference relations; `None`
+/// when the entry has none or the query does not evaluate.
+fn score(task: &QualityTask) -> Option<u64> {
+    let db = task.entry.reference.as_ref()?;
+    evaluate_cardinality(db, &task.query).ok()
 }
 
 /// Fold a scored sample into windows, counters, and the audit file.
-fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static str) {
-    let q = q_error(task.estimate, truth);
+fn record(shared: &QualityShared, task: &QualityTask, truth: u64) {
+    let q = q_error(task.estimate, truth as f64);
     let alert = q > shared.config.alert_qerror;
     let worst_anywhere;
     {
@@ -344,7 +306,6 @@ fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static
         let stats = windows
             .entry((task.entry.name.clone(), task.entry.version))
             .or_insert_with(WindowStats::new);
-        stats.mode = mode;
         stats.push(q, shared.config.window);
         if alert {
             stats.alerts += 1;
@@ -357,7 +318,7 @@ fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static
     shared.counters.worst.set(worst_anywhere);
     if alert {
         shared.counters.alerts.inc();
-        append_audit(shared, task, truth, q, mode);
+        append_audit(shared, task, truth, q);
     }
     // Counted last: whoever sees this sample counted also sees its window
     // entry, its alert and its audit line.
@@ -365,29 +326,24 @@ fn record(shared: &QualityShared, task: &QualityTask, truth: f64, mode: &'static
 }
 
 /// Append one JSONL audit record (a shape `workgen mine` reads as seeds).
-fn append_audit(shared: &QualityShared, task: &QualityTask, truth: f64, q: f64, mode: &str) {
+fn append_audit(shared: &QualityShared, task: &QualityTask, truth: u64, q: f64) {
     let mut guard = shared.audit.lock();
     let Some(file) = guard.as_mut() else { return };
     let ts_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
         .unwrap_or(0);
-    // Exact-mode truth is integral; emit it as an integer so the seed
-    // reader treats it as a trusted cardinality label.
-    let truth_value = if mode == "exact" && truth.fract() == 0.0 {
-        json!(truth as u64)
-    } else {
-        json!(truth)
-    };
+    // The truth is an exact count, emitted as an integer so the seed reader
+    // treats it as a trusted cardinality label.
     let line = json!({
         "ts_ms": ts_ms,
         "model": task.entry.name.clone(),
         "version": task.entry.version,
         "sql": task.query.to_string(),
         "estimate": task.estimate,
-        "truth": truth_value,
+        "truth": truth,
         "q_error": q,
-        "mode": mode,
+        "mode": "exact",
         "trace_id": task.trace_id,
     });
     let text = serde_json::to_string(&line).unwrap_or_default();
@@ -440,51 +396,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), 3.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.worst_in_window(), 100.0);
-    }
-
-    #[test]
-    fn parity_scoring_keeps_one_estimator_per_name_across_hot_swaps() {
-        use crate::registry::ModelRegistry;
-        use sam_ar::{ArModel, ArModelConfig, ArSchema, EncodingOptions, TrainReport};
-        use sam_storage::{paper_example, DatabaseStats};
-
-        let db = paper_example::figure3_database();
-        let stats = DatabaseStats::from_database(&db);
-        let trained = || {
-            let schema =
-                ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-            let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
-            let report = TrainReport {
-                epoch_losses: Vec::new(),
-                constraints_processed: 0,
-                wall_seconds: 0.0,
-            };
-            sam_core::Sam::from_frozen(db.schema().clone(), model, report)
-        };
-        let shared = QualityShared {
-            config: QualityConfig::default(),
-            counters: test_counters(),
-            windows: Lock::new(BTreeMap::new()),
-            references: Lock::new(HashMap::new()),
-            audit: Lock::new(None),
-        };
-        let registry = ModelRegistry::new();
-        // The first load, then three hot swaps of the same name.
-        for _ in 0..4 {
-            let version = registry.insert("m", trained());
-            let task = QualityTask {
-                entry: registry.get("m").unwrap(),
-                query: Query::single("A", vec![]),
-                estimate: 4.0,
-                samples: 8,
-                seed: 1,
-                trace_id: 0,
-            };
-            assert_eq!(score(&shared, &task).map(|(_, mode)| mode), Some("parity"));
-            let references = shared.references.lock();
-            assert_eq!(references.len(), 1, "one parity estimator per name");
-            assert_eq!(references["m"].0, version, "rebuilt for the new version");
-        }
     }
 
     fn test_counters() -> QualityCounters {

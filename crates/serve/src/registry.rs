@@ -11,7 +11,6 @@ use crate::error::ServeError;
 use crate::sync::{Lock, RwLock};
 use sam_ar::{Estimator, TrainReport};
 use sam_core::{Sam, TrainedSam};
-use sam_nn::BackendKind;
 use sam_storage::{csv::read_csv, Database, Table};
 use std::collections::HashMap;
 use std::path::Path;
@@ -32,10 +31,9 @@ pub struct ModelEntry {
     pub estimator: Lock<Estimator>,
     /// The relations this model was trained to represent, when the
     /// operator attached them (the `data` field of `POST /models`, or the
-    /// third part of a `--models name=path=datadir` spec). With reference
-    /// data present the quality monitor scores sampled estimates against
-    /// *exact* cardinalities; without it, against the f32 reference
-    /// backend only.
+    /// third part of a `--models name=path=datadir` spec). Only a model
+    /// with reference data is quality-scored: the monitor scores its
+    /// sampled estimates against exact cardinalities.
     pub reference: Option<Arc<Database>>,
 }
 
@@ -88,26 +86,12 @@ struct ModelSlot {
 #[derive(Default)]
 pub struct ModelRegistry {
     inner: RwLock<HashMap<String, ModelSlot>>,
-    /// Inference backend forced onto every loaded model; `None` honours the
-    /// backend recorded in each checkpoint.
-    backend_override: Option<BackendKind>,
 }
 
 impl ModelRegistry {
-    /// Empty registry honouring each checkpoint's recorded backend.
+    /// Empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty registry that re-targets every model loaded through
-    /// [`load_file`](Self::load_file) onto `backend` (the server's
-    /// `--backend` flag). Models inserted programmatically keep whatever
-    /// backend they were frozen with.
-    pub fn with_backend_override(backend: Option<BackendKind>) -> Self {
-        ModelRegistry {
-            inner: RwLock::default(),
-            backend_override: backend,
-        }
     }
 
     /// Register (or hot-swap) `trained` under `name`; returns the new version.
@@ -184,18 +168,13 @@ impl ModelRegistry {
     }
 
     /// Re-promote a persisted candidate (a training job's `model.json`)
-    /// under `name`, honouring the backend override and preserving the
-    /// slot's current reference database — journal replay's path for
+    /// under `name`, preserving the slot's current reference database — journal replay's path for
     /// re-applying a recorded promotion.
     pub(crate) fn promote_from_file(&self, name: &str, path: &Path) -> Result<u64, ServeError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ServeError::Internal(format!("cannot read candidate {path:?}: {e}")))?;
         let (model, db_schema) = sam_ar::load_model(&text)
             .map_err(|e| ServeError::Internal(format!("cannot load candidate {path:?}: {e}")))?;
-        let model = match self.backend_override {
-            Some(kind) => model.with_backend(kind),
-            None => model,
-        };
         let reference = self.get(name).and_then(|e| e.reference.clone());
         let report = TrainReport {
             epoch_losses: Vec::new(),
@@ -260,10 +239,6 @@ impl ModelRegistry {
             .map_err(|e| ServeError::BadRequest(format!("cannot read model file {path}: {e}")))?;
         let (model, db_schema) = sam_ar::load_model(&text)
             .map_err(|e| ServeError::BadRequest(format!("cannot load model {path}: {e}")))?;
-        let model = match self.backend_override {
-            Some(kind) => model.with_backend(kind),
-            None => model,
-        };
         let reference = match data_dir {
             Some(dir) => Some(Arc::new(load_reference_database(&db_schema, dir.as_ref())?)),
             None => None,

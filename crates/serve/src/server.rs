@@ -21,7 +21,7 @@
 //! | `POST /jobs/{id}/cancel` | request cooperative cancellation |
 //! | `GET /metrics` | counters + latency percentiles |
 //! | `GET /quality` | per-model-version shadow-scored Q-Error drift stats |
-//! | `GET /debug/buildinfo` | version, git sha, backend, uptime |
+//! | `GET /debug/buildinfo` | version, git sha, uptime |
 //! | `GET /debug/flight?last=N` | recent request events from the flight recorder |
 //! | `GET /debug/slow` | slow-query log |
 //! | `GET`/`PUT /debug/loglevel` | inspect / change the log level live |
@@ -49,7 +49,6 @@ use crate::quality::{QualityConfig, QualityMonitor, QualityTask};
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::training::{self, TrainJob, TrainSpec};
 use sam_core::{GenerationConfig, JoinKeyStrategy};
-use sam_nn::BackendKind;
 use sam_obs::{CacheOutcome, Endpoint, FlightRecorder, SlowEntry, SlowLog};
 use sam_query::parse_query;
 use sam_storage::csv::write_csv;
@@ -88,9 +87,6 @@ pub struct ServeConfig {
     pub default_timeout_ms: u64,
     /// LRU estimate-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Force every model loaded over HTTP onto this inference backend;
-    /// `None` honours each checkpoint's recorded backend.
-    pub backend: Option<BackendKind>,
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it.
     pub idle_timeout_ms: u64,
@@ -140,7 +136,6 @@ impl Default for ServeConfig {
             default_samples: 200,
             default_timeout_ms: 10_000,
             cache_capacity: 1024,
-            backend: None,
             idle_timeout_ms: 30_000,
             max_conn_requests: 1_000,
             journal_dir: None,
@@ -230,15 +225,8 @@ impl Server {
             Some(Arc::clone(&flight)),
         );
         let cache = EstimateCache::new(config.cache_capacity);
-        let registry = Arc::new(ModelRegistry::with_backend_override(config.backend));
-        let backend_label = config
-            .backend
-            .map_or_else(|| "per-model".to_string(), |b| b.to_string());
-        metrics.set_build_info(
-            env!("CARGO_PKG_VERSION"),
-            env!("SAM_GIT_SHA"),
-            &backend_label,
-        );
+        let registry = Arc::new(ModelRegistry::new());
+        metrics.set_build_info(env!("CARGO_PKG_VERSION"), env!("SAM_GIT_SHA"));
         let quality = QualityMonitor::start(
             QualityConfig {
                 sample: config.quality_sample,
@@ -902,17 +890,12 @@ fn route(request: &Request, state: &Arc<ServerState>, telemetry: &mut Telemetry)
     }
 }
 
-/// `GET /debug/buildinfo` — which build is serving, on what backend, for
-/// how long, and how the flight recorder is doing.
+/// `GET /debug/buildinfo` — which build is serving, for how long, and how
+/// the flight recorder is doing.
 fn buildinfo_route(state: &ServerState) -> Value {
-    let backend = state
-        .config
-        .backend
-        .map_or_else(|| "per-model".to_string(), |b| b.to_string());
     json!({
         "version": env!("CARGO_PKG_VERSION"),
         "git_sha": env!("SAM_GIT_SHA"),
-        "backend": backend,
         "uptime_seconds": state.metrics.started.elapsed().as_secs_f64(),
         "models": state.registry.len(),
         "flight": {
@@ -1105,7 +1088,7 @@ fn load_model_route(state: &ServerState, body: &str) -> Result<(u16, Value), Ser
     let path = str_field(&doc, "path")?;
     // Optional directory of `{table}.csv` reference relations: with them
     // attached, the quality monitor scores this model's sampled estimates
-    // against exact cardinalities instead of backend parity.
+    // against exact cardinalities (without them it does not score it).
     let data = doc.get("data").and_then(Value::as_str);
     let version = state.registry.load_file_with_data(name, path, data)?;
     Ok((200, json!({"name": name, "version": version})))
@@ -1198,7 +1181,9 @@ fn run_estimate(
 
     // The quality monitor needs the parsed query after the job consumes it;
     // clone only when this request was actually picked for shadow scoring.
-    let shadow_query = state.quality.should_sample().then(|| query.clone());
+    // Only a model with reference relations is scored.
+    let shadow_query =
+        (entry.reference.is_some() && state.quality.should_sample()).then(|| query.clone());
 
     let deadline = started + Duration::from_millis(timeout_ms);
     let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
@@ -1229,8 +1214,6 @@ fn run_estimate(
             entry: Arc::clone(&entry),
             query: shadow,
             estimate,
-            samples,
-            seed,
             trace_id: trace_id_num.unwrap_or(0),
         });
     }

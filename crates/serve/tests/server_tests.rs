@@ -283,54 +283,6 @@ fn zero_capacity_disables_estimate_cache() {
 }
 
 #[test]
-fn backend_override_applies_to_loaded_models() {
-    let trained = tiny_model(11);
-    let json = sam_ar::save_model(trained.model(), trained.db_schema());
-    let path =
-        std::env::temp_dir().join(format!("sam_backend_override_{}.json", std::process::id()));
-    std::fs::write(&path, &json).unwrap();
-
-    let server = Server::start(ServeConfig {
-        backend: Some(sam_nn::BackendKind::BlockedF16),
-        ..ServeConfig::default()
-    })
-    .expect("start server");
-    let addr = server.addr();
-    let load = format!(
-        r#"{{"name": "f16demo", "path": "{}"}}"#,
-        path.display().to_string().replace('\\', "/")
-    );
-    let (status, _) = http(addr, "POST", "/models", &load);
-    assert_eq!(status, 200);
-    let entry = server.registry().get("f16demo").unwrap();
-    assert_eq!(
-        entry.trained.model().backend_kind(),
-        sam_nn::BackendKind::BlockedF16
-    );
-
-    // Estimates on the f16 backend stay close to the f32 reference.
-    let q = sam_query::parse_query("SELECT COUNT(*) FROM A, B").unwrap();
-    let reference = sam_ar::Estimator::new(trained.model().clone())
-        .estimate(
-            &q,
-            256,
-            &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
-        )
-        .unwrap();
-    let body =
-        r#"{"model": "f16demo", "sql": "SELECT COUNT(*) FROM A, B", "samples": 256, "seed": 1}"#;
-    let (status, est) = http(addr, "POST", "/estimate", body);
-    assert_eq!(status, 200, "{est:?}");
-    let value = est.get("estimate").and_then(Value::as_f64).unwrap();
-    assert!(
-        (value - reference).abs() <= 0.05 * (1.0 + reference.abs()),
-        "f16 {value} vs f32 {reference}"
-    );
-    let _ = std::fs::remove_file(&path);
-    server.shutdown();
-}
-
-#[test]
 fn shutdown_drains_running_generation_job() {
     let server = start_server(ServeConfig::default());
     let addr = server.addr();

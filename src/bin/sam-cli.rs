@@ -13,15 +13,15 @@
 //!                  [--data DIR] [--follow true] [--poll-ms N] [--retries N]
 //! sam-cli generate --schema schema.json (--data DIR | --stats stats.json) --out DIR
 //!                  [--model model.json] [--queries N | --workload FILE]
-//!                  [--epochs N] [--foj-samples N] [--seed N] [--backend f32|f16|int8]
+//!                  [--epochs N] [--foj-samples N] [--seed N]
 //! sam-cli evaluate --schema schema.json --original DIR --generated DIR
 //!                  [--queries N | --workload FILE] [--seed N]
 //! sam-cli estimate --schema schema.json --data DIR [--queries N] [--epochs N] [--seed N]
-//!                  [--backend f32|f16|int8]  (then one SQL query per stdin line)
+//!                  (then one SQL query per stdin line)
 //! sam-cli serve    [--addr HOST:PORT] [--models name=model.json[=datadir],...]
 //!                  [--workers N] [--queue N] [--max-batch N]
 //!                  [--samples N] [--timeout-ms N] [--cache N]
-//!                  [--backend f32|f16|int8] [--journal-dir DIR]
+//!                  [--journal-dir DIR]
 //!                  [--journal-compact-bytes N] [--idle-timeout-ms N]
 //!                  [--conn-requests N] [--quality-sample F]
 //!                  [--quality-window N] [--quality-alert-qerror Q]
@@ -52,16 +52,6 @@
 //! probes with bounded-backoff restarts of dead workers, and draining
 //! rebalance on join/leave. See `docs/SHARDING.md`.
 //!
-//! `--backend` picks the frozen-inference backend: `f32` (the exact
-//! reference kernel, default), `f16` (blocked column-major kernel over
-//! half-precision weights — faster, ~1e-2 relative error), or `int8`
-//! (blocked kernel over per-block-quantised 8-bit weights — fastest,
-//! ~1e-1 relative logit error, Q-Error parity in practice). An unknown
-//! value is rejected up front — `serve` refuses to start — with the valid
-//! kernel list in the error. For `serve` the flag applies to every model
-//! loaded into the registry; for `generate` / `estimate` it retargets the
-//! trained or loaded model before inference.
-//!
 //! `serve --journal-dir DIR` makes generation jobs restart-safe: every job
 //! is journaled to `DIR/journal.jsonl` (CRC-framed records; torn tails and
 //! corrupt lines are recovered on open), completed results are persisted as
@@ -81,9 +71,10 @@
 //! registry if it clears the `--promote-max-qerror` gate. `--follow true`
 //! polls the job to its terminal state. See `docs/TRAINING.md`.
 //!
-//! `serve` shadow-scores `--quality-sample` of answered estimates against
-//! the truth (exact when a model was loaded as `name=path=datadir`, f32
-//! backend parity otherwise) and serves drift stats at `GET /quality`;
+//! `serve` shadow-scores `--quality-sample` of answered estimates of every
+//! model loaded as `name=path=datadir` against the exact cardinality (a
+//! model without a data dir is not scored) and serves drift stats at
+//! `GET /quality`;
 //! estimates whose Q-Error crosses `--quality-alert-qerror` are appended to
 //! `--quality-audit` as JSONL, which `workgen mine --seeds FILE` accepts
 //! directly. A `--flight-capacity`-event ring of recent requests backs
@@ -201,7 +192,6 @@ fn serve_help() {
            --samples N                 default progressive-sampling count (default 200)\n  \
            --timeout-ms N              per-request deadline (default 10000)\n  \
            --cache N                   estimate cache entries (default 1024)\n  \
-           --backend KIND              inference backend: f32 | f16 | int8 (default: checkpoint's)\n  \
            --idle-timeout-ms N         keep-alive idle connection timeout (default 30000)\n  \
            --conn-requests N           max requests per connection (default 1000)\n\n\
          durability:\n  \
@@ -455,16 +445,6 @@ fn write_trace(trace_out: &Option<String>) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Parse the optional `--backend {f32,f16,int8}` flag shared by the
-/// inference subcommands. `None` means "leave the model on whatever backend
-/// it was frozen or loaded with".
-fn backend_arg(args: &Args) -> Result<Option<sam::nn::BackendKind>, String> {
-    match args.get("backend") {
-        Some(v) => v.parse::<sam::nn::BackendKind>().map(Some),
-        None => Ok(None),
-    }
 }
 
 fn sam_config(args: &Args) -> Result<SamConfig, String> {
@@ -847,13 +827,6 @@ fn generate(args: &Args) -> Result<(), String> {
             trained
         }
     };
-    let trained = match backend_arg(args)? {
-        Some(kind) => {
-            println!("inference backend: {kind}");
-            trained.with_backend(kind)
-        }
-        None => trained,
-    };
 
     let (generated, report) = trained
         .generate(&GenerationConfig {
@@ -902,13 +875,6 @@ fn estimate(args: &Args) -> Result<(), String> {
     let workload = build_workload(&db, args, 1_500)?;
     let config = sam_config(args)?;
     let trained = Sam::fit(db.schema(), &stats, &workload, &config).map_err(|e| e.to_string())?;
-    let trained = match backend_arg(args)? {
-        Some(kind) => {
-            println!("inference backend: {kind}");
-            trained.with_backend(kind)
-        }
-        None => trained,
-    };
     println!("model trained; enter one SQL query per line (Ctrl-D to end):");
 
     let mut rng = StdRng::seed_from_u64(args.num("seed", 0u64)?);
@@ -948,7 +914,6 @@ fn serve(args: &Args) -> Result<(), String> {
         default_samples: args.num("samples", 200usize)?,
         default_timeout_ms: args.num("timeout-ms", 10_000u64)?,
         cache_capacity: args.num("cache", 1024usize)?,
-        backend: backend_arg(args)?,
         idle_timeout_ms: args.num("idle-timeout-ms", 30_000u64)?,
         max_conn_requests: args.num("conn-requests", 1_000usize)?,
         journal_dir: args.get("journal-dir").map(PathBuf::from),

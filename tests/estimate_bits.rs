@@ -1,11 +1,11 @@
 //! Golden bits of estimation: same model, queries and seeds ⇒ the same
-//! estimates, to the bit, under every inference backend.
+//! estimates, to the bit, on the f32 inference kernel.
 //!
 //! The small 6-table IMDB bundle of `generation_bytes.rs` is trained for two
 //! epochs at a fixed seed on a 24×24 residual MADE, and again at the
 //! benchmark's model shape, `SamConfig::default()` (MADE 64×64, no
-//! residual). One long-lived `Estimator` per backend on the first model, and
-//! one f32 `Estimator` on the second, answers a fixed query set twice in
+//! residual). One long-lived `Estimator` per model answers a fixed query
+//! set twice in
 //! small micro-batches (the second pass on other seeds, so its paths mix
 //! trie hits with fresh prefixes), then once in a single call whose sample
 //! paths put more than 64 fresh rows into a column (the parallel forward
@@ -28,17 +28,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sam::ar::Estimator;
-use sam::nn::BackendKind;
 use sam::prelude::*;
 
-/// `(backend, FNV-1a of every estimate's bits)`: the residual model on every
-/// backend (recorded before cold estimates moved to the column-block
-/// forward), then the default-shape model on f32 (recorded before each
-/// column's forward ran on only the hidden units its logits read).
+/// `(model, FNV-1a of every estimate's bits)`: the residual model (recorded
+/// before cold estimates moved to the column-block forward), then the
+/// default-shape model (recorded before each column's forward ran on only
+/// the hidden units its logits read).
 const GOLDEN: &[(&str, u64)] = &[
     ("f32", 0xa28e3932941de023),
-    ("f16", 0x1004d188e855eb44),
-    ("int8", 0x27e9fc5067000fb2),
     ("f32-default", 0xbe6baad7788ade78),
 ];
 
@@ -142,11 +139,9 @@ fn estimates_match_the_recorded_bits_under_every_backend() {
     let (residual, queries) = trained(&residual_config());
     let line = |kind: &str, hash: u64| format!("    ({kind:?}, 0x{hash:016x}),\n");
     let mut got = String::new();
-    for kind in BackendKind::ALL {
-        let mut estimator = Estimator::new(residual.model().clone().with_backend(kind));
-        got += &line(kind.name(), estimate_hash(&mut estimator, &queries));
-    }
-    // The benchmark's model shape, on the f32 kernel.
+    let mut estimator = Estimator::new(residual.model().clone());
+    got += &line("f32", estimate_hash(&mut estimator, &queries));
+    // The benchmark's model shape.
     let (default, queries) = trained(&default_config());
     let mut estimator = Estimator::new(default.model().clone());
     got += &line("f32-default", estimate_hash(&mut estimator, &queries));

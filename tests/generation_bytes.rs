@@ -1,15 +1,15 @@
 //! Golden bytes of generation: same model and seed ⇒ the same CSVs, under
-//! every inference backend and both join-key strategies, for joins and for a
-//! single relation, at two model shapes.
+//! both join-key strategies, for joins and for a single relation, at two
+//! model shapes.
 //!
 //! A small 6-table IMDB bundle is trained for two epochs at a fixed seed on
-//! a 24×24 residual MADE, then generated from under `f32`, `f16` and `int8`
-//! with `foj_samples` not a multiple of `batch`, so the last sampling batch
-//! is ragged; the f32 model also generates with `PairwiseViews` keys. A
+//! a 24×24 residual MADE, then generated from with `foj_samples` not a
+//! multiple of `batch`, so the last sampling batch is ragged; the model
+//! also generates with `PairwiseViews` keys. A
 //! small census model generates its single relation, again with a ragged
 //! last batch. The same imdb bundle is also trained at the benchmark's model
 //! shape, `SamConfig::default()` (MADE 64×64, no residual), and generated
-//! from on f32. The model files and every table's CSV rendering are hashed
+//! from. The model files and every table's CSV rendering are hashed
 //! with FNV-1a and compared with recorded constants (the imdb Group-and-Merge
 //! ones from before generation moved to the column-block forward, the
 //! pairwise and census ones from before assembly went column-major, the
@@ -34,14 +34,13 @@
 //! `actual` table from the failure message over `GOLDEN`; say in CHANGES.md
 //! which hashes moved and why.
 
-use sam::nn::BackendKind;
 use sam::prelude::*;
 use std::sync::OnceLock;
 
-/// `(case, file, FNV-1a of its bytes)`: the trained imdb model file, each
-/// backend's generated CSVs in schema order, the f32 pairwise CSVs, the
-/// census model file and its generated relation, then the default-shape imdb
-/// model file and its f32 CSVs.
+/// `(case, file, FNV-1a of its bytes)`: the trained imdb model file, its
+/// generated CSVs in schema order, the pairwise CSVs, the census model file
+/// and its generated relation, then the default-shape imdb model file and
+/// its CSVs.
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32", "model.json", 0xa94ebe8694a7ae36),
     ("f32", "title", 0x2efc16c7fb820327),
@@ -50,18 +49,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32", "movie_info", 0x678fc2aefda2d09d),
     ("f32", "movie_info_idx", 0x9cc5e52faed659b3),
     ("f32", "movie_keyword", 0x3a1cd7095589a862),
-    ("f16", "title", 0x33e89ebf4bfdec93),
-    ("f16", "cast_info", 0x0c2680d680159426),
-    ("f16", "movie_companies", 0x49bc470557de877b),
-    ("f16", "movie_info", 0x22feaffc4e74182c),
-    ("f16", "movie_info_idx", 0xe1388add81867356),
-    ("f16", "movie_keyword", 0x9e2fe87d419c6d13),
-    ("int8", "title", 0x1db0dd48655429d6),
-    ("int8", "cast_info", 0xd7c65a319c34d008),
-    ("int8", "movie_companies", 0xea28b672b2f9559f),
-    ("int8", "movie_info", 0x42ce83df7ae64aa9),
-    ("int8", "movie_info_idx", 0x3609142906699d37),
-    ("int8", "movie_keyword", 0xdbf488676ca1a924),
     ("f32-pairwise", "title", 0xbea96683cd31d6b0),
     ("f32-pairwise", "cast_info", 0x1b6a27f7515f6508),
     ("f32-pairwise", "movie_companies", 0x1d423f7e80968f8c),
@@ -159,11 +146,8 @@ fn cases() -> &'static [(String, Option<String>, Database)] {
         };
         let model_file = |t: &TrainedSam| sam::ar::save_model(t.model(), t.db_schema());
         let mut cases = Vec::new();
-        for kind in BackendKind::ALL {
-            let (db, _) = imdb.clone().with_backend(kind).generate(&config).unwrap();
-            let file = (kind == BackendKind::ReferenceF32).then(|| model_file(&imdb));
-            cases.push((kind.name().to_string(), file, db));
-        }
+        let (db, _) = imdb.generate(&config).unwrap();
+        cases.push(("f32".into(), Some(model_file(&imdb)), db));
         config.strategy = JoinKeyStrategy::PairwiseViews;
         let (db, _) = imdb.generate(&config).unwrap();
         cases.push(("f32-pairwise".into(), None, db));
@@ -172,7 +156,7 @@ fn cases() -> &'static [(String, Option<String>, Database)] {
         config.strategy = JoinKeyStrategy::GroupAndMerge;
         let (db, _) = census.generate(&config).unwrap();
         cases.push(("census".into(), Some(model_file(&census)), db));
-        // The benchmark's model shape, on the f32 kernel.
+        // The benchmark's model shape.
         let imdb = trained_imdb(&default_config());
         let (db, _) = imdb.generate(&config).unwrap();
         cases.push(("f32-default".into(), Some(model_file(&imdb)), db));

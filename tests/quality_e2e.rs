@@ -211,10 +211,6 @@ fn quality_drift_surfaces_everywhere() {
     assert_eq!(status, 200);
     assert!(info.get("version").and_then(Json::as_str).is_some());
     assert!(info.get("git_sha").and_then(Json::as_str).is_some());
-    assert_eq!(
-        info.get("backend").and_then(Json::as_str),
-        Some("per-model")
-    );
     assert!(info.get("uptime_seconds").and_then(Json::as_f64).unwrap() > 0.0);
     assert_eq!(info.get("models").and_then(Json::as_u64), Some(1));
     let fl = info.get("flight").expect("flight block");
@@ -270,12 +266,12 @@ fn quality_drift_surfaces_everywhere() {
     let _ = std::fs::remove_file(&audit_path);
 }
 
-/// Without reference relations the monitor must fall back to parity mode:
-/// the same f32-backed model re-estimates its own answers, so Q-Errors sit
-/// at exactly 1 and no alert fires.
+/// Only a model with reference relations is scored: a data-less model
+/// served beside one with data gets no window in `GET /quality`, and none
+/// of its estimates counts as a sample or as dropped.
 #[test]
-fn parity_mode_without_reference_data() {
-    let (trained, queries, _db) = train_demo_model();
+fn data_less_model_gets_no_quality_window() {
+    let (trained, queries, db) = train_demo_model();
     let server = Server::start(ServeConfig {
         workers: 1,
         quality_sample: 1.0,
@@ -283,20 +279,28 @@ fn parity_mode_without_reference_data() {
         ..ServeConfig::default()
     })
     .expect("start server");
-    server.registry().insert("demo", trained);
+    server.registry().insert("bare", trained.clone());
+    server
+        .registry()
+        .insert_with_reference("demo", trained, Arc::new(db));
     let addr = server.addr();
 
+    // The data-less model's estimates go first: the scorer is FIFO, so once
+    // the referenced model's samples are in, anything submitted for the
+    // data-less one would have been scored or dropped too.
     let driven = 3u64;
-    for (i, q) in queries.iter().take(driven as usize).enumerate() {
-        let body = serde_json::to_string(&serde_json::json!({
-            "model": "demo",
-            "sql": q.to_string(),
-            "samples": 32,
-            "seed": 500 + i as u64,
-        }))
-        .unwrap();
-        let (status, _) = http(addr, "POST", "/estimate", &body);
-        assert_eq!(status, 200);
+    for model in ["bare", "demo"] {
+        for (i, q) in queries.iter().take(driven as usize).enumerate() {
+            let body = serde_json::to_string(&serde_json::json!({
+                "model": model,
+                "sql": q.to_string(),
+                "samples": 32,
+                "seed": 500 + i as u64,
+            }))
+            .unwrap();
+            let (status, _) = http(addr, "POST", "/estimate", &body);
+            assert_eq!(status, 200);
+        }
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     let quality = loop {
@@ -309,17 +313,11 @@ fn parity_mode_without_reference_data() {
         assert!(Instant::now() < deadline, "quality scorer stalled: {doc:?}");
         std::thread::sleep(Duration::from_millis(50));
     };
+    assert_eq!(quality.get("samples").and_then(Json::as_u64), Some(driven));
+    assert_eq!(quality.get("dropped").and_then(Json::as_u64), Some(0));
     let models = quality.get("models").and_then(Json::as_array).unwrap();
-    assert_eq!(models.len(), 1);
-    assert_eq!(models[0].get("mode").and_then(Json::as_str), Some("parity"));
-    // The default backend *is* the f32 reference: parity is exact.
-    let worst = models[0]
-        .get("worst_qerror")
-        .and_then(Json::as_f64)
-        .unwrap();
-    assert!(
-        (worst - 1.0).abs() < 1e-9,
-        "parity Q-Error should be 1, got {worst}"
-    );
-    assert_eq!(quality.get("alerts").and_then(Json::as_u64), Some(0));
+    assert_eq!(models.len(), 1, "{quality:?}");
+    assert_eq!(models[0].get("model").and_then(Json::as_str), Some("demo"));
+    assert_eq!(models[0].get("window").and_then(Json::as_u64), Some(driven));
+    server.shutdown();
 }
