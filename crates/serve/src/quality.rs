@@ -280,8 +280,8 @@ impl Drop for QualityMonitor {
 
 /// Score one task and fold the result into the shared state.
 fn score_task(shared: &QualityShared, task: &QualityTask) {
-    // Estimation can panic on a malformed model; a scoring panic must not
-    // kill the monitor thread.
+    // Evaluation can panic on an unexpected query or reference database; a
+    // scoring panic must not kill the monitor thread.
     let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| score(task)));
     match scored {
         Ok(Some(truth)) => record(shared, task, truth),
