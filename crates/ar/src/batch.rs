@@ -2,16 +2,16 @@
 //! explicit, typed batch dimension.
 //!
 //! Progressive sampling (estimation) and unconditional sampling (tuple
-//! generation) both advance a batch of sample paths column by column. The
-//! historical estimator treated that batch as an incidental row dimension,
-//! re-assembling a compact one-hot input matrix from each path's sampled
-//! codes at every column. [`SampleBatch`] makes the batch first-class
-//! instead: one persistent row-per-path activation matrix maintained
-//! incrementally (sampling a code sets a single element), one persistent
-//! logits buffer, and one persistent conditional-probability buffer. Each
-//! column step is then a single forward over the batch for that column's
-//! logit block alone, with trie hits and within-batch dedup expressed as row
-//! masks (`ColumnMasks` in the trie module) that every kernel consumes
+//! generation) both advance a batch of sample paths column by column, and
+//! both set exactly one code per column, in column order. [`SampleBatch`]
+//! keeps the batch on codes: each path's sampled codes and trie node, and
+//! its running first-layer sum (the carry), to which sampling a code adds
+//! one row of the transposed first layer; there is no one-hot input. Beside
+//! them sit one persistent logits buffer and one persistent
+//! conditional-probability buffer. Each column step is then a single
+//! forward over the batch for that column's logit block alone, starting
+//! from the carried sums, with trie hits and within-batch dedup expressed as
+//! row masks (`ColumnMasks` in the trie module) that the kernel consumes
 //! natively — no per-column scatter/gather vectors and no per-column
 //! allocation in the batch.
 //!
@@ -20,11 +20,12 @@
 //! per model version), and the generation pipeline keeps one per rayon
 //! worker, so in steady state the batch reallocates none of its buffers.
 //!
-//! Everything here is value-preserving: per-row forward arithmetic is
-//! row-independent, so masked batch-major forwards are
+//! Everything here is value-preserving: a carried sum has the bits of the
+//! first layer's axpy over the path's one-hot row, and per-row forward
+//! arithmetic is row-independent, so masked batch-major forwards are
 //! bit-identical, row for row, to the compact per-column forwards they
-//! replace (locked by `batched_estimates_are_bit_identical_to_sequential`
-//! and the determinism tests in [`crate::sample`]).
+//! replace (locked by `batched_estimates_are_bit_identical_to_sequential`,
+//! the estimate-bits test and the determinism tests in [`crate::sample`]).
 
 use crate::model::FrozenModel;
 use crate::trie::{ColumnMasks, ColumnSummary, PrefixTrie};
@@ -43,10 +44,9 @@ const PAR_FORWARD_ROWS: usize = 64;
 #[derive(Debug)]
 pub struct SampleBatch {
     rows: usize,
-    width: usize,
-    /// One-hot activations, one row per sample path, maintained
-    /// incrementally as codes are sampled.
-    input: Matrix,
+    /// Each row's running first-layer sum over its sampled codes, so a
+    /// column's forward starts from it.
+    carry: Matrix,
     /// Logits of the latest forward; only fresh rows of a column are
     /// written (masked rows keep stale values that are never read).
     logits: Matrix,
@@ -57,9 +57,6 @@ pub struct SampleBatch {
     masks: ColumnMasks,
     /// Per-path factor product; `0.0` marks a dead path.
     factors: Vec<f64>,
-    /// Dense path only: each row's running first-layer sum over its set
-    /// inputs, so a column's forward does not rescan the one-hot row.
-    carry: Matrix,
     /// Sampled codes per path (the off-trie dedup key).
     codes: Vec<Vec<u32>>,
     /// Each path's trie node (depth == column index), or `OFF_TRIE`.
@@ -77,12 +74,10 @@ impl SampleBatch {
     pub fn new() -> SampleBatch {
         SampleBatch {
             rows: 0,
-            width: 0,
-            input: Matrix::zeros(0, 0),
+            carry: Matrix::zeros(0, 0),
             logits: Matrix::zeros(0, 0),
             probs: Matrix::zeros(0, 0),
             masks: ColumnMasks::default(),
-            carry: Matrix::zeros(0, 0),
             factors: Vec::new(),
             codes: Vec::new(),
             node: Vec::new(),
@@ -90,19 +85,17 @@ impl SampleBatch {
     }
 
     /// Prepare for a fresh pass of `rows` sample paths against `model`:
-    /// clear activations and factors, reset every path to the trie root.
-    /// Reuses every buffer whose shape still fits.
+    /// zero the carried sums, clear factors and codes, reset every path to
+    /// the trie root. Reuses every buffer whose shape still fits.
     pub(crate) fn reset(&mut self, model: &FrozenModel, rows: usize) {
-        let width = model.net.total_width();
         let max_domain = (0..model.net.num_columns())
             .map(|i| model.net.domain_size(i))
             .max()
             .unwrap_or(0);
         self.rows = rows;
-        self.width = width;
-        resize_or_clear(&mut self.input, rows, width, true);
-        resize_or_clear(&mut self.logits, rows, width, false);
-        resize_or_clear(&mut self.probs, rows, max_domain, false);
+        model.net.reset_carry(&mut self.carry, rows);
+        resize(&mut self.logits, rows, model.net.total_width());
+        resize(&mut self.probs, rows, max_domain);
         self.factors.clear();
         self.factors.resize(rows, 1.0);
         self.codes.iter_mut().for_each(Vec::clear);
@@ -143,14 +136,14 @@ impl SampleBatch {
 
     /// Column `i`'s logit block for the fresh rows, the only logits the
     /// step reads. Small fresh counts go through the kernel's masked
-    /// forward in place; large ones (many stacked requests) are gathered
-    /// once and forwarded in parallel row chunks, and only block `i` is
-    /// copied back. Per-row arithmetic is identical either way, so this is
-    /// a pure throughput choice.
+    /// forward in place; large ones (many stacked requests) have their
+    /// carried sums gathered once and forwarded in parallel row chunks, and
+    /// only block `i` is copied back. Per-row arithmetic is identical either
+    /// way, so this is a pure throughput choice.
     fn forward_fresh(&mut self, model: &FrozenModel, i: usize, n_fresh: usize) {
         if n_fresh <= PAR_FORWARD_ROWS {
-            model.net.forward_column_into(
-                &self.input,
+            model.net.forward_column_carried_into(
+                &self.carry,
                 Some(&self.masks.fresh),
                 i,
                 &mut self.logits,
@@ -158,20 +151,21 @@ impl SampleBatch {
             return;
         }
         let fresh_rows: Vec<usize> = (0..self.rows).filter(|&r| self.masks.fresh[r]).collect();
-        let width = self.width;
-        let input = &self.input;
+        let (carry, width) = (&self.carry, self.logits.cols());
         let n_chunks = n_fresh.div_ceil(PAR_FORWARD_ROWS);
         let chunks: Vec<(usize, Matrix)> = (0..n_chunks)
             .into_par_iter()
             .map(|c| {
                 let start = c * PAR_FORWARD_ROWS;
                 let end = (start + PAR_FORWARD_ROWS).min(n_fresh);
-                let mut chunk = Matrix::zeros(end - start, width);
+                let mut chunk = Matrix::zeros(end - start, carry.cols());
                 for (ci, &r) in fresh_rows[start..end].iter().enumerate() {
-                    chunk.row_mut(ci).copy_from_slice(input.row(r));
+                    chunk.row_mut(ci).copy_from_slice(carry.row(r));
                 }
                 let mut logits = Matrix::zeros(end - start, width);
-                model.net.forward_column_into(&chunk, None, i, &mut logits);
+                model
+                    .net
+                    .forward_column_carried_into(&chunk, None, i, &mut logits);
                 (start, logits)
             })
             .collect();
@@ -196,7 +190,7 @@ impl SampleBatch {
     }
 
     /// Record the sampled `code` for row `r` at column `i`: extend the code
-    /// prefix, set the one-hot activation, and descend the trie.
+    /// prefix, add the code to the row's carried sum, and descend the trie.
     pub(crate) fn advance(
         &mut self,
         trie: &mut PrefixTrie,
@@ -206,7 +200,7 @@ impl SampleBatch {
         code: u32,
     ) {
         self.codes[r].push(code);
-        self.input.set(r, model.net.offset(i) + code as usize, 1.0);
+        self.carry_code(model, i, r, code);
         self.node[r] = trie.child(self.node[r], code);
     }
 
@@ -232,24 +226,36 @@ impl SampleBatch {
 
     // ------------------------------------------------- dense (no-trie) path
 
+    /// Add code `code` of column `i` to row `r`'s carried first-layer sum:
+    /// row `offset(i) + code` of the transposed first layer. Columns are
+    /// sampled in order, so every row's codes arrive in ascending input
+    /// position, the order the first layer's axpy adds them in.
+    pub(crate) fn carry_code(&mut self, model: &FrozenModel, i: usize, r: usize, code: u32) {
+        model
+            .net
+            .carry_onehot(&mut self.carry, r, model.net.offset(i) + code as usize);
+    }
+
+    // ------------------------------------------------- dense (no-trie) path
+
     /// Prepare for unconditional sampling: like
     /// [`reset`](SampleBatch::reset), plus an all-live mask so every row is
-    /// forwarded each column and a zeroed first-layer carry.
+    /// forwarded each column.
     pub(crate) fn reset_dense(&mut self, model: &FrozenModel, rows: usize) {
         self.reset(model, rows);
         self.masks.fresh.clear();
         self.masks.fresh.resize(rows, true);
-        model.net.reset_carry(&mut self.carry, rows);
     }
 
     /// Forward the whole batch for column `i`'s logit block and softmax it
     /// into the probability buffer (unconditional sampling: every row is
-    /// live and fresh every column, and only block `i` is read). The first
-    /// layer starts from the carried sums.
+    /// live and fresh every column, and only block `i` is read). The
+    /// unconditional sampler records its codes in its own output rows and
+    /// adds each to the batch through [`carry_code`](SampleBatch::carry_code).
     pub(crate) fn forward_column_dense(&mut self, model: &FrozenModel, i: usize) {
         model
             .net
-            .forward_column_carried_into(&self.input, &self.carry, i, &mut self.logits);
+            .forward_column_carried_into(&self.carry, None, i, &mut self.logits);
         model.net.conditional_probs_masked_into(
             &self.logits,
             i,
@@ -263,24 +269,12 @@ impl SampleBatch {
     pub(crate) fn dense_probs_row(&self, r: usize, d: usize) -> &[f32] {
         &self.probs.row(r)[..d]
     }
-
-    /// Set one activation element directly and add it to the row's
-    /// first-layer carry (unconditional sampling records codes in its own
-    /// output rows, not in the batch). Columns are sampled in offset order,
-    /// so every row's inputs arrive in ascending `pos`.
-    pub(crate) fn set_input_onehot(&mut self, model: &FrozenModel, r: usize, pos: usize) {
-        self.input.set(r, pos, 1.0);
-        model.net.carry_onehot(&mut self.carry, r, pos);
-    }
 }
 
 /// Give `m` the requested shape, reusing its allocation when it already
-/// matches; `zero` additionally clears retained contents (buffers whose
-/// stale values are never read skip the memset).
-fn resize_or_clear(m: &mut Matrix, rows: usize, cols: usize, zero: bool) {
+/// matches; its stale values are never read, so it is not cleared.
+fn resize(m: &mut Matrix, rows: usize, cols: usize) {
     if m.rows() != rows || m.cols() != cols {
         *m = Matrix::zeros(rows, cols);
-    } else if zero {
-        m.clear();
     }
 }

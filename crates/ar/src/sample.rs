@@ -44,7 +44,7 @@ pub fn sample_model_rows_range(
     let n_batches = count.div_ceil(batch);
     let batches = batches.start.min(n_batches)..batches.end.min(n_batches);
     // `map_init` builds one `SampleBatch` per rayon job split, not per
-    // worker: a split reuses its activation/logits/probability buffers
+    // worker: a split reuses its carry/logits/probability buffers
     // across the batches it draws, and a call pays for a few splits' worth
     // of allocation and reset rather than three matrices per batch.
     batches
@@ -74,11 +74,10 @@ fn sample_batch_with(
     for i in 0..n_cols {
         scratch.forward_column_dense(model, i);
         let d = model.net.domain_size(i);
-        let offset = model.net.offset(i);
         for (r, row) in out.iter_mut().enumerate() {
-            let code = sample_weighted(scratch.dense_probs_row(r, d), rng).unwrap_or(0);
-            row[i] = code as u32;
-            scratch.set_input_onehot(model, r, offset + code);
+            let code = sample_weighted(scratch.dense_probs_row(r, d), rng).unwrap_or(0) as u32;
+            row[i] = code;
+            scratch.carry_code(model, i, r, code);
         }
     }
     out

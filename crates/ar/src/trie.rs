@@ -2,7 +2,7 @@
 //!
 //! Progressive sampling evaluates the network on *prefixes* of sampled
 //! codes, and the conditional distribution at a prefix is a pure function
-//! of that prefix — the same one-hot input always yields the same logits.
+//! of that prefix — the same codes always yield the same logits.
 //! The trie exploits this twice:
 //!
 //! 1. **Within a batch**: paths holding identical prefixes land on the same

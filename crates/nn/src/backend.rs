@@ -3,18 +3,19 @@
 //! Every serving-path estimate and every generated tuple funnels through a
 //! frozen forward pass, so this is where serving throughput lives.
 //! [`ReferenceF32`] owns a frozen MADE-style layer stack (affine layers with
-//! optional residual skips, ReLU between, none after the last) and computes
-//! the bits of the historical `FrozenMade::forward` loop (a serial dot
-//! product per output) for the live rows, the requested logit block and
-//! only the hidden units that block reads (one plan per column block, built
-//! from the weights' exact zeros at construction): a sparse axpy for the
-//! one-hot first layer, or a carried first-layer sum, and the
-//! register-tiled [`dense_tiled`] over compact weights for every post-ReLU
-//! layer.
+//! optional residual skips after the first, ReLU between, none after the
+//! last) and computes the bits of the historical `FrozenMade::forward` loop
+//! (a serial dot product per output) for the live rows, the requested logit
+//! block and only the hidden units that block reads (one plan per column
+//! block, built from the weights' exact zeros at construction).
 //!
-//! The sample batch is one persistent row-per-path matrix; a row-liveness
-//! mask selects which paths need this column's forward (trie-cached, deduped
-//! and dead paths are masked out of an estimate; generation forwards every
+//! Sampling sets one code per column, in column order, so the first layer
+//! is never multiplied: each sample path carries its first-layer pre-bias
+//! sum, one row of the transposed first layer added per sampled code, and
+//! the forward starts from that sum. Every post-ReLU layer runs the
+//! register-tiled [`dense_tiled`] over compact weights. A row-liveness mask
+//! selects which paths need this column's forward (trie-cached, deduped and
+//! dead paths are masked out of an estimate; generation forwards every
 //! row), and a column step reads one column's logit block, so the output
 //! layer is asked for that block only. The tile's inner loop uses the
 //! portable eight-lane `F32x8` helper — plain fixed-size arrays the compiler
@@ -39,23 +40,20 @@ pub struct FrozenLayers {
 
 // -------------------------------------------------------------- ReferenceF32
 
-/// The f32 kernel, the one every frozen forward runs on. It gathers the
-/// live rows into a compact matrix (an unmasked input is used as it is) and
-/// walks the layers for the requested
-/// logit block only, on that block's `Plan`; the block is copied
-/// back to the live rows. The first layer reads the one-hot input and runs
-/// the sparse axpy [`Matrix::matmul_block`] (or starts from a carried sum),
-/// and its live units get bias, residual and ReLU. Every later layer reads
-/// a post-ReLU activation and runs the register-tiled [`dense_tiled`], on
-/// the instance [`TileIsa::detect`] picked at construction, over the
-/// plan's compact weights: the live inputs × the live outputs. For finite
-/// weights (model files with a non-finite weight are refused at load) every
-/// logit has the bits of the serial dot product `((0 + x₀w₀) + x₁w₁) + …`
-/// that the historical `FrozenMade::forward` computed, a lock the parity
-/// tests keep against that loop written out. Unconditional sampling
-/// carries each row's first-layer sum from column to column and enters the
-/// walk after it ([`forward_carried_cols_into`](Self::forward_carried_cols_into)),
-/// with the same bits.
+/// The f32 kernel, the one every frozen forward runs on. It starts from
+/// each row's first-layer pre-bias sum (carried by the sampler, or the axpy
+/// of an input by [`forward_cols_into`](Self::forward_cols_into)), gathers
+/// the live rows into a compact matrix (an unmasked batch is used as it is)
+/// and walks the layers for the requested logit block only, on that block's
+/// `Plan`; the block is copied back to the live rows. The first layer's live
+/// units get bias and ReLU. Every later layer reads a post-ReLU activation
+/// and runs the register-tiled [`dense_tiled`], on the instance
+/// [`TileIsa::detect`] picked at construction, over the plan's compact
+/// weights: the live inputs × the live outputs. For finite weights (model
+/// files with a non-finite weight are refused at load) every logit has the
+/// bits of the serial dot product `((0 + x₀w₀) + x₁w₁) + …` that the
+/// historical `FrozenMade::forward` computed, a lock the parity tests keep
+/// against that loop written out.
 #[derive(Debug, Clone)]
 pub struct ReferenceF32 {
     params: Arc<FrozenLayers>,
@@ -151,8 +149,12 @@ impl Plan {
 
 impl ReferenceF32 {
     /// Wrap shared frozen layers, with a plan for each logit range of
-    /// `blocks` (a model's column blocks and its full width).
+    /// `blocks` (a model's column blocks and its full width). The first
+    /// layer must not be residual: its input is the one-hot encoding, which
+    /// the carried sums stand for ([`FrozenMade::from_parts`](crate::FrozenMade::from_parts)
+    /// refuses such a file).
     pub fn new(params: Arc<FrozenLayers>, blocks: &[Range<usize>]) -> Self {
+        assert!(!params.residual[0], "the first layer has no residual skip");
         let first_t = params.layers[0].0.transpose();
         let plans = blocks
             .iter()
@@ -179,48 +181,21 @@ impl ReferenceF32 {
         }
     }
 
-    /// The walk over the rows of `input` for logits `cols`; row `k` of
-    /// `out` gets row `k`'s block. Layer 0 is the axpy
-    /// `input.matmul_block(effᵀ₀, 0..in, ·)` over the span of the plan's
-    /// live units, or `carry` when given (the first layer's pre-bias sums
-    /// for the rows of `input`); its live units get bias, residual and ReLU.
-    /// Layers 1.. are [`dense_tiled`] on the plan's compact weights.
-    fn walk(
-        &self,
-        input: &Matrix,
-        carry: Option<&Matrix>,
-        cols: Range<usize>,
-        mut out: impl FnMut(usize, &[f32]),
-    ) {
+    /// The walk over the rows of `sums`, the first layer's pre-bias sums,
+    /// for logits `cols`; row `k` of `out` gets row `k`'s block. The plan's
+    /// live first-layer units get bias and ReLU (layer 0 is never residual:
+    /// its input is the one-hot encoding); layers 1.. are [`dense_tiled`] on
+    /// the plan's compact weights.
+    fn walk(&self, sums: &Matrix, cols: Range<usize>, mut out: impl FnMut(usize, &[f32])) {
         let plan = self.plan(cols.clone());
         let last = plan.packs.len();
-        let units = &plan.first;
-        let span = match (units.first(), units.last()) {
-            (Some(&lo), Some(&hi)) => lo..hi + 1,
-            _ => 0..0,
-        };
-        let axpy;
-        let (sums, base) = match carry {
-            Some(carry) => (carry, 0),
-            None => {
-                axpy = input.matmul_block(&self.first_t, 0..input.cols(), span.clone());
-                (&axpy, span.start)
-            }
-        };
         let bias = self.params.layers[0].1.row(0);
-        let residual = self.params.residual[0];
-        let mut h = Matrix::zeros(input.rows(), units.len());
+        let mut h = Matrix::zeros(sums.rows(), plan.first.len());
         for k in 0..h.rows() {
-            let (sum, x) = (sums.row(k), input.row(k));
-            for (o, &u) in h.row_mut(k).iter_mut().zip(units) {
-                let mut v = sum[u - base] + bias[u];
-                if residual {
-                    v += x[u];
-                }
-                if last != 0 {
-                    v = v.max(0.0);
-                }
-                *o = v;
+            let sum = sums.row(k);
+            for (o, &u) in h.row_mut(k).iter_mut().zip(&plan.first) {
+                let v = sum[u] + bias[u];
+                *o = if last != 0 { v.max(0.0) } else { v };
             }
         }
         for (i, (pack, bias)) in (1..).zip(&plan.packs) {
@@ -240,18 +215,14 @@ impl ReferenceF32 {
         }
     }
 
-    /// The one forward. `input` (rows × in_width) holds one row per sample
-    /// path, and `live` masks the rows that need this forward (paths whose
-    /// conditionals are trie-cached, deduped onto a representative row, or
-    /// dead are masked out; `None` forwards every row). Each live row runs
-    /// the output layer for logits `cols`, and the hidden layers for only
-    /// the units those logits read; every element of `out[r, cols]` of a
-    /// live row is overwritten, and nothing else of `out` is touched.
-    ///
-    /// Per-row arithmetic does not depend on the mask or the other rows,
-    /// and narrowing to `cols` only drops terms that add an exact `±0`, so
-    /// masking and narrowing change cost, never values: the block is
-    /// bit-identical to the same block of a full-width forward.
+    /// The forward of a batch of rows of any input (`rows × in_width`):
+    /// the axpy [`Matrix::matmul_block`] of `input` by `effᵀ₀` gives every
+    /// row's first-layer sums, then the carried forward
+    /// [`forward_carried_cols_into`](Self::forward_carried_cols_into) runs on
+    /// them with the same `live` and `cols`. The axpy takes each sum from
+    /// `+0` over the inputs in ascending order, skipping zeros, so a sum has
+    /// the bits of the serial dot product, and a one-hot row's sum those of
+    /// its carry.
     pub fn forward_cols_into(
         &self,
         input: &Matrix,
@@ -259,23 +230,8 @@ impl ReferenceF32 {
         cols: Range<usize>,
         out: &mut Matrix,
     ) {
-        assert_eq!(out.rows(), input.rows(), "output buffer shape mismatch");
-        // Under a mask the live rows are gathered first, so every layer
-        // multiplies a compact matrix; unmasked, the input is used as it is.
-        let live_rows: Vec<usize> = (0..input.rows())
-            .filter(|&r| live.is_none_or(|m| m[r]))
-            .collect();
-        let compact = live.map(|_| {
-            let mut compact = Matrix::zeros(live_rows.len(), input.cols());
-            for (k, &r) in live_rows.iter().enumerate() {
-                compact.row_mut(k).copy_from_slice(input.row(r));
-            }
-            compact
-        });
-        let input = compact.as_ref().unwrap_or(input);
-        self.walk(input, None, cols.clone(), |k, block| {
-            out.row_mut(live_rows[k])[cols.clone()].copy_from_slice(block)
-        });
+        let sums = input.matmul_block(&self.first_t, 0..input.cols(), 0..self.first_t.cols());
+        self.forward_carried_cols_into(&sums, live, cols, out);
     }
 
     /// Row `pos` of the first layer's transposed weights: what setting
@@ -284,30 +240,51 @@ impl ReferenceF32 {
         self.first_t.row(pos)
     }
 
-    /// The forward of every row of a one-hot `input` for logits `cols`,
-    /// given `carry`: per row, the first layer's pre-bias sum, built by
-    /// adding [`carry_row`](Self::carry_row)`(pos)` for each set input `pos`
-    /// in ascending order, starting from zero. Layer 1 starts from `carry`
-    /// instead of scanning `input`: for a one-hot input the axpy adds
-    /// `1.0 · effᵀ₀[pos]` = `effᵀ₀[pos]` for the set inputs in ascending
-    /// order from zero, which is how `carry` was built, so the sums have the
-    /// same bits. Bias, residual and ReLU follow as in the walk, then layers
-    /// 2..n unchanged.
+    /// The one forward. `carry` (rows × the first layer's width) holds one
+    /// row per sample path: that path's first-layer pre-bias sum, built by
+    /// adding [`carry_row`](Self::carry_row)`(pos)` for each set one-hot
+    /// input `pos` in ascending order, starting from `+0`. That is the sum
+    /// the axpy over the one-hot row computes (`1.0 · effᵀ₀[pos]` is
+    /// `effᵀ₀[pos]`), so it has the same bits. `live` masks the rows that
+    /// need this forward (paths whose conditionals are trie-cached, deduped
+    /// onto a representative row, or dead are masked out; `None` forwards
+    /// every row). Each live row runs the output layer for logits `cols`,
+    /// and the hidden layers for only the units those logits read; every
+    /// element of `out[r, cols]` of a live row is overwritten, and nothing
+    /// else of `out` is touched.
+    ///
+    /// Per-row arithmetic does not depend on the mask or the other rows,
+    /// and narrowing to `cols` only drops terms that add an exact `±0`, so
+    /// masking and narrowing change cost, never values: the block is
+    /// bit-identical to the same block of a full-width forward.
     pub fn forward_carried_cols_into(
         &self,
-        input: &Matrix,
         carry: &Matrix,
+        live: Option<&[bool]>,
         cols: Range<usize>,
         out: &mut Matrix,
     ) {
-        assert_eq!(out.rows(), input.rows(), "output buffer shape mismatch");
+        assert_eq!(out.rows(), carry.rows(), "output buffer shape mismatch");
         assert_eq!(
-            (carry.rows(), carry.cols()),
-            (input.rows(), self.first_t.cols()),
+            carry.cols(),
+            self.first_t.cols(),
             "carried sum shape mismatch"
         );
-        self.walk(input, Some(carry), cols.clone(), |k, block| {
-            out.row_mut(k)[cols.clone()].copy_from_slice(block)
+        // Under a mask the live rows are gathered first, so every layer
+        // multiplies a compact matrix; unmasked, the sums are used as they are.
+        let live_rows: Vec<usize> = (0..carry.rows())
+            .filter(|&r| live.is_none_or(|m| m[r]))
+            .collect();
+        let compact = live.map(|_| {
+            let mut compact = Matrix::zeros(live_rows.len(), carry.cols());
+            for (k, &r) in live_rows.iter().enumerate() {
+                compact.row_mut(k).copy_from_slice(carry.row(r));
+            }
+            compact
+        });
+        let sums = compact.as_ref().unwrap_or(carry);
+        self.walk(sums, cols.clone(), |k, block| {
+            out.row_mut(live_rows[k])[cols.clone()].copy_from_slice(block)
         });
     }
 }
@@ -668,12 +645,12 @@ mod tests {
     /// live inputs differ from its live outputs and some units reach no
     /// logit: every block, and ranges that are not blocks, has the bits of
     /// the serial loop, masked, unmasked and from a carried first layer.
-    /// With skips on every layer, on the middle one only, and on the
-    /// output layer (whose live set is then wider than the block).
+    /// With skips on every layer after the first, on the middle one only,
+    /// and on the output layer (whose live set is then wider than the block).
     #[test]
     fn sparse_residual_stacks_match_the_serial_loop_on_every_block() {
         let skips = [
-            [true, true, true],
+            [false, true, true],
             [false, true, false],
             [false, false, true],
         ];
@@ -712,7 +689,7 @@ mod tests {
                 ];
                 reference.forward_cols_into(&input, None, cols.clone(), &mut outs[0]);
                 reference.forward_cols_into(&input, Some(&mask), cols.clone(), &mut outs[1]);
-                reference.forward_carried_cols_into(&input, &carry, cols.clone(), &mut outs[2]);
+                reference.forward_carried_cols_into(&carry, None, cols.clone(), &mut outs[2]);
                 for (how, out) in ["unmasked", "masked", "carried"].iter().zip(&outs) {
                     for r in (0..rows).filter(|&r| *how != "masked" || mask[r]) {
                         for c in cols.clone() {

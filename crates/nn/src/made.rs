@@ -333,8 +333,9 @@ impl FrozenMade {
     /// every shape the forward kernels rely on is checked here rather than
     /// asserted there: a non-empty stack, widths that chain from the one-hot
     /// input (`Σ domain_sizes`) back to logits of the same width, row-vector
-    /// biases, and square layers wherever a residual skip adds input to
-    /// output.
+    /// biases, square layers wherever a residual skip adds input to output,
+    /// and no skip on the first layer (the one-hot input never has one, and
+    /// the kernel starts from the first layer's carried sums).
     pub fn from_parts(
         layers: Vec<(Matrix, Matrix)>,
         residual: Vec<bool>,
@@ -349,6 +350,9 @@ impl FrozenMade {
                 residual.len(),
                 layers.len()
             ));
+        }
+        if residual[0] {
+            return Err("layer 0 is residual, but the one-hot input has no skip".into());
         }
         let total: usize = domain_sizes.iter().sum();
         let mut width = total;
@@ -432,23 +436,6 @@ impl FrozenMade {
             .forward_cols_into(input, live, 0..self.total_width, out);
     }
 
-    /// Forward the live rows of `input` for column `i`'s logit block only:
-    /// `out[r, offset(i)..offset(i) + domain_size(i)]` of each live row is
-    /// written with the bits of that block of [`FrozenMade::forward`];
-    /// nothing else of `out` is touched (see
-    /// [`ReferenceF32::forward_cols_into`]).
-    pub fn forward_column_into(
-        &self,
-        input: &Matrix,
-        live: Option<&[bool]>,
-        i: usize,
-        out: &mut Matrix,
-    ) {
-        let offset = self.offset(i);
-        self.kernel
-            .forward_cols_into(input, live, offset..offset + self.domain_size(i), out);
-    }
-
     /// Make `carry` the first-layer sums of `rows` empty inputs: `rows ×`
     /// the first layer's width, all zero (the sum starts at zero; the bias
     /// is added after it). Keeps the allocation when the shape fits.
@@ -471,22 +458,24 @@ impl FrozenMade {
         }
     }
 
-    /// [`forward_column_into`](FrozenMade::forward_column_into) of every row
-    /// of a one-hot `input` whose first-layer sums were carried into `carry`
-    /// by [`carry_onehot`](FrozenMade::carry_onehot): the same bits, without
-    /// rescanning the input (see
-    /// [`ReferenceF32::forward_carried_cols_into`]).
+    /// Forward the live rows of a batch for column `i`'s logit block only,
+    /// from their first-layer sums carried into `carry` by
+    /// [`carry_onehot`](FrozenMade::carry_onehot):
+    /// `out[r, offset(i)..offset(i) + domain_size(i)]` of each live row
+    /// (every row for `None`) is written with the bits of that block of
+    /// [`FrozenMade::forward`] on the row's one-hot input; nothing else of
+    /// `out` is touched (see [`ReferenceF32::forward_carried_cols_into`]).
     pub fn forward_column_carried_into(
         &self,
-        input: &Matrix,
         carry: &Matrix,
+        live: Option<&[bool]>,
         i: usize,
         out: &mut Matrix,
     ) {
         let offset = self.offset(i);
         self.kernel.forward_carried_cols_into(
-            input,
             carry,
+            live,
             offset..offset + self.domain_size(i),
             out,
         );
@@ -700,6 +689,20 @@ mod tests {
                 "1-column model must ignore its input"
             );
         }
+    }
+
+    /// A residual first layer is refused by name even when it is square;
+    /// the same stack without the flag loads.
+    #[test]
+    fn from_parts_refuses_a_residual_first_layer() {
+        let layer = |out: usize, inp: usize| (Matrix::full(out, inp, 0.25), Matrix::zeros(1, out));
+        let layers = vec![layer(5, 5), layer(5, 5)];
+        let err = FrozenMade::from_parts(layers.clone(), vec![true, false], vec![2, 3])
+            .expect_err("a residual first layer must be refused");
+        assert!(err.contains("layer 0"), "error names the layer: {err}");
+        let net = FrozenMade::from_parts(layers, vec![false, false], vec![2, 3])
+            .expect("the same stack without the skip loads");
+        assert_eq!(net.residual_flags(), &[false, false]);
     }
 
     #[test]

@@ -236,10 +236,11 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-4, "reference {} vs tape {}", x, y);
         }
 
-        // (e) The column-block forward: every column's block, asked for
-        // alone, overwrites that block of a poisoned buffer with the bits of
-        // the legacy loop's full forward, once for every row and once under
-        // a row mask. Masked-out rows stay poisoned, and so does every logit
+        // (e) The column-block forward from the one-hot rows' carried
+        // first-layer sums: every column's block, asked for alone,
+        // overwrites that block of a poisoned buffer with the bits of the
+        // legacy loop's full forward, once for every row and once under a
+        // row mask. Masked-out rows stay poisoned, and so does every logit
         // of a live row outside the block. Biases start at zero, so they get
         // seeded values here for the order of the bias add to show in the
         // bits. The one-hot rows get an all-zero row beside them (the first
@@ -274,12 +275,19 @@ proptest! {
             if r < input.rows() { input.get(r, c) } else { 0.0 }
         });
         let full = legacy_forward(&biased, &input);
+        let mut carried = Matrix::zeros(0, 0);
+        biased.reset_carry(&mut carried, rows);
+        for r in 0..rows {
+            for pos in (0..width).filter(|&p| input.get(r, p) == 1.0) {
+                biased.carry_onehot(&mut carried, r, pos);
+            }
+        }
         for i in 0..domains.len() {
             let block = biased.offset(i)..biased.offset(i) + biased.domain_size(i);
             let mask: Vec<bool> = (0..rows).map(|r| !(r + i + seed as usize).is_multiple_of(3)).collect();
             for live in [None, Some(mask.as_slice())] {
                 let mut out = Matrix::full(rows, width, f32::NAN);
-                biased.forward_column_into(&input, live, i, &mut out);
+                biased.forward_column_carried_into(&carried, live, i, &mut out);
                 for r in 0..rows {
                     let row_live = live.is_none_or(|m| m[r]);
                     for c in 0..width {
@@ -322,7 +330,7 @@ proptest! {
             let block = net.offset(i)..net.offset(i) + d;
             let want = legacy_forward(net, &onehot);
             let mut got = Matrix::full(rows, width, f32::NAN);
-            net.forward_column_carried_into(&onehot, &carry, i, &mut got);
+            net.forward_column_carried_into(&carry, None, i, &mut got);
             for r in 0..rows {
                 for c in block.clone() {
                     prop_assert_eq!(
