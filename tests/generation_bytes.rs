@@ -14,8 +14,12 @@
 //! ones from before generation moved to the column-block forward, the
 //! pairwise and census ones from before assembly went column-major, the
 //! default-shape ones from before each column's forward ran on the hidden
-//! units its logits read). A change to training, sampling or assembly that
-//! moves a byte of either fails here.
+//! units its logits read). A three-level `org → team → member` tree is
+//! trained and generated from as well, so the grouping of a deeper table by
+//! its ancestors' keys and the products of leftover boosts down two levels
+//! are in the locked bytes (constants from before Group-and-Merge moved to
+//! flat arrays). A change to training, sampling or assembly that moves a
+//! byte of either fails here.
 //!
 //! A CSV cannot show a dictionary wider than the values its column holds, so
 //! a second test rebuilds every generated table with `Table::from_rows` from
@@ -34,13 +38,15 @@
 //! `actual` table from the failure message over `GOLDEN`; say in CHANGES.md
 //! which hashes moved and why.
 
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use sam::prelude::*;
 use std::sync::OnceLock;
 
 /// `(case, file, FNV-1a of its bytes)`: the trained imdb model file, its
 /// generated CSVs in schema order, the pairwise CSVs, the census model file
-/// and its generated relation, then the default-shape imdb model file and
-/// its CSVs.
+/// and its generated relation, the default-shape imdb model file and its
+/// CSVs, then the three-level model file and its CSVs.
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32", "model.json", 0xa94ebe8694a7ae36),
     ("f32", "title", 0x2efc16c7fb820327),
@@ -64,6 +70,10 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("f32-default", "movie_info", 0x979423c598cc36d0),
     ("f32-default", "movie_info_idx", 0x9763977549c3f979),
     ("f32-default", "movie_keyword", 0xccfc71b83a731184),
+    ("three-level", "model.json", 0x5ecdce2f84eacce4),
+    ("three-level", "org", 0x35c283097290efa4),
+    ("three-level", "team", 0xfdeef2477e477c36),
+    ("three-level", "member", 0xf92c3fd8c06dbf2e),
 ];
 
 /// FNV-1a, 64-bit.
@@ -133,6 +143,76 @@ fn trained_census() -> TrainedSam {
     Sam::fit(target.schema(), &stats, &workload, &residual_config()).unwrap()
 }
 
+/// `org(id, sector) → team(id, org_id, size) → member(team_id, role)`, as in
+/// `tests/deep_tree.rs`: the sector drives the team count, the size the
+/// member count, and a member's role follows its org's sector.
+fn three_level_db() -> Database {
+    let org = TableSchema::new(
+        "org",
+        vec![
+            ColumnDef::primary_key("id"),
+            ColumnDef::content("sector", DataType::Int),
+        ],
+    );
+    let team = TableSchema::new(
+        "team",
+        vec![
+            ColumnDef::primary_key("id"),
+            ColumnDef::foreign_key("org_id", "org"),
+            ColumnDef::content("size", DataType::Int),
+        ],
+    );
+    let member = TableSchema::new(
+        "member",
+        vec![
+            ColumnDef::foreign_key("team_id", "team"),
+            ColumnDef::content("role", DataType::Int),
+        ],
+    );
+    let edge = |pk: &str, fk: &str, col: &str| ForeignKeyEdge {
+        pk_table: pk.into(),
+        fk_table: fk.into(),
+        fk_column: col.into(),
+    };
+    let schema = DatabaseSchema::new(
+        vec![org.clone(), team.clone(), member.clone()],
+        vec![
+            edge("org", "team", "org_id"),
+            edge("team", "member", "team_id"),
+        ],
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(5);
+    let (mut orgs, mut teams, mut members) = (Vec::new(), Vec::new(), Vec::new());
+    for o in 1..=80i64 {
+        let sector = rng.gen_range(0..4i64);
+        orgs.push(vec![Value::Int(o), Value::Int(sector)]);
+        for _ in 0..1 + rng.gen_range(0..=sector + 1) {
+            let id = teams.len() as i64 + 1;
+            let size = rng.gen_range(0..3i64);
+            teams.push(vec![Value::Int(id), Value::Int(o), Value::Int(size)]);
+            for _ in 0..(size + 1) * 2 {
+                let role = (sector + rng.gen_range(0..2i64)) % 5;
+                members.push(vec![Value::Int(id), Value::Int(role)]);
+            }
+        }
+    }
+    let tables = vec![
+        Table::from_rows(org, &orgs).unwrap(),
+        Table::from_rows(team, &teams).unwrap(),
+        Table::from_rows(member, &members).unwrap(),
+    ];
+    Database::new(schema, tables, true).unwrap()
+}
+
+fn trained_three_level() -> TrainedSam {
+    let target = three_level_db();
+    let stats = DatabaseStats::from_database(&target);
+    let mut gen = WorkloadGenerator::new(&target, 5);
+    let workload = label_workload(&target, gen.multi_workload(200, 2)).unwrap();
+    Sam::fit(target.schema(), &stats, &workload, &residual_config()).unwrap()
+}
+
 /// Every locked case: `(case, model file or None, generated database)`.
 fn cases() -> &'static [(String, Option<String>, Database)] {
     static CASES: OnceLock<Vec<(String, Option<String>, Database)>> = OnceLock::new();
@@ -160,6 +240,9 @@ fn cases() -> &'static [(String, Option<String>, Database)] {
         let imdb = trained_imdb(&default_config());
         let (db, _) = imdb.generate(&config).unwrap();
         cases.push(("f32-default".into(), Some(model_file(&imdb)), db));
+        let deep = trained_three_level();
+        let (db, _) = deep.generate(&config).unwrap();
+        cases.push(("three-level".into(), Some(model_file(&deep)), db));
         cases
     })
 }
