@@ -25,7 +25,7 @@ pub mod weights;
 
 pub use assemble::{assemble_database, JoinKeyStrategy};
 pub use error::SamError;
-pub use group_merge::{assign_keys_group_merge, AssignedKeys, Piece, PkTuple};
+pub use group_merge::{assign_keys_group_merge, AssignedKeys, PieceRef, PkTuple};
 pub use job::{JobControl, JobStage};
 pub use pipeline::{GenerationConfig, GenerationReport, Sam, SamConfig, TrainedSam};
 pub use single::assemble_single_relation;

@@ -239,10 +239,10 @@ proptest! {
         }).collect();
         let w = weigh_samples(&ar, &rows);
         for t in 0..3 {
-            let raw: f64 = w.weight.iter().map(|r| r[t]).sum();
+            let raw: f64 = (0..w.rows()).map(|r| w.weight(r, t)).sum();
             prop_assert!((raw - stats.table(t).num_rows as f64).abs() < 1e-6,
                 "table {}: raw mass {} vs |T| {}", t, raw, stats.table(t).num_rows);
-            let scaled: f64 = w.scaled.iter().map(|r| r[t]).sum();
+            let scaled: f64 = (0..w.rows()).map(|r| w.scaled(r, t)).sum();
             if stats.table(t).num_rows > 0 {
                 prop_assert!((scaled - stats.table(t).num_rows as f64).abs() < 1e-6);
             }
