@@ -1,8 +1,9 @@
 //! The router itself: accept loop, request routing, worker supervision,
 //! and draining rebalance.
 //!
-//! The router owns no model state. It maps every request to the worker
-//! slot that owns it — by the `model` field for estimate/generate/train,
+//! The router owns no model state. It parses every request path with
+//! [`Route::parse`] and maps the route to the worker slot that owns it —
+//! by the `model` field for estimate/generate/train,
 //! by the job-id range for `/jobs/*`, by fan-out for `/metrics`,
 //! `/models`, and `/quality` — and proxies the existing HTTP/1.1 surface
 //! unchanged. Managed workers are spawned, health-probed, and restarted
@@ -16,8 +17,9 @@ use crate::ring::HashRing;
 use crate::worker::{
     job_id_base, restart_backoff, slot_for_job, spawn_worker, ModelSpec, WorkerHealth, WorkerSpec,
 };
+use sam_obs::Endpoint;
 use sam_serve::http::{
-    self, build_request, query_param, split_target, Acceptor, Request, Response,
+    self, build_request, query_param, split_target, Acceptor, Request, Response, Route,
 };
 use sam_serve::sync::Lock;
 use sam_serve::ServeError;
@@ -530,20 +532,9 @@ fn handle_connection(stream: &TcpStream, state: &Arc<RouterState>) {
         usize::MAX,
         |_started, request: Result<Request, ServeError>, keep_alive| match request {
             Ok(request) => handle_request(state, &request, &mut writer, keep_alive),
-            Err(e) => respond_json(
-                &mut writer,
-                e.status(),
-                &json!({"error": e.to_string()}),
-                keep_alive,
-            ),
+            Err(e) => respond_error(&mut writer, &e, keep_alive),
         },
     );
-}
-
-/// Whether a request may safely be sent twice (the router's single-retry
-/// policy only applies to these).
-fn is_idempotent(method: &str, path: &str) -> bool {
-    method == "GET" || path == "/estimate" || path.ends_with("/cancel")
 }
 
 fn respond_json<W: Write>(
@@ -555,6 +546,15 @@ fn respond_json<W: Write>(
     let text = serde_json::to_string(body).unwrap_or_else(|_| "{}".to_string());
     http::write_json_response(out, status, &text, keep_alive)?;
     Ok(!keep_alive)
+}
+
+fn respond_error<W: Write>(out: &mut W, e: &ServeError, keep_alive: bool) -> std::io::Result<bool> {
+    respond_json(
+        out,
+        e.status(),
+        &json!({"error": e.to_string()}),
+        keep_alive,
+    )
 }
 
 /// Re-emit a buffered upstream response to the client, preserving status,
@@ -610,16 +610,21 @@ fn wait_for_healthy(worker: &WorkerRuntime, deadline: Duration) -> bool {
     }
 }
 
-/// Proxy one buffered request to a slot, with the single-retry policy for
-/// idempotent requests: on a transport failure, wait for the supervisor to
-/// bring the shard back and send exactly once more.
+/// Proxy one request to a slot. A job export streams through unbuffered; a
+/// failure before any client byte answers 503, one after the head leaves
+/// the client a truncated chunked stream (which it detects). Every other
+/// request is buffered, with the single-retry policy for idempotent ones
+/// ([`Route::idempotent`]): on a transport failure, wait for the supervisor
+/// to bring the shard back and send exactly once more.
 fn proxy_to_slot<W: Write>(
     state: &RouterState,
     slot: usize,
     request: &Request,
+    route: Route<'_>,
     out: &mut W,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
+    let idempotent = route.idempotent();
     let Some(worker) = worker_for_slot(state, slot) else {
         return respond_json(
             out,
@@ -636,8 +641,6 @@ fn proxy_to_slot<W: Write>(
             keep_alive,
         );
     }
-    let (path_only, _) = split_target(&request.path);
-    let idempotent = is_idempotent(&request.method, path_only);
     if !matches!(worker.health(), WorkerHealth::Healthy) {
         // Give a recovering shard one grace window before failing
         // idempotent traffic; fail non-idempotent traffic fast so the
@@ -655,6 +658,29 @@ fn proxy_to_slot<W: Write>(
         }
     }
     let upstream_request = render_upstream(request);
+    if let Route::Export(_) = route {
+        let mut tracked = TrackedWriter {
+            inner: out,
+            wrote: false,
+        };
+        return match proxy::relay(&worker.pool, &upstream_request, &mut tracked, keep_alive) {
+            Ok((_status, close)) => {
+                state.metrics.proxied_ok.inc();
+                Ok(close)
+            }
+            Err(e) if !tracked.wrote => {
+                worker.pool.clear();
+                state.metrics.upstream_errors.inc();
+                unavailable(
+                    state,
+                    tracked.inner,
+                    &format!("shard {slot} unreachable ({e}); retry shortly"),
+                    keep_alive,
+                )
+            }
+            Err(e) => Err(e),
+        };
+    }
     match worker.pool.exchange(&upstream_request) {
         Ok(resp) => {
             state.metrics.proxied_ok.inc();
@@ -702,60 +728,6 @@ fn render_upstream(request: &Request) -> Vec<u8> {
     )
 }
 
-/// Stream a large-body route (job export) through without buffering. Falls
-/// back to the buffered path semantics for errors: a failure before any
-/// client byte answers 503; a failure after the head leaves the client
-/// with a truncated chunked stream (which it detects).
-fn relay_to_slot<W: Write>(
-    state: &RouterState,
-    slot: usize,
-    request: &Request,
-    out: &mut W,
-    keep_alive: bool,
-) -> std::io::Result<bool> {
-    let Some(worker) = worker_for_slot(state, slot) else {
-        return respond_json(
-            out,
-            404,
-            &json!({"error": format!("no shard owns slot {slot} (worker departed)")}),
-            keep_alive,
-        );
-    };
-    if worker.draining.load(Ordering::SeqCst)
-        || (!matches!(worker.health(), WorkerHealth::Healthy)
-            && !wait_for_healthy(&worker, Duration::from_millis(state.config.retry_wait_ms)))
-    {
-        return unavailable(
-            state,
-            out,
-            &format!("shard {slot} is {}; retry shortly", worker.health().label()),
-            keep_alive,
-        );
-    }
-    let upstream_request = render_upstream(request);
-    let mut tracked = TrackedWriter {
-        inner: out,
-        wrote: false,
-    };
-    match proxy::relay(&worker.pool, &upstream_request, &mut tracked, keep_alive) {
-        Ok((_status, close)) => {
-            state.metrics.proxied_ok.inc();
-            Ok(close)
-        }
-        Err(e) if !tracked.wrote => {
-            worker.pool.clear();
-            state.metrics.upstream_errors.inc();
-            unavailable(
-                state,
-                tracked.inner,
-                &format!("shard {slot} unreachable ({e}); retry shortly"),
-                keep_alive,
-            )
-        }
-        Err(e) => Err(e),
-    }
-}
-
 fn handle_request<W: Write>(
     state: &Arc<RouterState>,
     request: &Request,
@@ -764,9 +736,20 @@ fn handle_request<W: Write>(
 ) -> std::io::Result<bool> {
     state.metrics.requests.inc();
     let (path, query) = split_target(&request.path);
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => respond_json(out, 200, &healthz_json(state), keep_alive),
-        ("GET", "/metrics") => {
+    let route = match Route::parse(&request.method, path) {
+        Ok(route) => route,
+        Err(e) => return respond_error(out, &e, keep_alive),
+    };
+    // Training, quality and the `/debug/*` routes go to the shard of the
+    // model their query names.
+    let by_model =
+        matches!(route, Route::Train | Route::Quality) || route.endpoint() == Endpoint::Debug;
+    if let (true, Some(model)) = (by_model, query_param(query, "model")) {
+        return route_by_model(state, model, request, route, out, keep_alive);
+    }
+    match route {
+        Route::Healthz => respond_json(out, 200, &healthz_json(state), keep_alive),
+        Route::Metrics => {
             if query_param(query, "format") == Some("prometheus") {
                 let body = sam_obs::Registry::global().render_prometheus();
                 http::write_response(
@@ -782,73 +765,43 @@ fn handle_request<W: Write>(
                 respond_json(out, 200, &merged_metrics(state), keep_alive)
             }
         }
-        ("GET", "/models") => respond_json(out, 200, &merged_models(state), keep_alive),
-        ("POST", "/models") => load_model_via_router(state, request, out, keep_alive),
-        ("POST", p) if p.starts_with("/models/") && p.ends_with("/rollback") => {
-            let name = &p["/models/".len()..p.len() - "/rollback".len()];
-            match slot_for_model(state, name) {
-                Some(slot) => proxy_to_slot(state, slot, request, out, keep_alive),
-                None => respond_json(
-                    out,
-                    404,
-                    &json!({"error": format!("model '{name}' is not placed on any shard")}),
-                    keep_alive,
-                ),
-            }
-        }
-        ("POST", "/estimate") | ("POST", "/generate") => {
-            route_by_body_model(state, request, out, keep_alive)
-        }
-        ("POST", "/train") => match query_param(query, "model") {
-            Some(model) => route_by_model(state, model, request, out, keep_alive),
+        Route::ListModels => respond_json(out, 200, &merged_models(state), keep_alive),
+        Route::LoadModel => load_model_via_router(state, request, out, keep_alive),
+        Route::Rollback(name) => match slot_for_model(state, name) {
+            Some(slot) => proxy_to_slot(state, slot, request, route, out, keep_alive),
             None => respond_json(
                 out,
-                400,
-                &json!({"error": "POST /train requires model=<name> in the query"}),
+                404,
+                &json!({"error": format!("model '{name}' is not placed on any shard")}),
                 keep_alive,
             ),
         },
-        ("GET", "/quality") => match query_param(query, "model") {
-            Some(model) => route_by_model(state, model, request, out, keep_alive),
-            None => respond_json(out, 200, &fanout_quality(state), keep_alive),
-        },
-        ("GET", "/debug/buildinfo") if query_param(query, "model").is_none() => {
-            respond_json(out, 200, &router_buildinfo(state), keep_alive)
+        Route::Estimate | Route::Generate => {
+            route_by_body_model(state, request, route, out, keep_alive)
         }
-        (_, p) if p.starts_with("/debug/") => match query_param(query, "model") {
-            Some(model) => route_by_model(state, model, request, out, keep_alive),
-            None => respond_json(
-                out,
-                400,
-                &json!({"error": "debug routes need model=<name> to pick a shard (the router keeps no per-model state)"}),
-                keep_alive,
-            ),
-        },
-        (_, p) if p.starts_with("/jobs/") => {
-            let id_text = p["/jobs/".len()..].split('/').next().unwrap_or_default();
-            match id_text.parse::<u64>() {
-                Ok(id) => {
-                    let slot = slot_for_job(id);
-                    if request.method == "GET" && p.ends_with("/export") {
-                        relay_to_slot(state, slot, request, out, keep_alive)
-                    } else {
-                        proxy_to_slot(state, slot, request, out, keep_alive)
-                    }
-                }
-                Err(_) => respond_json(
-                    out,
-                    400,
-                    &json!({"error": format!("invalid job id '{id_text}'")}),
-                    keep_alive,
-                ),
-            }
+        Route::Train => respond_json(
+            out,
+            400,
+            &json!({"error": "POST /train requires model=<name> in the query"}),
+            keep_alive,
+        ),
+        Route::Quality => respond_json(out, 200, &fanout_quality(state), keep_alive),
+        Route::BuildInfo => respond_json(out, 200, &router_buildinfo(state), keep_alive),
+        Route::Flight | Route::Slow | Route::LogLevel | Route::SetLogLevel => respond_json(
+            out,
+            400,
+            &json!({"error": "debug routes need model=<name> to pick a shard (the router keeps no per-model state)"}),
+            keep_alive,
+        ),
+        Route::Job(id) | Route::Export(id) | Route::Cancel(id) => {
+            proxy_to_slot(state, slot_for_job(id), request, route, out, keep_alive)
         }
-        ("GET", "/admin/topology") => respond_json(out, 200, &topology_json(state), keep_alive),
-        ("POST", "/admin/join") => match join_worker(state) {
+        Route::Topology => respond_json(out, 200, &topology_json(state), keep_alive),
+        Route::Join => match join_worker(state) {
             Ok(slot) => respond_json(out, 200, &json!({"joined": slot}), keep_alive),
             Err(e) => respond_json(out, 500, &json!({"error": e}), keep_alive),
         },
-        ("POST", "/admin/leave") => {
+        Route::Leave => {
             let slot = query_param(query, "slot").and_then(|v| v.parse::<usize>().ok());
             let replace = query_param(query, "replace") == Some("true");
             match slot {
@@ -869,12 +822,8 @@ fn handle_request<W: Write>(
                 ),
             }
         }
-        (_, p) => respond_json(
-            out,
-            404,
-            &json!({"error": format!("no route for {p}")}),
-            keep_alive,
-        ),
+        // A worker's own quiesce: the router drains through `/admin/leave`.
+        Route::Drain | Route::Resume => respond_error(out, &Route::not_found(path), keep_alive),
     }
 }
 
@@ -882,6 +831,7 @@ fn handle_request<W: Write>(
 fn route_by_body_model<W: Write>(
     state: &Arc<RouterState>,
     request: &Request,
+    route: Route<'_>,
     out: &mut W,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
@@ -889,7 +839,7 @@ fn route_by_body_model<W: Write>(
         .ok()
         .and_then(|doc| doc.get("model").and_then(Value::as_str).map(str::to_string));
     match model {
-        Some(model) => route_by_model(state, &model, request, out, keep_alive),
+        Some(model) => route_by_model(state, &model, request, route, out, keep_alive),
         None => respond_json(
             out,
             400,
@@ -903,6 +853,7 @@ fn route_by_model<W: Write>(
     state: &Arc<RouterState>,
     model: &str,
     request: &Request,
+    route: Route<'_>,
     out: &mut W,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
@@ -915,7 +866,7 @@ fn route_by_model<W: Write>(
         );
     }
     match slot_for_model(state, model) {
-        Some(slot) => proxy_to_slot(state, slot, request, out, keep_alive),
+        Some(slot) => proxy_to_slot(state, slot, request, route, out, keep_alive),
         None => respond_json(
             out,
             404,
@@ -952,7 +903,7 @@ fn load_model_via_router<W: Write>(
     let slot = slot_for_model(state, name)
         .or_else(|| state.ring.lock().slot_for(name))
         .unwrap_or(0);
-    let close = proxy_to_slot(state, slot, request, out, keep_alive)?;
+    let close = proxy_to_slot(state, slot, request, Route::LoadModel, out, keep_alive)?;
     // Record the placement optimistically: even if the load just failed,
     // re-loading on restart is idempotent and a later successful load of
     // the same name must land on the same shard anyway.
@@ -1409,17 +1360,6 @@ fn leave_worker(state: &Arc<RouterState>, slot: usize, replace: bool) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn idempotency_classification() {
-        assert!(is_idempotent("GET", "/jobs/7"));
-        assert!(is_idempotent("GET", "/jobs/7/export"));
-        assert!(is_idempotent("POST", "/estimate"));
-        assert!(is_idempotent("POST", "/jobs/7/cancel"));
-        assert!(!is_idempotent("POST", "/generate"));
-        assert!(!is_idempotent("POST", "/train"));
-        assert!(!is_idempotent("POST", "/models"));
-    }
 
     #[test]
     fn merge_sums_numbers_and_unions_objects() {

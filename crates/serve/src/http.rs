@@ -5,7 +5,8 @@
 //! through. [`client`] is the client half (response codec, keep-alive
 //! [`Conn`], one-shot [`request`]); [`listener`] is the server half (accept
 //! loop and keep-alive connection loop) that `sam-serve` and `sam-router`
-//! both run.
+//! both run; [`route`] is the path grammar both of them match on
+//! ([`Route`]).
 //!
 //! Connections are **persistent by default** (HTTP/1.1 keep-alive): the
 //! parser records the negotiated connection state on each [`Request`] and
@@ -31,11 +32,13 @@ use std::io::{BufRead, Read, Write};
 
 pub mod client;
 pub mod listener;
+pub mod route;
 
 pub use client::{
     build_request, read_body, read_head, request, Conn, RespHead, Response, MAX_BUFFERED_RESPONSE,
 };
 pub use listener::{serve_connection, Acceptor};
+pub use route::Route;
 
 /// Largest accepted request body (1 MiB) — estimates and job submissions
 /// are small; anything bigger is a client error. The limit applies to the
@@ -92,7 +95,8 @@ impl Request {
 
 /// Split a request target into its path and raw query string (`""` when
 /// there is no `?`). [`Request::path`] carries the target as sent; every
-/// router in the workspace splits it here.
+/// router in the workspace splits it here and hands the path to
+/// [`Route::parse`].
 pub fn split_target(target: &str) -> (&str, &str) {
     target.split_once('?').unwrap_or((target, ""))
 }

@@ -5,26 +5,9 @@
 //! connection serves **many requests** (HTTP/1.1 keep-alive) through the
 //! shared connection loop in [`crate::http::listener`], fed
 //! [`ServeConfig::idle_timeout_ms`] and [`ServeConfig::max_conn_requests`].
-//! Endpoints:
-//!
-//! | Route | Effect |
-//! |---|---|
-//! | `GET /healthz` | liveness + model count |
-//! | `GET /models` | registered models and versions |
-//! | `POST /models` | load / hot-swap a persisted model from disk |
-//! | `POST /estimate` | micro-batched cardinality estimate |
-//! | `POST /generate` | start an async generation job (202) |
-//! | `POST /train` | start a training job from a streamed workload body (202) |
-//! | `POST /models/{name}/rollback` | restore the previously promoted version |
-//! | `GET /jobs/{id}` | poll job state / stage / progress (generation and training) |
-//! | `GET /jobs/{id}/export` | stream a finished relation as chunked CSV/JSONL, gzip/deflate negotiated |
-//! | `POST /jobs/{id}/cancel` | request cooperative cancellation |
-//! | `GET /metrics` | counters + latency percentiles |
-//! | `GET /quality` | per-model-version shadow-scored Q-Error drift stats |
-//! | `GET /debug/buildinfo` | version, git sha, uptime |
-//! | `GET /debug/flight?last=N` | recent request events from the flight recorder |
-//! | `GET /debug/slow` | slow-query log |
-//! | `GET`/`PUT /debug/loglevel` | inspect / change the log level live |
+//! Every request path is parsed once, by [`Route::parse`]; the endpoints are
+//! the variants of [`Route`], each documented there (`docs/SERVING.md` is
+//! the operator guide). The router's admin routes answer 404 here.
 //!
 //! With [`ServeConfig::journal_dir`] set, accepted jobs are journaled to
 //! disk and [`Server::replay_journal`] (call it after loading models)
@@ -41,7 +24,7 @@ use crate::batcher::{Batcher, EstimateJob};
 use crate::cache::{EstimateCache, EstimateKey};
 use crate::compress::{Coding, Encoder};
 use crate::error::ServeError;
-use crate::http::{self, query_param, split_target, Acceptor, ChunkedWriter, Request};
+use crate::http::{self, query_param, split_target, Acceptor, ChunkedWriter, Request, Route};
 use crate::jobs::{JobRegistry, JobState};
 use crate::journal::{Journal, ReplayEntry, ReplayState, ReplayedTrain, TrainReplayState};
 use crate::metrics::ServeMetrics;
@@ -614,9 +597,9 @@ fn handle_request(
     let reply = match request {
         Ok(request) => {
             let _span = sam_obs::span!("request", method = request.method, path = request.path);
-            route(&request, state, &mut telemetry)
+            route(&request, state, &mut telemetry).unwrap_or_else(error_reply)
         }
-        Err(e) => Reply::Json(e.status(), json!({"error": e.to_string()})),
+        Err(e) => error_reply(e),
     };
     let status = match &reply {
         Reply::Json(status, _) | Reply::Text(status, _) => *status,
@@ -816,42 +799,24 @@ impl<W: std::io::Write> std::io::Write for SkipWriter<'_, W> {
     }
 }
 
-/// Classify a request path for the flight recorder. Coarse by design: the
-/// recorder stores a `u64` per event, not a string.
-fn classify_endpoint(path: &str) -> Endpoint {
-    match path {
-        "/estimate" => Endpoint::Estimate,
-        "/generate" => Endpoint::Generate,
-        "/metrics" => Endpoint::Metrics,
-        "/healthz" => Endpoint::Health,
-        "/models" => Endpoint::Models,
-        "/quality" => Endpoint::Quality,
-        p if p.ends_with("/export") && p.starts_with("/jobs/") => Endpoint::Export,
-        p if p.starts_with("/jobs/") => Endpoint::Jobs,
-        p if p.starts_with("/debug/") => Endpoint::Debug,
-        _ => Endpoint::Other,
-    }
-}
-
-fn route(request: &Request, state: &Arc<ServerState>, telemetry: &mut Telemetry) -> Reply {
+/// Parse the request's route and run its handler. The flight-recorder label
+/// comes from the route; a request that fails to parse stays `other`.
+fn route(
+    request: &Request,
+    state: &Arc<ServerState>,
+    telemetry: &mut Telemetry,
+) -> Result<Reply, ServeError> {
     // The request target may carry a query string (`/metrics?format=...`).
     let (path, query) = split_target(&request.path);
-    telemetry.endpoint = classify_endpoint(path);
-    if request.method == "GET" && path == "/metrics" {
-        return if query_param(query, "format") == Some("prometheus") {
-            Reply::Text(200, state.metrics.render_prometheus())
-        } else {
-            Reply::Json(200, state.metrics.to_json())
-        };
-    }
-    if request.method == "GET" && path.starts_with("/jobs/") && path.ends_with("/export") {
-        return match export_route(state, request, path, query) {
-            Ok(reply) => reply,
-            Err(e) => Reply::Json(e.status(), json!({"error": e.to_string()})),
-        };
-    }
-    let result = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Ok((
+    let route = Route::parse(&request.method, path)?;
+    telemetry.endpoint = route.endpoint();
+    let (status, body) = match route {
+        Route::Metrics if query_param(query, "format") == Some("prometheus") => {
+            return Ok(Reply::Text(200, state.metrics.render_prometheus()))
+        }
+        Route::Metrics => (200, state.metrics.to_json()),
+        Route::Export(id) => return export_route(state, request, id, query),
+        Route::Healthz => (
             200,
             json!({
                 "status": "ok",
@@ -859,35 +824,46 @@ fn route(request: &Request, state: &Arc<ServerState>, telemetry: &mut Telemetry)
                 "shutting_down": state.shutting_down.load(Ordering::SeqCst),
                 "draining": state.draining.load(Ordering::SeqCst),
             }),
-        )),
-        ("GET", "/models") => Ok((200, list_models(state))),
-        ("POST", "/models") => load_model_route(state, &request.body),
-        ("POST", "/estimate") => estimate_route(state, &request.body, telemetry),
-        ("POST", "/generate") => generate_route(state, &request.body),
-        ("POST", "/train") => train_route(state, &request.body, query),
-        ("POST", p) if p.starts_with("/models/") && p.ends_with("/rollback") => {
-            rollback_route(state, p)
+        ),
+        Route::ListModels => (200, list_models(state)),
+        Route::LoadModel => load_model_route(state, &request.body)?,
+        Route::Estimate => estimate_route(state, &request.body, telemetry)?,
+        // New background work is refused while shutting down or draining.
+        Route::Generate | Route::Train if state.shutting_down.load(Ordering::SeqCst) => {
+            return Err(ServeError::ShuttingDown)
         }
-        ("GET", "/quality") => Ok((200, state.quality.report())),
-        ("GET", "/debug/buildinfo") => Ok((200, buildinfo_route(state))),
-        ("GET", "/debug/flight") => Ok((200, flight_route(state, query))),
-        ("GET", "/debug/slow") => Ok((200, slow_route(state))),
-        ("GET", "/debug/loglevel") => {
-            Ok((200, json!({"level": log_level_name(sam_obs::log_level())})))
+        Route::Generate | Route::Train if state.draining.load(Ordering::SeqCst) => {
+            return Err(ServeError::Draining)
         }
-        ("PUT", "/debug/loglevel") => loglevel_route(&request.body),
-        ("POST", "/admin/drain") => drain_route(state),
-        ("POST", "/admin/resume") => {
+        Route::Generate => generate_route(state, &request.body)?,
+        Route::Train => train_route(state, &request.body, query)?,
+        Route::Rollback(name) => rollback_route(state, name)?,
+        Route::Job(id) => match state.jobs.get(id) {
+            Some(record) => (200, record.status_json()),
+            None => return Err(ServeError::NotFound(format!("job {id}"))),
+        },
+        Route::Cancel(id) if state.jobs.cancel(id) => {
+            (200, json!({"job_id": id, "cancelled": true}))
+        }
+        Route::Cancel(id) => return Err(ServeError::NotFound(format!("job {id}"))),
+        Route::Quality => (200, state.quality.report()),
+        Route::BuildInfo => (200, buildinfo_route(state)),
+        Route::Flight => (200, flight_route(state, query)),
+        Route::Slow => (200, slow_route(state)),
+        Route::LogLevel => (200, json!({"level": log_level_name(sam_obs::log_level())})),
+        Route::SetLogLevel => loglevel_route(&request.body)?,
+        Route::Drain => drain_route(state)?,
+        Route::Resume => {
             state.draining.store(false, Ordering::SeqCst);
-            Ok((200, json!({"draining": false})))
+            (200, json!({"draining": false}))
         }
-        (method, path) if path.starts_with("/jobs/") => job_route(state, method, path),
-        (_, path) => Err(ServeError::NotFound(format!("no route for {path}"))),
+        Route::Topology | Route::Join | Route::Leave => return Err(Route::not_found(path)),
     };
-    match result {
-        Ok((status, body)) => Reply::Json(status, body),
-        Err(e) => Reply::Json(e.status(), json!({"error": e.to_string()})),
-    }
+    Ok(Reply::Json(status, body))
+}
+
+fn error_reply(e: ServeError) -> Reply {
+    Reply::Json(e.status(), json!({"error": e.to_string()}))
 }
 
 /// `GET /debug/buildinfo` — which build is serving, for how long, and how
@@ -995,13 +971,9 @@ fn loglevel_route(body: &str) -> Result<(u16, Value), ServeError> {
 fn export_route(
     state: &ServerState,
     request: &Request,
-    path: &str,
+    id: u64,
     query: &str,
 ) -> Result<Reply, ServeError> {
-    let id_part = path["/jobs/".len()..]
-        .strip_suffix("/export")
-        .expect("router matched suffix");
-    let id = parse_job_id(id_part)?;
     let record = state
         .jobs
         .get(id)
@@ -1234,12 +1206,6 @@ fn run_estimate(
 }
 
 fn generate_route(state: &ServerState, body: &str) -> Result<(u16, Value), ServeError> {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return Err(ServeError::ShuttingDown);
-    }
-    if state.draining.load(Ordering::SeqCst) {
-        return Err(ServeError::Draining);
-    }
     let doc = parse_body(body)?;
     let model_name = str_field(&doc, "model")?;
     let foj_samples = opt_u64(&doc, "foj_samples")?
@@ -1262,32 +1228,6 @@ fn generate_route(state: &ServerState, body: &str) -> Result<(u16, Value), Serve
         202,
         json!({"job_id": id, "status_url": format!("/jobs/{id}")}),
     ))
-}
-
-fn job_route(state: &ServerState, method: &str, path: &str) -> Result<(u16, Value), ServeError> {
-    let rest = &path["/jobs/".len()..];
-    match method {
-        "GET" => {
-            let id = parse_job_id(rest)?;
-            let record = state
-                .jobs
-                .get(id)
-                .ok_or_else(|| ServeError::NotFound(format!("job {id}")))?;
-            Ok((200, record.status_json()))
-        }
-        "POST" => {
-            let id_part = rest
-                .strip_suffix("/cancel")
-                .ok_or_else(|| ServeError::NotFound(format!("no route for {path}")))?;
-            let id = parse_job_id(id_part)?;
-            if state.jobs.cancel(id) {
-                Ok((200, json!({"job_id": id, "cancelled": true})))
-            } else {
-                Err(ServeError::NotFound(format!("job {id}")))
-            }
-        }
-        _ => Err(ServeError::NotFound(format!("no route for {path}"))),
-    }
 }
 
 /// `POST /admin/drain` — quiesce this worker for a router rebalance: stop
@@ -1321,12 +1261,6 @@ fn train_route(
     body: &str,
     query: &str,
 ) -> Result<(u16, Value), ServeError> {
-    if state.shutting_down.load(Ordering::SeqCst) {
-        return Err(ServeError::ShuttingDown);
-    }
-    if state.draining.load(Ordering::SeqCst) {
-        return Err(ServeError::Draining);
-    }
     let spec = TrainSpec::from_query(query)?;
     let incumbent = state.registry.get(&spec.model).ok_or_else(|| {
         ServeError::NotFound(format!(
@@ -1383,13 +1317,7 @@ fn resolve_stats(spec: &TrainSpec, incumbent: &ModelEntry) -> Result<DatabaseSta
 /// version under a new version number (see
 /// [`crate::registry::ModelRegistry::rollback`]); journaled so the restore
 /// replays across restarts.
-fn rollback_route(state: &ServerState, path: &str) -> Result<(u16, Value), ServeError> {
-    let name = path["/models/".len()..]
-        .strip_suffix("/rollback")
-        .expect("router matched suffix");
-    if name.is_empty() {
-        return Err(ServeError::BadRequest("missing model name".to_string()));
-    }
+fn rollback_route(state: &ServerState, name: &str) -> Result<(u16, Value), ServeError> {
     let (version, restored_from) = state.registry.rollback(name)?;
     if let Some(journal) = state.jobs.journal() {
         let id = state.jobs.allocate_id();
@@ -1400,11 +1328,6 @@ fn rollback_route(state: &ServerState, path: &str) -> Result<(u16, Value), Serve
         200,
         json!({"model": name, "version": version, "restored_from": restored_from}),
     ))
-}
-
-fn parse_job_id(text: &str) -> Result<u64, ServeError> {
-    text.parse::<u64>()
-        .map_err(|_| ServeError::BadRequest(format!("invalid job id '{text}'")))
 }
 
 fn parse_body(body: &str) -> Result<Value, ServeError> {

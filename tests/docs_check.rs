@@ -1,6 +1,6 @@
 //! Docs-drift gate: the operator docs must keep up with the CLI and the code.
 //!
-//! Four invariants, all cheap and all the kind that silently rot:
+//! Five invariants, all cheap and all the kind that silently rot:
 //!
 //! 1. Every flag printed by `sam-cli <serve|train|router|workgen> --help`
 //!    appears in the corresponding operator guide (docs/SERVING.md,
@@ -18,6 +18,11 @@
 //!    id in README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md must be in
 //!    its suite table, and an `exp_*` name (the per-experiment binaries it
 //!    replaced) must not appear at all. README and DESIGN list every suite.
+//! 5. Every route of the HTTP grammar appears as `METHOD /path/template`
+//!    in some docs/*.md guide. The routes are read from the doc lines of
+//!    `sam_serve::http::Route`'s variants (`` /// `GET /jobs/{id}` — … ``),
+//!    which the route module's own tests hold to its parser. Adding an
+//!    endpoint without documenting it fails CI.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -93,6 +98,46 @@ fn every_router_flag_is_documented() {
 #[test]
 fn every_workgen_flag_is_documented() {
     assert_flags_documented("workgen", "docs/WORKGEN.md");
+}
+
+/// `METHOD /path/template` of every `Route` variant, from its doc line.
+fn routes() -> Vec<String> {
+    let source = std::fs::read_to_string(repo_root().join("crates/serve/src/http/route.rs"))
+        .expect("read route.rs");
+    let body = source
+        .split_once("pub enum Route<'a> {")
+        .expect("the Route enum")
+        .1;
+    let body = body.split_once("\n}").expect("the end of the Route enum").0;
+    body.lines()
+        .filter_map(|line| line.trim().strip_prefix("/// `"))
+        .map(|text| {
+            let route = text.split('`').next().unwrap_or_default();
+            route.split('?').next().unwrap_or_default().to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn every_route_is_documented() {
+    let docs = repo_root().join("docs");
+    let mut guides = String::new();
+    for entry in std::fs::read_dir(&docs).expect("read docs/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            guides.push_str(&std::fs::read_to_string(&path).expect("read guide"));
+        }
+    }
+    let routes = routes();
+    assert!(routes.len() >= 20, "suspiciously few routes: {routes:?}");
+    let missing: Vec<&String> = routes
+        .iter()
+        .filter(|route| !guides.contains(route.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "routes no docs/*.md guide documents: {missing:?} — document them"
+    );
 }
 
 /// Extract `](target)` markdown link targets from `text`. Good enough for
