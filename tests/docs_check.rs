@@ -2,10 +2,11 @@
 //!
 //! Five invariants, all cheap and all the kind that silently rot:
 //!
-//! 1. Every flag printed by `sam-cli <serve|train|router|workgen> --help`
-//!    appears in the corresponding operator guide (docs/SERVING.md,
-//!    docs/TRAINING.md, docs/SHARDING.md, docs/WORKGEN.md). Adding a flag
-//!    without documenting it fails CI.
+//! 1. Every flag printed by `sam-cli <cmd> --help`, for every subcommand
+//!    that has flags, appears in the corresponding operator guide
+//!    (docs/SERVING.md, docs/TRAINING.md, docs/SHARDING.md,
+//!    docs/WORKGEN.md) or, for the pipeline subcommands, in README.md.
+//!    Adding a flag without documenting it fails CI.
 //! 2. Every relative markdown link in README.md, DESIGN.md, ROADMAP.md, and
 //!    docs/*.md resolves to a file that exists — renames and deletions can't
 //!    leave dangling links behind.
@@ -98,6 +99,13 @@ fn every_router_flag_is_documented() {
 #[test]
 fn every_workgen_flag_is_documented() {
     assert_flags_documented("workgen", "docs/WORKGEN.md");
+}
+
+#[test]
+fn every_pipeline_flag_is_documented() {
+    for subcommand in ["demo", "export", "generate", "evaluate", "estimate"] {
+        assert_flags_documented(subcommand, "README.md");
+    }
 }
 
 /// `METHOD /path/template` of every `Route` variant, from its doc line.
