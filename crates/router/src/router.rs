@@ -899,7 +899,13 @@ fn load_model_via_router<W: Write>(
             keep_alive,
         );
     };
-    let data = doc.get("data").and_then(Value::as_str).map(str::to_string);
+    // The placement is re-sent on the worker's `--models` line at every
+    // restart, so refuse here what that line cannot carry back.
+    let data = doc.get("data").and_then(Value::as_str);
+    let spec = match ModelSpec::placed(name, path, data) {
+        Ok(spec) => spec,
+        Err(e) => return respond_json(out, 400, &json!({"error": e}), keep_alive),
+    };
     let slot = slot_for_model(state, name)
         .or_else(|| state.ring.lock().slot_for(name))
         .unwrap_or(0);
@@ -907,18 +913,10 @@ fn load_model_via_router<W: Write>(
     // Record the placement optimistically: even if the load just failed,
     // re-loading on restart is idempotent and a later successful load of
     // the same name must land on the same shard anyway.
-    state.placement.lock().insert(
-        name.to_string(),
-        Placement {
-            spec: ModelSpec {
-                name: name.to_string(),
-                path: path.to_string(),
-                data,
-                pin: None,
-            },
-            slot,
-        },
-    );
+    state
+        .placement
+        .lock()
+        .insert(name.to_string(), Placement { spec, slot });
     Ok(close)
 }
 

@@ -339,3 +339,47 @@ fn bad_paths_answer_4xx_and_keep_the_connection() {
     router.shutdown();
     alpha.shutdown();
 }
+
+/// A `POST /models` whose name or path the worker's `--models` line could
+/// not carry back on a restart (`a@b` would come back pinned, `a,b` as two
+/// specs) is a 400 from the router: nothing is placed and the worker never
+/// sees the load.
+#[test]
+fn a_model_the_worker_command_line_cannot_carry_is_refused_up_front() {
+    let alpha = start_worker("alpha", 11);
+    let router = Router::start(RouterConfig {
+        workers: 1,
+        models: vec![pinned("alpha", 0)],
+        specs: vec![WorkerSpec {
+            external_addr: Some(alpha.addr().to_string()),
+            ..WorkerSpec::default()
+        }],
+        health_interval_ms: 50,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let addr = router.addr().to_string();
+    wait_all_healthy(&router, Duration::from_secs(10));
+
+    for body in [
+        r#"{"name":"a@b","path":"m.json"}"#,
+        r#"{"name":"m@1","path":"m.json"}"#,
+        r#"{"name":"a,b","path":"m.json"}"#,
+        r#"{"name":" a","path":"m.json"}"#,
+        r#"{"name":"a","path":"m=1.json"}"#,
+        r#"{"name":"a","path":"m.json","data":"d,e"}"#,
+    ] {
+        let (status, _, payload) = http(&addr, "POST", "/models", body);
+        assert_eq!(status, 400, "{body}: {payload}");
+        let doc = serde_json::parse_value(&payload).unwrap();
+        assert!(
+            doc.get("error").and_then(Value::as_str).is_some(),
+            "{body}: no error in {payload}"
+        );
+    }
+    let placed: Vec<String> = router.placement().into_keys().collect();
+    assert_eq!(placed, ["alpha"]);
+    assert_eq!(alpha.registry().len(), 1);
+    router.shutdown();
+    alpha.shutdown();
+}
