@@ -1,4 +1,4 @@
-//! Batch-major sample state: every live sample path of a micro-batch as an
+//! Batch-major sample state: every live sample path of a batch as an
 //! explicit, typed batch dimension.
 //!
 //! Progressive sampling (estimation) and unconditional sampling (tuple
@@ -29,15 +29,9 @@
 
 use crate::model::FrozenModel;
 use crate::trie::{ColumnMasks, ColumnSummary, PrefixTrie};
-use rayon::prelude::*;
 use sam_nn::Matrix;
 
-/// Rows per rayon task when a column's fresh rows are forwarded in
-/// parallel. Small enough that a default-sized micro-batch (8 × 64 paths)
-/// spans many cores, large enough that per-task overhead stays negligible.
-const PAR_FORWARD_ROWS: usize = 64;
-
-/// Reusable batch-major state for one micro-batch of sample paths; see the
+/// Reusable batch-major state for one batch of sample paths; see the
 /// module docs. Construct once (an estimator or a sampling worker keeps one)
 /// and let the per-call `reset` size it — buffers are only
 /// reallocated when the batch shape grows or the model changes width.
@@ -118,7 +112,14 @@ impl SampleBatch {
         if summary.fresh_rows == 0 {
             return summary;
         }
-        self.forward_fresh(model, i, summary.fresh_rows as usize);
+        // Column `i`'s logit block for the fresh rows, the only logits the
+        // step reads, forwarded in place under the fresh mask.
+        model.net.forward_column_carried_into(
+            &self.carry,
+            Some(&self.masks.fresh),
+            i,
+            &mut self.logits,
+        );
         model.net.conditional_probs_masked_into(
             &self.logits,
             i,
@@ -132,50 +133,6 @@ impl SampleBatch {
             }
         }
         summary
-    }
-
-    /// Column `i`'s logit block for the fresh rows, the only logits the
-    /// step reads. Small fresh counts go through the kernel's masked
-    /// forward in place; large ones (many stacked requests) have their
-    /// carried sums gathered once and forwarded in parallel row chunks, and
-    /// only block `i` is copied back. Per-row arithmetic is identical either
-    /// way, so this is a pure throughput choice.
-    fn forward_fresh(&mut self, model: &FrozenModel, i: usize, n_fresh: usize) {
-        if n_fresh <= PAR_FORWARD_ROWS {
-            model.net.forward_column_carried_into(
-                &self.carry,
-                Some(&self.masks.fresh),
-                i,
-                &mut self.logits,
-            );
-            return;
-        }
-        let fresh_rows: Vec<usize> = (0..self.rows).filter(|&r| self.masks.fresh[r]).collect();
-        let (carry, width) = (&self.carry, self.logits.cols());
-        let n_chunks = n_fresh.div_ceil(PAR_FORWARD_ROWS);
-        let chunks: Vec<(usize, Matrix)> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let start = c * PAR_FORWARD_ROWS;
-                let end = (start + PAR_FORWARD_ROWS).min(n_fresh);
-                let mut chunk = Matrix::zeros(end - start, carry.cols());
-                for (ci, &r) in fresh_rows[start..end].iter().enumerate() {
-                    chunk.row_mut(ci).copy_from_slice(carry.row(r));
-                }
-                let mut logits = Matrix::zeros(end - start, width);
-                model
-                    .net
-                    .forward_column_carried_into(&chunk, None, i, &mut logits);
-                (start, logits)
-            })
-            .collect();
-        let block = model.net.offset(i)..model.net.offset(i) + model.net.domain_size(i);
-        for (start, logits) in chunks {
-            for ci in 0..logits.rows() {
-                self.logits.row_mut(fresh_rows[start + ci])[block.clone()]
-                    .copy_from_slice(&logits.row(ci)[block.clone()]);
-            }
-        }
     }
 
     /// Column `i` conditionals for live row `r` (`d` = the column's domain

@@ -16,6 +16,9 @@ pub enum ArError {
     /// An I/O failure while persisting or restoring model state (message —
     /// the underlying `io::Error` is not `Clone`).
     Io(String),
+    /// An estimate's deadline passed before its pass finished; the pass
+    /// was abandoned.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for ArError {
@@ -26,6 +29,7 @@ impl fmt::Display for ArError {
             ArError::Storage(e) => write!(f, "storage error: {e}"),
             ArError::Invalid(m) => write!(f, "invalid input: {m}"),
             ArError::Io(m) => write!(f, "i/o error: {m}"),
+            ArError::DeadlineExceeded => write!(f, "estimate deadline exceeded"),
         }
     }
 }

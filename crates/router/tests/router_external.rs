@@ -29,11 +29,7 @@ fn train_model(seed: u64) -> TrainedSam {
 }
 
 fn start_worker(model: &str, seed: u64) -> Server {
-    let server = Server::start(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    })
-    .expect("start worker server");
+    let server = Server::start(ServeConfig::default()).expect("start worker server");
     server.registry().insert(model, train_model(seed));
     server
 }

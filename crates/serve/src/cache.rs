@@ -1,9 +1,9 @@
-//! LRU cache of completed estimates, sitting in front of the batcher.
+//! LRU cache of completed estimates, sitting in front of the estimator.
 //!
 //! Estimation is deterministic given (model version, canonical query,
 //! sample count, seed) — requests repeat heavily in serving traffic
 //! (dashboards, retried optimizer calls) — so a repeated request can be
-//! answered without touching the inference queue at all. The model version
+//! answered without touching the estimator at all. The model version
 //! is part of the key, so a hot swap naturally invalidates every cached
 //! entry of the old version without any flush coordination.
 //!

@@ -13,9 +13,9 @@ pub enum ServeError {
     /// The resource exists but is in the wrong state for the request
     /// (e.g. exporting a job that has not finished) → 409.
     Conflict(String),
-    /// The micro-batch queue is full → 429 (backpressure).
+    /// `queue_capacity` estimates are already admitted → 429 (backpressure).
     Overloaded,
-    /// The request's deadline passed before a worker produced a result → 504.
+    /// The request's deadline passed before its estimate finished → 504.
     DeadlineExceeded,
     /// The server is shutting down and no longer accepts work → 503.
     ShuttingDown,

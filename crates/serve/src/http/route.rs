@@ -18,7 +18,7 @@ pub enum Route<'a> {
     ListModels,
     /// `POST /models` — load / hot-swap a persisted model from disk.
     LoadModel,
-    /// `POST /estimate` — micro-batched cardinality estimate.
+    /// `POST /estimate` — cardinality estimate, computed on the request's thread.
     Estimate,
     /// `POST /generate` — start an async generation job (202).
     Generate,

@@ -8,10 +8,11 @@
 //!
 //! * [`ModelRegistry`] — versioned, hot-swappable model store; reloads never
 //!   disturb in-flight requests.
-//! * [`Batcher`] — bounded micro-batching queue: concurrent estimates are
-//!   fused into one batched progressive-sampling pass
-//!   ([`sam_ar::Estimator::estimate_batch`]) with bit-identical results;
-//!   a full queue is immediate 429 backpressure.
+//! * Estimates — `POST /estimate` runs progressive sampling
+//!   ([`sam_ar::Estimator::estimate_before`]) on the connection thread that
+//!   parsed it, under the model version's one estimator; at most
+//!   [`ServeConfig::queue_capacity`] run or wait at once (one more is 429),
+//!   and the deadline ends the wait and the pass alike (504).
 //! * [`JobRegistry`] — the one table of background jobs, generation and
 //!   training alike: stage/progress polling, cooperative cancellation
 //!   ([`sam_core::JobControl`]), one thread wrapper, one status document.
@@ -37,13 +38,14 @@
 //!   streaming **chunked CSV/JSONL export** of finished jobs with bounded
 //!   memory (≤ 64 KiB in flight per export), gzip/deflate content coding
 //!   negotiated via `Accept-Encoding` ([`compress`] — a dependency-free
-//!   DEFLATE), per-request deadlines, and graceful shutdown that drains
-//!   queued estimates and running jobs.
+//!   DEFLATE), per-request deadlines, and graceful shutdown that finishes
+//!   in-flight estimates and running jobs.
 //!
 //! Operator guide (endpoints, flags, metrics, degradation):
 //! `docs/SERVING.md` at the repository root.
 //!
 //! [`ServeConfig::journal_dir`]: server::ServeConfig::journal_dir
+//! [`ServeConfig::queue_capacity`]: server::ServeConfig::queue_capacity
 //! [`Server::replay_journal`]: server::Server::replay_journal
 
 #![warn(missing_docs)]
@@ -51,7 +53,6 @@
 // response document overflows the default limit.
 #![recursion_limit = "512"]
 
-pub mod batcher;
 pub mod cache;
 pub mod compress;
 pub mod error;
@@ -65,7 +66,6 @@ pub mod server;
 pub mod sync;
 pub mod training;
 
-pub use batcher::{BatchReply, Batcher, EstimateJob};
 pub use cache::{EstimateCache, EstimateKey};
 pub use compress::{gunzip, zlib_decode, Coding, Encoder};
 pub use error::ServeError;

@@ -33,21 +33,21 @@ pub struct ServeMetrics {
     pub estimates_ok: Arc<Counter>,
     /// `/estimate` calls answered 4xx/5xx (excluding 429s/504s below).
     pub estimate_errors: Arc<Counter>,
-    /// `/estimate` calls rejected with 429 (queue full).
+    /// `/estimate` calls rejected with 429 (`queue_capacity` estimates
+    /// already admitted).
     pub rejected_overload: Arc<Counter>,
     /// `/estimate` calls that missed their deadline (504).
     pub deadline_exceeded: Arc<Counter>,
-    /// Micro-batches executed by inference workers.
+    /// Progressive-sampling passes computed, one request each.
     pub batches: Arc<Counter>,
-    /// Requests summed over those micro-batches (ratio = mean batch size).
+    /// Requests summed over those passes (ratio = mean batch size).
     pub batched_requests: Arc<Counter>,
     /// Running mean batch size (batched_requests / batches; 0 until the
-    /// first batch). Updated by the workers after every batch.
+    /// first pass, then 1).
     pub mean_batch_size: Arc<Gauge>,
-    /// `/estimate` calls answered from the LRU estimate cache (no batcher
-    /// round trip).
+    /// `/estimate` calls answered from the LRU estimate cache (no pass).
     pub cache_hits: Arc<Counter>,
-    /// `/estimate` calls that missed the cache and went to the batcher.
+    /// `/estimate` calls that missed the cache and went to the estimator.
     pub cache_misses: Arc<Counter>,
     /// Generation jobs accepted.
     pub jobs_started: Arc<Counter>,
@@ -81,8 +81,8 @@ pub struct ServeMetrics {
     pub journal_torn_tails: Arc<Counter>,
     /// Journal compactions performed (manual or replay-triggered).
     pub journal_compactions: Arc<Counter>,
-    /// Worker or job threads that panicked and were recovered (the request
-    /// got a 500 / the job failed instead of hanging forever).
+    /// Estimates or job threads that panicked and were recovered (the
+    /// request got a 500 / the job failed instead of hanging forever).
     pub worker_panics: Arc<Counter>,
     /// End-to-end `/estimate` latency (arrival → reply).
     pub estimate_latency: Arc<LatencyHistogram>,

@@ -8,7 +8,7 @@
 //! only invalidation the estimator's prefix trie ever needs.
 
 use crate::error::ServeError;
-use crate::sync::{Lock, RwLock};
+use crate::sync::{Checkout, RwLock};
 use sam_ar::{Estimator, TrainReport};
 use sam_core::{Sam, TrainedSam};
 use sam_storage::{csv::read_csv, Database, Table};
@@ -24,11 +24,12 @@ pub struct ModelEntry {
     pub version: u64,
     /// The trained pipeline (shared with in-flight requests and jobs).
     pub trained: Arc<TrainedSam>,
-    /// The estimator for this exact model version. The batcher runs each
-    /// flush through it, so batches reuse conditionals cached by earlier
-    /// batches and steady-state serving allocates no activation matrices.
+    /// The estimator for this exact model version. Each `/estimate` runs
+    /// through it on its own connection thread, one at a time, so requests
+    /// reuse conditionals cached by earlier ones and steady-state serving
+    /// allocates no activation matrices. A waiter gives up at its deadline.
     /// Living on the entry means a hot swap starts a fresh estimator.
-    pub estimator: Lock<Estimator>,
+    pub estimator: Checkout<Estimator>,
     /// The relations this model was trained to represent, when the
     /// operator attached them (the `data` field of `POST /models`, or the
     /// third part of a `--models name=path=datadir` spec). Only a model
@@ -48,7 +49,7 @@ impl ModelEntry {
         Arc::new(ModelEntry {
             name: name.to_string(),
             version,
-            estimator: Lock::new(Estimator::new(trained.model().clone())),
+            estimator: Checkout::new(Estimator::new(trained.model().clone())),
             trained,
             reference,
         })

@@ -15,12 +15,15 @@
 //! export from persisted CSVs, interrupted ones re-run from their recorded
 //! RNG seed. See [`crate::journal`].
 //!
-//! Shutdown order matters: stop accepting, join connection handlers (they
-//! may still be waiting on estimate replies), drain + stop the batcher,
-//! then join all background jobs (drain semantics — accepted jobs reach a
-//! terminal state before [`Server::shutdown`] returns).
+//! An estimate runs on the connection thread that parsed it, under its
+//! model's estimator ([`ModelEntry::estimator`]); the deadline bounds both
+//! the wait for the estimator and the pass itself.
+//!
+//! Shutdown order matters: stop accepting, join connection handlers (which
+//! finishes every in-flight estimate), then join all background jobs (drain
+//! semantics — accepted jobs reach a terminal state before
+//! [`Server::shutdown`] returns).
 
-use crate::batcher::{Batcher, EstimateJob};
 use crate::cache::{EstimateCache, EstimateKey};
 use crate::compress::{Coding, Encoder};
 use crate::error::ServeError;
@@ -31,17 +34,18 @@ use crate::metrics::ServeMetrics;
 use crate::quality::{QualityConfig, QualityMonitor, QualityTask};
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::training::{self, TrainJob, TrainSpec};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sam_core::{GenerationConfig, JoinKeyStrategy};
 use sam_obs::{CacheOutcome, Endpoint, FlightRecorder, SlowEntry, SlowLog};
-use sam_query::parse_query;
+use sam_query::{parse_query, Query};
 use sam_storage::csv::write_csv;
 use sam_storage::jsonl::write_jsonl;
 use sam_storage::{csv::read_csv, Database, DatabaseStats, Table};
 use serde_json::{json, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,21 +53,15 @@ use std::time::{Duration, Instant};
 const MAX_SAMPLES: usize = 1_000_000;
 /// Upper bound on FOJ samples per generation job.
 const MAX_FOJ_SAMPLES: usize = 5_000_000;
-/// Grace period past a request's deadline before the handler gives up
-/// waiting for the worker's own 504 (avoids racing the worker).
-const DEADLINE_GRACE: Duration = Duration::from_millis(100);
 
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Inference worker threads.
-    pub workers: usize,
-    /// Bounded estimate-queue capacity (full queue → 429).
+    /// Estimates admitted at once, waiting for their model or computing;
+    /// one more is answered 429.
     pub queue_capacity: usize,
-    /// Max requests fused into one forward-pass batch.
-    pub max_batch: usize,
     /// Progressive-sampling paths when the request omits `samples`.
     pub default_samples: usize,
     /// Per-request deadline when the request omits `timeout_ms`.
@@ -113,9 +111,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
             queue_capacity: 64,
-            max_batch: 16,
             default_samples: 200,
             default_timeout_ms: 10_000,
             cache_capacity: 1024,
@@ -154,9 +150,11 @@ struct ServerState {
     /// (`POST /train`) alike.
     jobs: JobRegistry,
     metrics: Arc<ServeMetrics>,
-    batcher: Batcher,
+    /// Estimates admitted and not yet answered, against
+    /// [`ServeConfig::queue_capacity`].
+    in_flight: AtomicUsize,
     /// Completed estimates keyed on (model, version, canonical query,
-    /// samples, seed); consulted before the batcher.
+    /// samples, seed); consulted before the estimator.
     cache: EstimateCache,
     shutting_down: Arc<AtomicBool>,
     /// Quiesced by a router rebalance (`POST /admin/drain`): new
@@ -200,13 +198,6 @@ impl Server {
             None => None,
         };
         let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
-        let batcher = Batcher::start(
-            config.workers,
-            config.queue_capacity,
-            config.max_batch,
-            Arc::clone(&metrics),
-            Some(Arc::clone(&flight)),
-        );
         let cache = EstimateCache::new(config.cache_capacity);
         let registry = Arc::new(ModelRegistry::new());
         metrics.set_build_info(env!("CARGO_PKG_VERSION"), env!("SAM_GIT_SHA"));
@@ -229,7 +220,7 @@ impl Server {
             registry,
             jobs,
             metrics,
-            batcher,
+            in_flight: AtomicUsize::new(0),
             cache,
             shutting_down: Arc::new(AtomicBool::new(false)),
             draining: AtomicBool::new(false),
@@ -451,14 +442,13 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting connections, finish in-flight
-    /// requests, drain the estimate queue, and join every generation and
+    /// requests (estimates included), and join every generation and
     /// training job (for a long train, `POST /jobs/{id}/cancel` first — a
     /// SIGKILL instead leaves an `Interrupted` journal state that resumes
     /// from its checkpoint on the next replay). Idempotent; also runs on
     /// drop.
     pub fn shutdown(&self) {
         self.acceptor.shutdown();
-        self.state.batcher.shutdown();
         self.state.jobs.drain();
         self.state.quality.shutdown();
     }
@@ -1151,40 +1141,17 @@ fn run_estimate(
     state.metrics.cache_misses.inc();
     telemetry.cache = CacheOutcome::Miss;
 
-    // The quality monitor needs the parsed query after the job consumes it;
-    // clone only when this request was actually picked for shadow scoring.
-    // Only a model with reference relations is scored.
-    let shadow_query =
-        (entry.reference.is_some() && state.quality.should_sample()).then(|| query.clone());
-
     let deadline = started + Duration::from_millis(timeout_ms);
-    let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-    state.batcher.submit(EstimateJob {
-        entry: Arc::clone(&entry),
-        query,
-        samples,
-        seed,
-        deadline,
-        reply: reply_tx,
-    })?;
-    let wait = deadline.saturating_duration_since(Instant::now()) + DEADLINE_GRACE;
-    let reply = match reply_rx.recv_timeout(wait) {
-        Ok(reply) => reply,
-        Err(RecvTimeoutError::Timeout) => return Err(ServeError::DeadlineExceeded),
-        Err(RecvTimeoutError::Disconnected) => {
-            return Err(ServeError::Internal(
-                "inference worker dropped request".into(),
-            ))
-        }
-    };
-    let estimate = reply.result?;
+    let _admitted = admit(state)?;
+    let estimate = compute_estimate(state, &entry, &query, samples, seed, deadline)?;
     state.cache.insert(cache_key, estimate);
-    telemetry.batch_size = reply.batch_size as u64;
+    telemetry.batch_size = 1;
     let trace_id_num = sam_obs::current_trace_id();
-    if let Some(shadow) = shadow_query {
+    // Only a model with reference relations is quality-scored.
+    if entry.reference.is_some() && state.quality.should_sample() {
         state.quality.submit(QualityTask {
             entry: Arc::clone(&entry),
-            query: shadow,
+            query,
             estimate,
             trace_id: trace_id_num.unwrap_or(0),
         });
@@ -1197,12 +1164,77 @@ fn run_estimate(
             "model_version": entry.version,
             "estimate": estimate,
             "samples": samples,
-            "batch_size": reply.batch_size,
+            "batch_size": 1,
             "cached": false,
             "latency_ms": started.elapsed().as_secs_f64() * 1e3,
             "trace_id": trace_id,
         }),
     ))
+}
+
+/// A slot among the [`ServeConfig::queue_capacity`] estimates admitted at
+/// once, given back on drop.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Admit one more estimate, or answer 429 when `queue_capacity` are already
+/// waiting for their model or computing.
+fn admit(state: &ServerState) -> Result<Admitted<'_>, ServeError> {
+    let admitted = Admitted(&state.in_flight);
+    if state.in_flight.fetch_add(1, Ordering::AcqRel) >= state.config.queue_capacity.max(1) {
+        return Err(ServeError::Overloaded);
+    }
+    Ok(admitted)
+}
+
+/// Run one estimate on this thread under the entry's estimator. The
+/// deadline ends the wait for the estimator and the pass alike (504). A
+/// panic inside the pass is contained: it answers 500, counts in
+/// `worker_panics`, dumps the flight recorder, and the entry gets a fresh
+/// estimator, since the panicked pass may have left its trie half-written.
+fn compute_estimate(
+    state: &ServerState,
+    entry: &ModelEntry,
+    query: &Query,
+    samples: usize,
+    seed: u64,
+    deadline: Instant,
+) -> Result<f64, ServeError> {
+    let mut estimator = entry
+        .estimator
+        .take_before(deadline)
+        .ok_or(ServeError::DeadlineExceeded)?;
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        estimator.estimate_before(query, samples, &mut rng, deadline)
+    }));
+    match result {
+        Ok(Ok(estimate)) => {
+            let metrics = &state.metrics;
+            metrics.batches.inc();
+            metrics.batched_requests.inc();
+            metrics.mean_batch_size.set(1.0);
+            Ok(estimate)
+        }
+        Ok(Err(sam_ar::ArError::DeadlineExceeded)) => Err(ServeError::DeadlineExceeded),
+        Ok(Err(e)) => Err(ServeError::BadRequest(e.to_string())),
+        Err(payload) => {
+            *estimator = sam_ar::Estimator::new(entry.trained.model().clone());
+            state.metrics.worker_panics.inc();
+            let msg = crate::sync::panic_message(payload.as_ref());
+            // The requests leading up to a crash are the context a
+            // post-mortem needs; preserve them in the logs right away.
+            state
+                .flight
+                .dump_stderr(50, &format!("estimate panic: {msg}"));
+            Err(ServeError::Internal(format!("estimation panicked: {msg}")))
+        }
+    }
 }
 
 fn generate_route(state: &ServerState, body: &str) -> Result<(u16, Value), ServeError> {

@@ -168,7 +168,7 @@ pub struct ServerCounters {
     pub cache_hits: u64,
     /// Estimate-cache misses.
     pub cache_misses: u64,
-    /// Inference-worker panics contained by the batcher.
+    /// Estimate panics the server contained (each answered 500).
     pub worker_panics: u64,
     /// Estimates shadow-scored by the quality monitor.
     pub quality_samples: u64,

@@ -246,9 +246,7 @@ const COMMANDS: &[Command] = &[
         ("listener", &[
             ADDR,
             Flag("models", "SPEC,SPEC", "", "preload models: name=model.json or name=model.json=datadir"),
-            Flag("workers", "N", "2", "estimate worker threads"),
-            Flag("queue", "N", "64", "batcher queue capacity; a full queue answers 429"),
-            Flag("max-batch", "N", "16", "max estimates fused per batch"),
+            Flag("queue", "N", "64", "estimates waiting or computing at once; one more answers 429"),
             Flag("samples", "N", "200", "default progressive-sampling count"),
             Flag("timeout-ms", "N", "10000", "per-request deadline"),
             Flag("cache", "N", "1024", "estimate cache entries"),
@@ -1015,9 +1013,7 @@ fn serve(args: &Args) -> Result<(), String> {
     }
     let config = sam::serve::ServeConfig {
         addr: args.required("addr")?.to_string(),
-        workers: args.num("workers")?,
         queue_capacity: args.num("queue")?,
-        max_batch: args.num("max-batch")?,
         default_samples: args.num("samples")?,
         default_timeout_ms: args.num("timeout-ms")?,
         cache_capacity: args.num("cache")?,

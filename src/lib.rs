@@ -21,7 +21,7 @@
 //! * [`engine`] — an in-memory executor for latency experiments.
 //! * [`metrics`] — Q-Error, cross entropy, percentile summaries.
 //! * [`obs`] — metrics registry, hierarchical spans, Chrome trace export.
-//! * [`serve`] — HTTP model serving: micro-batched estimates, async jobs.
+//! * [`serve`] — HTTP model serving: estimates, async jobs.
 //! * [`router`] — fault-tolerant sharded serving: router + worker pool.
 //! * [`workgen`] — workload synthesis, hard-query mining, load generation.
 //!

@@ -81,8 +81,6 @@ fn start_server(
     flight_capacity: usize,
 ) -> Server {
     let server = Server::start(ServeConfig {
-        workers: 2,
-        max_batch: 8,
         // The gate exercises the full estimate path: no cache assists.
         cache_capacity: 0,
         quality_sample,

@@ -67,8 +67,6 @@ fn quality_drift_surfaces_everywhere() {
     let _ = std::fs::remove_file(&audit_path);
 
     let server = Server::start(ServeConfig {
-        workers: 2,
-        max_batch: 4,
         quality_sample: 1.0,
         quality_window: 64,
         quality_alert_qerror: 1.001,
@@ -273,7 +271,6 @@ fn quality_drift_surfaces_everywhere() {
 fn data_less_model_gets_no_quality_window() {
     let (trained, queries, db) = train_demo_model();
     let server = Server::start(ServeConfig {
-        workers: 1,
         quality_sample: 1.0,
         quality_alert_qerror: 1.5,
         ..ServeConfig::default()

@@ -65,12 +65,7 @@ fn concurrent_http_estimates_are_bit_identical_to_in_process() {
     const SAMPLES: usize = 96;
 
     let (trained, queries) = train_demo_model();
-    let server = Server::start(ServeConfig {
-        workers: 2,
-        max_batch: 8,
-        ..ServeConfig::default()
-    })
-    .expect("start server");
+    let server = Server::start(ServeConfig::default()).expect("start server");
     server.registry().insert("demo", trained);
     let addr = server.addr();
     let model = server.registry().get("demo").unwrap();
