@@ -700,3 +700,128 @@ fn a_progressive_step_has_the_parent_gradients_to_the_bit() {
         }
     }
 }
+
+/// One progressive step like `step_gradients`, with the sample fed back
+/// soft (the block's softmax, every entry non-zero) or straight-through (the
+/// softmax shifted to one-hot), from an all-zero input or from a dense one.
+/// Returns each column's logit block, each column's input gradient, and the
+/// parameter gradients left in the store.
+fn fed_back_step(
+    made: &Made,
+    store: &mut ParamStore,
+    per_column: bool,
+    soft: bool,
+    dense_start: bool,
+) -> (Vec<Matrix>, Vec<Matrix>, Vec<Matrix>) {
+    let (rows, width) = (5, made.total_width());
+    let mut rng = Lcg(11);
+    let start = if dense_start {
+        rng.dense(rows, width)
+    } else {
+        Matrix::zeros(rows, width)
+    };
+    let mut tape = Tape::new();
+    let bound = made.bind(&mut tape, store);
+    let mut inputs = vec![tape.leaf(start)];
+    let (mut blocks, mut total) = (Vec::new(), None);
+    for i in 0..made.num_columns() {
+        let block = if per_column {
+            bound.forward_column(&mut tape, inputs[i], i)
+        } else {
+            let logits = bound.forward(&mut tape, inputs[i]);
+            bound.logits_of(&mut tape, logits, i)
+        };
+        let probs = tape.softmax_rows(block, 1.0);
+        let y = if soft {
+            probs
+        } else {
+            let shift = straight_through_shift(tape.value(probs));
+            tape.add_const(probs, Rc::new(shift))
+        };
+        let head = rng.dense(rows, made.domain_size(i));
+        let factor = tape.row_dot_rows(y, Rc::new(head));
+        total = Some(match total {
+            Some(t) => tape.add(t, factor),
+            None => factor,
+        });
+        let padded = tape.pad_cols(y, made.offset(i), width);
+        inputs.push(tape.add(inputs[i], padded));
+        blocks.push(block);
+    }
+    let targets = Rc::new((0..rows).map(|_| rng.unit()).collect::<Vec<f32>>());
+    let loss = tape.sq_err_mean(total.expect("at least one column"), targets);
+    tape.backward(loss);
+    store.zero_grads();
+    bound.apply_grads(&tape, store);
+    let n = made.num_columns();
+    (
+        blocks.iter().map(|&b| tape.value(b).clone()).collect(),
+        inputs[..n].iter().map(|&x| tape.grad(x)).collect(),
+        (0..store.len())
+            .map(|k| store.grad(ParamId(k)).clone())
+            .collect(),
+    )
+}
+
+/// Live-set edge cases of `forward_column`, against `forward` + `logits_of`
+/// to the bit — logit blocks, every column's input gradient and every
+/// parameter gradient — with samples fed back soft and straight-through,
+/// from a zero and from a dense first input: a single-column model, whose
+/// logits read no hidden unit; hidden layers narrower than `n − 1`, so the
+/// top degrees have no unit and the last columns share one live set; and a
+/// residual stack, where column 0 reads no unit of any layer and both sides
+/// of every skip are empty.
+#[test]
+fn forward_columns_match_full_forwards_on_live_set_edge_cases() {
+    let shapes: [(&[usize], &[usize], bool); 4] = [
+        (&[5], &[8], false),
+        (&[5], &[8, 8], true),
+        (&[3, 2, 4, 2, 5, 3], &[3, 3], false),
+        (&[4, 3, 2], &[6, 6, 6], true),
+    ];
+    for (m, &(domains, hidden, residual)) in shapes.iter().enumerate() {
+        let mut store = ParamStore::new();
+        let made = Made::new(
+            MadeConfig {
+                domain_sizes: domains.to_vec(),
+                hidden: hidden.to_vec(),
+                seed: m as u64 + 60,
+                residual,
+            },
+            &mut store,
+        );
+        let mut rng = Lcg(m as u64 + 3);
+        for id in (0..store.len()).map(ParamId) {
+            if store.value(id).rows() == 1 {
+                let cols = store.value(id).cols();
+                *store.value_mut(id) = rng.dense(1, cols);
+            }
+        }
+        for soft in [true, false] {
+            for dense_start in [false, true] {
+                let what = format!(
+                    "domains {domains:?}, hidden {hidden:?}, residual {residual}, \
+                     soft {soft}, dense start {dense_start}"
+                );
+                let full = fed_back_step(&made, &mut store, false, soft, dense_start);
+                let per_column = fed_back_step(&made, &mut store, true, soft, dense_start);
+                assert!(
+                    full.2.iter().any(|g| g.norm_sq() > 0.0),
+                    "{what}: the step must produce gradients"
+                );
+                let kinds = ["logits of column", "input gradient of column", "parameter"];
+                let pairs = [
+                    (&per_column.0, &full.0),
+                    (&per_column.1, &full.1),
+                    (&per_column.2, &full.2),
+                ];
+                for (kind, (got, want)) in kinds.iter().zip(pairs) {
+                    assert_eq!(got.len(), want.len(), "{what}: {kind} count");
+                    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert_same_bits(&format!("{what}: {kind} {k}"), g, w);
+                    }
+                }
+            }
+        }
+    }
+}
