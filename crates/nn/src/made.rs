@@ -7,7 +7,7 @@
 //! `< i`, so `softmax(logits_i)` is `P(X_i | x_{<i})` and their chain product
 //! is the joint (Eq 3 of the paper, no independence assumptions).
 
-use crate::backend::{FrozenLayers, ReferenceF32};
+use crate::backend::{live_units, FrozenLayers, ReferenceF32};
 use crate::matrix::Matrix;
 use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
@@ -60,6 +60,17 @@ pub struct Made {
     offsets: Vec<usize>,
     total_width: usize,
     layers: Vec<Layer>,
+    /// One walk per column's logit block, then one for all the logits.
+    walks: Vec<Walk>,
+}
+
+/// What one forward reads: the one-hot inputs `0..inputs`, and per layer
+/// the units it computes, ascending — the live units of [`live_units`] on
+/// the masks, so a unit left out meets every unit computed only through a
+/// zero of the mask. The last layer's units are the logits asked for.
+struct Walk {
+    inputs: usize,
+    units: Vec<Rc<[usize]>>,
 }
 
 /// Build the 0/1 mask for a layer given degrees of its input and output
@@ -144,11 +155,25 @@ impl Made {
             residual: false,
         });
 
+        let masks: Vec<&Matrix> = layers.iter().map(|l| &*l.mask).collect();
+        let residual: Vec<bool> = layers.iter().map(|l| l.residual).collect();
+        let walk = |inputs: usize, cols: Range<usize>| Walk {
+            inputs,
+            units: live_units(&masks, &residual, cols)
+                .into_iter()
+                .map(Rc::from)
+                .collect(),
+        };
+        let walks = (0..n)
+            .map(|i| walk(offsets[i], offsets[i]..offsets[i] + config.domain_sizes[i]))
+            .chain(std::iter::once(walk(total, 0..total)))
+            .collect();
         Made {
             config,
             offsets,
             total_width: total,
             layers,
+            walks,
         }
     }
 
@@ -220,46 +245,39 @@ impl<'m> BoundMade<'m> {
     /// Forward pass on the tape: `input` (batch × total_width) → logits
     /// (batch × total_width). ReLU between layers, none after the last.
     pub fn forward(&self, tape: &mut Tape, input: Var) -> Var {
-        let width = self.made.total_width;
-        self.forward_cols(tape, input, width, 0..width)
+        self.walk(tape, input, &self.made.walks[self.made.num_columns()])
     }
 
     /// Forward pass that evaluates the last layer for column `i`'s logit
     /// block only (batch × domain_size(i)) — what one DPS step reads. The
     /// block is bit-identical to that block of [`BoundMade::forward`].
     ///
-    /// The first layer reads only the inputs of columns `< i`, the prefix
-    /// `0..offset(i)`: by the masks, a first-layer unit that sees a later
-    /// input has a degree no unit on the way to column `i`'s logits takes
-    /// from, so the block's sums meet its value only times an exact zero
-    /// weight, and its gradient is an exact `+0`.
+    /// Every layer computes only the units the block reads, by the masks
+    /// (with the MADE degrees, the hidden units of degree `≤ i`), and the
+    /// first layer reads only the inputs of columns `< i`, the prefix
+    /// `0..offset(i)`. A unit or input left out meets the units computed
+    /// only through a zero of the mask, so its term in their sums is a
+    /// finite value times `±0`, and its share of their gradients an exact
+    /// `+0`. On a progressive input, the first layer's sums are carried
+    /// from the previous column's (see [`Tape::onehot_linear_units`]).
     pub fn forward_column(&self, tape: &mut Tape, input: Var, i: usize) -> Var {
-        let offset = self.made.offset(i);
-        self.forward_cols(
-            tape,
-            input,
-            offset,
-            offset..offset + self.made.domain_size(i),
-        )
+        self.walk(tape, input, &self.made.walks[i])
     }
 
-    /// The layer walk: the one-hot first layer on inputs `0..live`, hidden
-    /// layers at full width, then logits `cols` of the output layer (which
-    /// is never residual).
-    fn forward_cols(&self, tape: &mut Tape, input: Var, live: usize, cols: Range<usize>) -> Var {
+    /// The layer walk: the one-hot first layer on inputs `0..walk.inputs`,
+    /// then every later layer from the units the one before it computed,
+    /// each on `walk`'s units only.
+    fn walk(&self, tape: &mut Tape, input: Var, walk: &Walk) -> Var {
         let mut h = input;
         let last = self.vars.len() - 1;
         for (i, ((w, b), layer)) in self.vars.iter().zip(&self.made.layers).enumerate() {
-            let out = if i == last {
-                cols.clone()
-            } else {
-                0..layer.mask.rows()
-            };
             let mask = Some(Rc::clone(&layer.mask));
+            let outs = Rc::clone(&walk.units[i]);
             let lin = if i == 0 {
-                tape.onehot_linear_cols(h, *w, *b, mask, live, out)
+                tape.onehot_linear_units(h, *w, *b, mask, walk.inputs, outs)
             } else {
-                tape.masked_linear_cols(h, *w, *b, mask, out)
+                let ins = Rc::clone(&walk.units[i - 1]);
+                tape.masked_linear_units(h, *w, *b, mask, ins, outs)
             };
             let pre = if layer.residual {
                 tape.add(lin, h)

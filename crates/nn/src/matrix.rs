@@ -156,34 +156,6 @@ impl Matrix {
         out
     }
 
-    /// `self.T @ other` (`self: k×m`, `other: k×n`) written into `out`, which
-    /// is reshaped to `m×n` and keeps its allocation — a caller that
-    /// multiplies at one shape again and again passes the same `out`. An
-    /// axpy over `p` ascending that skips zeros of `self`, so each element is
-    /// the serial sum `((0 + a₀b₀) + a₁b₁) + …` as in
-    /// [`Matrix::matmul_block`].
-    pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "matmul_transa shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        crate::obs_hooks::count_matmul!(m, k, n);
-        (out.rows, out.cols) = (m, n);
-        out.data.clear();
-        out.data.resize(m * n, 0.0);
-        for p in 0..k {
-            let a_row = self.row(p);
-            let b_row = other.row(p);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
@@ -220,6 +192,13 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
+    }
+
+    /// Make this an all-zeros `rows×cols` matrix, keeping the allocation.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        (self.rows, self.cols) = (rows, cols);
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Fill with zeros.
@@ -300,10 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transa_into_reshapes_and_clears_a_used_buffer() {
+    fn reset_reshapes_and_clears_a_used_buffer() {
         let mut out = Matrix::full(7, 1, 9.0);
-        a().transpose().matmul_transa_into(&b(), &mut out);
-        assert_eq!(out, a().matmul(&b()));
+        out.reset(2, 3);
+        assert_eq!(out, Matrix::zeros(2, 3));
     }
 
     #[test]
