@@ -58,7 +58,7 @@ fn train_demo_model() -> (TrainedSam, Vec<Query>) {
 
 /// ≥8 concurrent clients hammer `/estimate`; every response must equal an
 /// in-process `Estimator::estimate` with the same (query, samples, seed) —
-/// micro-batching must be invisible in the results.
+/// concurrency and the estimate cache must be invisible in the results.
 #[test]
 fn concurrent_http_estimates_are_bit_identical_to_in_process() {
     const CLIENTS: usize = 8;
