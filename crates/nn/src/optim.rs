@@ -75,17 +75,12 @@ impl ParamStore {
     }
 }
 
-fn clip_scale(store: &ParamStore, clip: Option<f32>) -> f32 {
+/// What scales gradients of global norm `norm` down to norm `clip`, or `1`
+/// when they are within it or clipping is off.
+fn clip_scale(norm: f32, clip: Option<f32>) -> f32 {
     match clip {
-        Some(max_norm) => {
-            let norm = store.grads.iter().map(Matrix::norm_sq).sum::<f32>().sqrt();
-            if norm > max_norm {
-                max_norm / norm
-            } else {
-                1.0
-            }
-        }
-        None => 1.0,
+        Some(max_norm) if norm > max_norm => max_norm / norm,
+        _ => 1.0,
     }
 }
 
@@ -155,8 +150,11 @@ impl Adam {
     }
 
     /// Apply one Adam step from the accumulated gradients, then zero them.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        let scale = clip_scale(store, self.clip_norm);
+    /// Returns the gradients' global norm, [`ParamStore::grad_norm`] as read
+    /// before the step, which clipping scales by.
+    pub fn step(&mut self, store: &mut ParamStore) -> f32 {
+        let norm = store.grad_norm();
+        let scale = clip_scale(norm, self.clip_norm);
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
@@ -182,6 +180,7 @@ impl Adam {
             }
         }
         store.zero_grads();
+        norm
     }
 }
 
@@ -218,7 +217,9 @@ mod tests {
         let mut store_probe = ParamStore::new();
         store_probe.add(Matrix::zeros(1, 2));
         let mut adam = Adam::new(&store_probe, 0.05);
-        let loss = converges(|s| adam.step(s));
+        let loss = converges(|s| {
+            adam.step(s);
+        });
         assert!(loss < 1e-4, "adam final loss {loss}");
     }
 
@@ -227,11 +228,109 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add(Matrix::zeros(1, 1));
         store.accumulate_grad(w, &Matrix::full(1, 1, 1000.0));
+        let norm = store.grad_norm();
         // A unit-lr step along the scaled gradient has norm `clip`.
-        let step = 1000.0 * clip_scale(&store, Some(1.0));
+        let step = 1000.0 * clip_scale(norm, Some(1.0));
         assert!((step - 1.0).abs() < 1e-5);
-        assert_eq!(clip_scale(&store, Some(2000.0)), 1.0);
-        assert_eq!(clip_scale(&store, None), 1.0);
+        assert_eq!(clip_scale(norm, Some(2000.0)), 1.0);
+        assert_eq!(clip_scale(norm, None), 1.0);
+    }
+
+    /// The step as it was before it returned the norm: the caller read
+    /// `grad_norm()`, then the step summed the squares again to clip.
+    struct TwoPassAdam {
+        lr: f32,
+        clip_norm: Option<f32>,
+        t: u64,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
+    }
+
+    impl TwoPassAdam {
+        fn step(&mut self, store: &mut ParamStore) {
+            let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+            let scale = match self.clip_norm {
+                Some(max_norm) => {
+                    let norm = store.grads.iter().map(Matrix::norm_sq).sum::<f32>().sqrt();
+                    if norm > max_norm {
+                        max_norm / norm
+                    } else {
+                        1.0
+                    }
+                }
+                None => 1.0,
+            };
+            self.t += 1;
+            let b1t = 1.0 - beta1.powi(self.t as i32);
+            let b2t = 1.0 - beta2.powi(self.t as i32);
+            for i in 0..store.values.len() {
+                let (g, m, v) = (&store.grads[i], &mut self.m[i], &mut self.v[i]);
+                for ((mi, vi), &gi_raw) in m
+                    .data_mut()
+                    .iter_mut()
+                    .zip(v.data_mut().iter_mut())
+                    .zip(g.data())
+                {
+                    let gi = gi_raw * scale;
+                    *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                    *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                }
+                let value = &mut store.values[i];
+                for ((pv, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                    *pv -= self.lr * (mi / b1t) / ((vi / b2t).sqrt() + eps);
+                }
+            }
+            store.zero_grads();
+        }
+    }
+
+    /// `Adam::step` returns the bits of `grad_norm()` read just before it and
+    /// leaves the parameters of the two-pass step, clipping on (a bound the
+    /// gradients pass and one they stay under) and off.
+    #[test]
+    fn step_returns_the_norm_it_clipped_by() {
+        let shapes = [(3, 5), (1, 5), (4, 1)];
+        for clip in [Some(0.5f32), Some(1e6), None] {
+            let (mut store, mut twin) = (ParamStore::new(), ParamStore::new());
+            let mut seed = 7u32;
+            let mut next = move || {
+                seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (seed >> 8) as f32 / (1 << 23) as f32 - 1.0
+            };
+            for &(r, c) in &shapes {
+                let value = Matrix::from_fn(r, c, |_, _| next());
+                store.add(value.clone());
+                twin.add(value);
+            }
+            let mut adam = Adam::new(&store, 0.01);
+            adam.clip_norm = clip;
+            let zeros = || shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+            let mut two_pass = TwoPassAdam {
+                lr: 0.01,
+                clip_norm: clip,
+                t: 0,
+                m: zeros(),
+                v: zeros(),
+            };
+            for step in 0..6 {
+                for (k, &(r, c)) in shapes.iter().enumerate() {
+                    let g = Matrix::from_fn(r, c, |_, _| 3.0 * next());
+                    store.accumulate_grad(ParamId(k), &g);
+                    twin.accumulate_grad(ParamId(k), &g);
+                }
+                let want = store.grad_norm();
+                let got = adam.step(&mut store);
+                two_pass.step(&mut twin);
+                let what = format!("clip {clip:?}, step {step}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: norm");
+                for k in 0..shapes.len() {
+                    let (a, b) = (store.value(ParamId(k)), twin.value(ParamId(k)));
+                    let bits =
+                        |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{what}: parameter {k}");
+                }
+            }
+        }
     }
 
     #[test]
