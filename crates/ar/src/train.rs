@@ -304,8 +304,7 @@ pub fn train_observed(
                     });
                 }
 
-                let padded = tape.pad_cols(y, offset, total_width);
-                input = tape.add(input, padded);
+                input = tape.add_cols(input, y, offset);
             }
 
             let logp = match logp {
@@ -319,8 +318,7 @@ pub fn train_observed(
             steps += 1;
             tape.backward(loss);
             bound.apply_grads(&tape, store);
-            last_grad_norm = store.grad_norm();
-            adam.step(store);
+            last_grad_norm = adam.step(store);
         }
         let mean_loss = if steps > 0 {
             (epoch_loss / steps as f64) as f32
