@@ -8,10 +8,19 @@
 //! store, and model set survive the worker *process*: a restarted (or
 //! replacement) process on the same slot resumes from the shared per-shard
 //! store directory and keeps minting from the same range.
+//!
+//! A worker does not outlive its router, however the router ends: on
+//! Linux each worker asks the kernel for SIGKILL when the thread that
+//! forked it exits (`PR_SET_PDEATHSIG`). That is a thread's exit, not the
+//! process's, and workers are spawned from the starting thread, the health
+//! thread and admin request threads, which end with their connection; so
+//! every worker is forked on one spawner thread that lives as long as the
+//! process.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, OnceLock};
 use std::time::Instant;
 
 /// Job-id range width per worker slot. Large enough that no shard exhausts
@@ -192,7 +201,7 @@ pub fn spawn_worker(
     for (key, value) in env {
         command.env(key, value);
     }
-    let mut child = command.spawn()?;
+    let mut child = spawn_on_spawner(command)?;
     let stdout = child.stdout.take().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::BrokenPipe, "worker stdout not piped")
     })?;
@@ -225,6 +234,79 @@ pub fn spawn_worker(
         .ok();
     Ok(WorkerProcess { child, addr })
 }
+
+/// A command to fork and where to send the child.
+type SpawnRequest = (Command, mpsc::Sender<std::io::Result<Child>>);
+
+/// Fork `command` on the spawner thread (see the module docs), started on
+/// first use; on Linux the child dies with that thread, which is to say
+/// with the process.
+fn spawn_on_spawner(mut command: Command) -> std::io::Result<Child> {
+    static SPAWNER: OnceLock<Option<mpsc::Sender<SpawnRequest>>> = OnceLock::new();
+    let spawner = SPAWNER.get_or_init(|| {
+        let (requests, incoming) = mpsc::channel::<SpawnRequest>();
+        std::thread::Builder::new()
+            .name("sam-router-spawner".to_string())
+            .spawn(move || {
+                for (mut command, reply) in incoming {
+                    let _ = reply.send(command.spawn());
+                }
+            })
+            .ok()
+            .map(|_| requests)
+    });
+    let spawner = spawner
+        .as_ref()
+        .ok_or_else(|| std::io::Error::other("the worker spawner thread could not be started"))?;
+    die_with_parent(&mut command);
+    let (reply, answer) = mpsc::channel();
+    spawner
+        .send((command, reply))
+        .map_err(|_| std::io::Error::other("the worker spawner thread is gone"))?;
+    answer
+        .recv()
+        .map_err(|_| std::io::Error::other("the worker spawner thread is gone"))?
+}
+
+/// Have the kernel SIGKILL `command`'s child when the thread that forks it
+/// exits, and refuse to start a child whose router died before it could
+/// ask. Linux only; elsewhere a worker outlives a router killed outright.
+#[cfg(target_os = "linux")]
+fn die_with_parent(command: &mut Command) {
+    use std::ffi::{c_int, c_ulong};
+    use std::os::unix::process::CommandExt;
+    extern "C" {
+        fn prctl(
+            option: c_int,
+            arg2: c_ulong,
+            arg3: c_ulong,
+            arg4: c_ulong,
+            arg5: c_ulong,
+        ) -> c_int;
+        fn getppid() -> c_int;
+    }
+    const PR_SET_PDEATHSIG: c_int = 1;
+    const SIGKILL: c_ulong = 9;
+    let router = std::process::id() as c_int;
+    // SAFETY: the closure runs in the forked child before exec. It makes two
+    // raw system calls with integer arguments and builds an `io::Error`
+    // without allocating: no locks, nothing that is unsafe after fork.
+    unsafe {
+        command.pre_exec(move || {
+            if prctl(PR_SET_PDEATHSIG, SIGKILL, 0, 0, 0) != 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            // Reparented already: the router died between fork and prctl.
+            if getppid() != router {
+                return Err(std::io::ErrorKind::Other.into());
+            }
+            Ok(())
+        });
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn die_with_parent(_command: &mut Command) {}
 
 /// Exponential restart backoff: `base · 2^attempt`, capped. Attempt 0 is
 /// the first retry after a death.
