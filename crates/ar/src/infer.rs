@@ -176,11 +176,11 @@ pub fn estimate_cardinality(
 }
 
 /// Inference counters on the global [`sam_obs::Registry`], resolved once.
-/// `forwards` counts network forward passes, `requests`/`batch_rows` size
-/// the micro-batches, `dedup_hits` counts rows whose forward pass was
-/// skipped because an identical sample-path prefix was already queued in
-/// the same batch, and `trie_hits` counts rows served from conditionals a
-/// *previous* batch cached on the estimator's trie.
+/// `forwards` counts column forwards, `requests`/`batch_rows` the requests
+/// and sample paths of each pass, `dedup_hits` the rows that skipped their
+/// forward row because an earlier row of the pass sat on the same uncached
+/// trie node (off-trie rows never merge), and `trie_hits` the rows served
+/// from conditionals a *previous* batch cached on the estimator's trie.
 struct ObsCounters {
     forwards: std::sync::Arc<sam_obs::Counter>,
     requests: std::sync::Arc<sam_obs::Counter>,
@@ -200,8 +200,8 @@ fn obs_counters() -> &'static ObsCounters {
     })
 }
 
-/// Per-request micro-batch state: resolved step rules plus the request's
-/// row window inside the stacked sample batch.
+/// Per-request state of one sampling pass: resolved step rules plus the
+/// request's row window inside the stacked sample batch.
 struct BatchSlot {
     request: usize,
     rules: Vec<StepRule>,
@@ -282,13 +282,13 @@ fn estimate_batch_until<R: Rng>(
             // Paths with identical code prefixes sit on the same trie node
             // and have identical carried first-layer sums (the same codes
             // added in the same order), hence identical conditionals: the
-            // forward pass runs on distinct *uncached* prefixes only,
-            // selected by a batch row mask. Requests batched together
-            // share prefixes (every path starts empty; similar queries
-            // stay overlapped for several columns), and prefixes cached by
-            // earlier batches on the trie skip the forward entirely.
-            // Values are unchanged either way: each path reads the same
-            // conditionals a per-path forward would give.
+            // forward pass runs on distinct *uncached* nodes (and on paths
+            // off a full trie) only, selected by a batch row mask. Requests
+            // batched together share prefixes (every path starts empty;
+            // similar queries stay overlapped for several columns), and
+            // prefixes cached by earlier batches on the trie skip the
+            // forward entirely. Values are unchanged either way: each path
+            // reads the same conditionals a per-path forward would give.
             let summary = batch.begin_column(model, i, trie);
             obs.dedup_hits.add(summary.dedup_hits);
             obs.trie_hits.add(summary.cached_hits);
@@ -478,8 +478,9 @@ mod tests {
 
     #[test]
     fn capped_trie_falls_back_without_changing_estimates() {
-        // A two-node trie sends almost every path off the trie, onto the
-        // raw-code dedup a long-running server reaches at the node cap.
+        // A two-node trie sends almost every path off the trie, where each
+        // takes a forward row of its own, as at the node cap of a
+        // long-running server.
         let model = figure3_model();
         let queries = [
             Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]),

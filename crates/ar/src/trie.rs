@@ -6,8 +6,8 @@
 //! The trie exploits this twice:
 //!
 //! 1. **Within a batch**: paths holding identical prefixes land on the same
-//!    trie node, so the batch runs one forward row per *distinct* prefix
-//!    (subsuming the exact-prefix hash dedup the estimator used to do).
+//!    trie node, so the batch runs one forward row per *distinct* uncached
+//!    node (subsuming the exact-prefix hash dedup the estimator used to do).
 //! 2. **Across batches**: an [`Estimator`](crate::Estimator) keeps its
 //!    trie between calls, and the trie caches each node's
 //!    conditional-probability row the first time it is computed, so later
@@ -21,7 +21,7 @@
 //! caching changes cost, never values.
 //!
 //! Memory is bounded by a node cap: once reached, paths fall off the trie
-//! (`OFF_TRIE`) and are deduped per batch by their raw code prefix instead.
+//! (`OFF_TRIE`), and each such path takes a forward row of its own.
 
 use std::collections::HashMap;
 
@@ -116,19 +116,17 @@ impl PrefixTrie {
     /// Rows whose node already carries cached conditionals are marked
     /// `cached`; the first live row of each remaining prefix group becomes
     /// its `fresh` representative (taking the forward row), and every later
-    /// member points at it through `rep`. On-trie groups key by node id,
-    /// off-trie ones by their raw code prefix. The summary carries the
-    /// counts back to the caller for process-wide metrics.
+    /// member points at it through `rep`. Groups key by node id; a row off
+    /// the trie is a group of its own. The summary carries the counts back
+    /// to the caller for process-wide metrics.
     pub(crate) fn classify_column(
         &self,
         factors: &[f64],
         node: &[usize],
-        codes: &[Vec<u32>],
         masks: &mut ColumnMasks,
     ) -> ColumnSummary {
         masks.reset(factors.len());
         let mut uniq_node: HashMap<usize, usize> = HashMap::new();
-        let mut uniq_codes: HashMap<&[u32], usize> = HashMap::new();
         let mut summary = ColumnSummary::default();
         for r in 0..factors.len() {
             if factors[r] == 0.0 {
@@ -143,7 +141,7 @@ impl PrefixTrie {
             let rep = if node[r] != OFF_TRIE {
                 *uniq_node.entry(node[r]).or_insert(r)
             } else {
-                *uniq_codes.entry(codes[r].as_slice()).or_insert(r)
+                r
             };
             masks.rep[r] = rep;
             if rep == r {
@@ -196,7 +194,8 @@ pub(crate) struct ColumnSummary {
     pub(crate) fresh_rows: u64,
     /// Live rows served from trie-cached conditionals.
     pub(crate) cached_hits: u64,
-    /// Live rows deduped onto an in-batch representative.
+    /// Live rows that share an uncached trie node with an earlier row of
+    /// the batch, and read that representative's conditionals.
     pub(crate) dedup_hits: u64,
 }
 
