@@ -16,9 +16,18 @@
 //! batch.
 //!
 //! All buffers are reusable across calls: every [`Estimator`](crate::Estimator)
-//! owns one next to its [`PrefixTrie`] (the serving tier keeps one estimator
-//! per model version), and the generation pipeline keeps one per rayon
-//! worker, so in steady state the batch reallocates none of its buffers.
+//! handle owns one, beside the [`PrefixTrie`] it shares with its clones (the
+//! serving tier keeps idle clones per model version), and the generation
+//! pipeline keeps one per rayon worker, so in steady state the batch
+//! reallocates none of its buffers.
+//!
+//! A column of an estimate touches the trie twice, in two short steps, so
+//! passes on clones of one estimator run side by side:
+//! [`classify_column`](SampleBatch::classify_column) reads it (masks, plus
+//! a copy of each cached row's conditionals into the batch's own buffer) and
+//! [`descend`](SampleBatch::descend) writes it (the fresh rows'
+//! conditionals, then each row's step along the code it drew). The forward,
+//! the softmax and the sampling in between read only the batch.
 //!
 //! Everything here is value-preserving: a carried sum has the bits of the
 //! first layer's axpy over the path's one-hot row, and per-row forward
@@ -44,8 +53,9 @@ pub struct SampleBatch {
     /// Logits of the latest forward; only fresh rows of a column are
     /// written (masked rows keep stale values that are never read).
     logits: Matrix,
-    /// Conditionals of the current column's fresh representative rows, in
-    /// the leading `domain_size` columns of each row.
+    /// Conditionals of the current column's fresh representative rows and
+    /// of its cached rows (copied from the trie), in the leading
+    /// `domain_size` columns of each row.
     probs: Matrix,
     /// Row masks of the current column (fresh / cached / representative).
     masks: ColumnMasks,
@@ -53,7 +63,14 @@ pub struct SampleBatch {
     factors: Vec<f64>,
     /// Each path's trie node (depth == column index), or `OFF_TRIE`.
     node: Vec<usize>,
+    /// The code each path drew at the current column (`NO_CODE` for a
+    /// dead path), until [`descend`](SampleBatch::descend) steps the trie
+    /// along it.
+    code: Vec<u32>,
 }
+
+/// [`SampleBatch::code`] of a path that drew no code this column.
+const NO_CODE: u32 = u32::MAX;
 
 impl Default for SampleBatch {
     fn default() -> Self {
@@ -72,6 +89,7 @@ impl SampleBatch {
             masks: ColumnMasks::default(),
             factors: Vec::new(),
             node: Vec::new(),
+            code: Vec::new(),
         }
     }
 
@@ -91,24 +109,33 @@ impl SampleBatch {
         self.factors.resize(rows, 1.0);
         self.node.clear();
         self.node.resize(rows, PrefixTrie::ROOT); // every path starts at the root
+        self.code.clear();
+        self.code.resize(rows, NO_CODE);
     }
 
-    /// Advance the batch to column `i`: classify rows against the trie into
-    /// masks, forward column `i`'s logit block for the fresh representatives,
-    /// softmax their conditionals, and cache them on the trie. Returns the
-    /// classification counts (the caller folds them into process metrics).
-    pub(crate) fn begin_column(
-        &mut self,
-        model: &FrozenModel,
-        i: usize,
-        trie: &mut PrefixTrie,
-    ) -> ColumnSummary {
+    /// Classify the rows of a column against `trie` into masks, and copy
+    /// each cached row's conditionals (`d` = the column's domain size) into
+    /// the batch's own buffer, so the rest of the column reads no trie.
+    /// Returns the classification counts (the caller folds them into
+    /// process metrics).
+    pub(crate) fn classify_column(&mut self, trie: &PrefixTrie, d: usize) -> ColumnSummary {
         let summary = trie.classify_column(&self.factors, &self.node, &mut self.masks);
-        if summary.fresh_rows == 0 {
-            return summary;
+        if summary.cached_hits > 0 {
+            for r in 0..self.rows {
+                if self.masks.cached[r] {
+                    let cached = trie.probs(self.node[r]).expect("classified as cached");
+                    self.probs.row_mut(r)[..d].copy_from_slice(cached);
+                }
+            }
         }
-        // Column `i`'s logit block for the fresh rows, the only logits the
-        // step reads, forwarded in place under the fresh mask.
+        summary
+    }
+
+    /// Forward column `i`'s logit block for the fresh rows, the only logits
+    /// the step reads, in place under the fresh mask, and softmax them into
+    /// their conditionals. The masked softmax writes fresh rows only, so the
+    /// cached rows' copies stand.
+    pub(crate) fn forward_fresh(&mut self, model: &FrozenModel, i: usize) {
         model.net.forward_column_carried_into(
             &self.carry,
             Some(&self.masks.fresh),
@@ -121,38 +148,35 @@ impl SampleBatch {
             &self.masks.fresh,
             &mut self.probs,
         );
-        let d = model.net.domain_size(i);
+    }
+
+    /// Column conditionals for live row `r` (`d` = the column's domain
+    /// size): its own row when fresh or cached, otherwise its
+    /// representative's.
+    pub(crate) fn p_row(&self, r: usize, d: usize) -> &[f32] {
+        &self.probs.row(self.masks.rep[r])[..d]
+    }
+
+    /// Record the sampled `code` for row `r` at column `i`: add the code to
+    /// the row's carried sum, and keep it for [`descend`](Self::descend).
+    pub(crate) fn advance(&mut self, model: &FrozenModel, i: usize, r: usize, code: u32) {
+        self.carry_code(model, i, r, code);
+        self.code[r] = code;
+    }
+
+    /// End a sampled column on `trie`: cache the fresh rows' conditionals
+    /// (`d` = the column's domain size) and step every row that drew a code
+    /// to its child node.
+    pub(crate) fn descend(&mut self, trie: &mut PrefixTrie, d: usize) {
         for r in 0..self.rows {
             if self.masks.fresh[r] {
                 trie.set_probs(self.node[r], &self.probs.row(r)[..d]);
             }
+            let code = std::mem::replace(&mut self.code[r], NO_CODE);
+            if code != NO_CODE {
+                self.node[r] = trie.child(self.node[r], code);
+            }
         }
-        summary
-    }
-
-    /// Column `i` conditionals for live row `r` (`d` = the column's domain
-    /// size): the trie's cached row when the mask says so, otherwise the
-    /// freshly computed row of `r`'s representative.
-    pub(crate) fn p_row<'a>(&'a self, trie: &'a PrefixTrie, r: usize, d: usize) -> &'a [f32] {
-        if self.masks.cached[r] {
-            trie.probs(self.node[r]).expect("classified as cached")
-        } else {
-            &self.probs.row(self.masks.rep[r])[..d]
-        }
-    }
-
-    /// Record the sampled `code` for row `r` at column `i`: add the code to
-    /// the row's carried sum and descend the trie.
-    pub(crate) fn advance(
-        &mut self,
-        trie: &mut PrefixTrie,
-        model: &FrozenModel,
-        i: usize,
-        r: usize,
-        code: u32,
-    ) {
-        self.carry_code(model, i, r, code);
-        self.node[r] = trie.child(self.node[r], code);
     }
 
     /// Whether path `r` is still alive (non-zero factor).
@@ -251,11 +275,13 @@ mod tests {
         let model = figure3_model();
         let mut batch = SampleBatch::new();
         batch.reset(&model, 8);
-        batch.begin_column(&model, 0, trie);
+        batch.classify_column(trie, model.net.domain_size(0));
+        batch.forward_fresh(&model, 0);
         for r in 0..8 {
-            batch.advance(trie, &model, 0, r, 0);
+            batch.advance(&model, 0, r, 0);
         }
-        batch.begin_column(&model, 1, trie)
+        batch.descend(trie, model.net.domain_size(0));
+        batch.classify_column(trie, model.net.domain_size(1))
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! the normaliser times the mean path product. Disjunctive queries combine
 //! their inclusion–exclusion terms (§2.2).
 //!
-//! [`Estimator`] is the one entry point: it owns the model, the prefix trie
-//! of conditionals cached by earlier calls and the reusable batch-major
-//! sample state, so a trie can only ever serve the model it was built with.
+//! [`Estimator`] is the one entry point: a handle on the model, the prefix
+//! trie of conditionals cached by earlier calls (shared with the handle's
+//! clones) and its own reusable batch-major sample state, so a trie can only
+//! ever serve the model it was built with.
 
 #![allow(clippy::needless_range_loop)]
 use crate::batch::SampleBatch;
@@ -20,6 +21,7 @@ use crate::trie::PrefixTrie;
 use rand::Rng;
 use rand::SeedableRng;
 use sam_query::{DnfQuery, Query};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Draw a category from an unnormalised weight row; returns `None` if the
@@ -45,21 +47,38 @@ pub(crate) fn sample_weighted(weights: &[f32], rng: &mut impl Rng) -> Option<usi
 
 /// A progressive-sampling estimator bound to one model.
 ///
-/// It owns a clone of the [`FrozenModel`] it samples from (the weights are
+/// It holds a clone of the [`FrozenModel`] it samples from (the weights are
 /// `Arc`-shared, so the clone is cheap), a prefix trie that caches each
 /// visited sample-path prefix's conditionals across calls, and the
 /// batch-major sample buffers every call reuses. A new model version needs a
 /// new `Estimator`; nothing else invalidates the trie.
 ///
+/// A clone is a handle on the same model and the same trie with buffers of
+/// its own, so clones estimate on several threads at once and each reuses
+/// what the others cached. A pass holds the trie's lock only to read a
+/// column's cached conditionals and to write back the ones it computed; the
+/// forward and the sampling run outside it.
+///
 /// What the estimator saw before never changes an answer. Conditionals are a
 /// pure per-row function of the prefix, so a cached row is bit-identical to
 /// a fresh forward, and each request consumes only its own RNG: an estimate
 /// equals, bit for bit, the one a fresh estimator gives on the same
-/// (query, samples, RNG stream). History changes cost only.
+/// (query, samples, RNG stream). History, and passes running beside it,
+/// change cost only.
 pub struct Estimator {
     model: FrozenModel,
-    trie: PrefixTrie,
+    trie: Arc<Mutex<PrefixTrie>>,
     batch: SampleBatch,
+}
+
+impl Clone for Estimator {
+    fn clone(&self) -> Estimator {
+        Estimator {
+            model: self.model.clone(),
+            trie: Arc::clone(&self.trie),
+            batch: SampleBatch::new(),
+        }
+    }
 }
 
 impl Estimator {
@@ -67,7 +86,7 @@ impl Estimator {
     pub fn new(model: FrozenModel) -> Estimator {
         Estimator {
             model,
-            trie: PrefixTrie::new(),
+            trie: Arc::default(),
             batch: SampleBatch::new(),
         }
     }
@@ -87,8 +106,8 @@ impl Estimator {
     /// [`estimate`](Self::estimate), abandoned with
     /// [`ArError::DeadlineExceeded`] if `deadline` has passed at the start
     /// of a column. An abandoned pass leaves the trie holding only exact
-    /// conditionals, so the estimator stays usable and later answers keep
-    /// their bits.
+    /// conditionals, so the estimator and its clones stay usable and later
+    /// answers keep their bits.
     pub fn estimate_before(
         &mut self,
         query: &Query,
@@ -100,7 +119,7 @@ impl Estimator {
             &self.model,
             &[(query, n_samples)],
             std::slice::from_mut(rng),
-            &mut self.trie,
+            &self.trie,
             &mut self.batch,
             Some(deadline),
         )
@@ -124,12 +143,13 @@ impl Estimator {
         requests: &[(&Query, usize)],
         rngs: &mut [R],
     ) -> Vec<Result<f64, ArError>> {
-        estimate_cardinality_batch_with(
+        estimate_batch_until(
             &self.model,
             requests,
             rngs,
-            &mut self.trie,
+            &self.trie,
             &mut self.batch,
+            None,
         )
     }
 
@@ -180,7 +200,8 @@ pub fn estimate_cardinality(
 /// and sample paths of each pass, `dedup_hits` the rows that skipped their
 /// forward row because an earlier row of the pass sat on the same uncached
 /// trie node (off-trie rows never merge), and `trie_hits` the rows served
-/// from conditionals a *previous* batch cached on the estimator's trie.
+/// from conditionals an *earlier* pass, on the estimator or a clone, cached
+/// on their trie.
 struct ObsCounters {
     forwards: std::sync::Arc<sam_obs::Counter>,
     requests: std::sync::Arc<sam_obs::Counter>,
@@ -209,10 +230,10 @@ struct BatchSlot {
     rows: usize,
 }
 
-/// The progressive-sampling loop behind [`Estimator::estimate_batch`]:
-/// `trie` and `batch` must belong to `model` (the estimator guarantees it).
-/// Public only because the harness under `benchmark/` builds against this
-/// name with parts it keeps itself; every other caller uses [`Estimator`].
+/// The progressive-sampling loop behind [`Estimator::estimate_batch`] on a
+/// trie of the caller's: `trie` and `batch` must belong to `model`. Public
+/// only because the harness under `benchmark/` builds against this name
+/// with parts it keeps itself; every other caller uses [`Estimator`].
 #[doc(hidden)]
 pub fn estimate_cardinality_batch_with<R: Rng>(
     model: &FrozenModel,
@@ -221,18 +242,28 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
     trie: &mut PrefixTrie,
     batch: &mut SampleBatch,
 ) -> Vec<Result<f64, ArError>> {
-    estimate_batch_until(model, requests, rngs, trie, batch, None)
+    let shared = Mutex::new(std::mem::take(trie));
+    let results = estimate_batch_until(model, requests, rngs, &shared, batch, None);
+    *trie = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results
 }
 
-/// [`estimate_cardinality_batch_with`] with an optional deadline, checked
-/// before each column: once it has passed, every request still sampling
-/// gets [`ArError::DeadlineExceeded`]. Conditionals reach the trie only
-/// from a finished forward, so the abandoned pass leaves none half-written.
+/// The trie, also after a pass that panicked while holding it: every write
+/// is a whole `child` or `set_probs` call, so it holds exact conditionals
+/// only, whatever the panicking pass was doing.
+fn lock(trie: &Mutex<PrefixTrie>) -> MutexGuard<'_, PrefixTrie> {
+    trie.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Estimator::estimate_batch`] with an optional deadline, checked before
+/// each column: once it has passed, every request still sampling gets
+/// [`ArError::DeadlineExceeded`]. Conditionals reach the trie only from a
+/// finished forward, so the abandoned pass leaves none half-written.
 fn estimate_batch_until<R: Rng>(
     model: &FrozenModel,
     requests: &[(&Query, usize)],
     rngs: &mut [R],
-    trie: &mut PrefixTrie,
+    trie: &Mutex<PrefixTrie>,
     batch: &mut SampleBatch,
     deadline: Option<Instant>,
 ) -> Vec<Result<f64, ArError>> {
@@ -289,18 +320,21 @@ fn estimate_batch_until<R: Rng>(
             // prefixes cached by earlier batches on the trie skip the
             // forward entirely. Values are unchanged either way: each path
             // reads the same conditionals a per-path forward would give.
-            let summary = batch.begin_column(model, i, trie);
+            // The trie is locked only to classify and to descend; passes on
+            // clones forward and sample side by side in between.
+            let d = model.net.domain_size(i);
+            let summary = batch.classify_column(&lock(trie), d);
             obs.dedup_hits.add(summary.dedup_hits);
             obs.trie_hits.add(summary.cached_hits);
-            if summary.fresh_rows > 0 {
-                obs.forwards.inc();
-            }
             if !summary.any_live {
                 // Every path died on an empty range; all estimates are 0.
                 break;
             }
+            if summary.fresh_rows > 0 {
+                obs.forwards.inc();
+                batch.forward_fresh(model, i);
+            }
 
-            let d = model.net.domain_size(i);
             for slot in &slots {
                 let rng = &mut rngs[slot.request];
                 for r in slot.start..slot.start + slot.rows {
@@ -308,14 +342,10 @@ fn estimate_batch_until<R: Rng>(
                         continue;
                     }
                     let code = match &slot.rules[i] {
-                        StepRule::Free => {
-                            sample_weighted(batch.p_row(trie, r, d), rng).unwrap_or(0)
-                        }
+                        StepRule::Free => sample_weighted(batch.p_row(r, d), rng).unwrap_or(0),
                         StepRule::InRange(frac) => {
                             masked.clear();
-                            masked.extend(
-                                batch.p_row(trie, r, d).iter().zip(frac).map(|(p, f)| p * f),
-                            );
+                            masked.extend(batch.p_row(r, d).iter().zip(frac).map(|(p, f)| p * f));
                             let mass: f32 = masked.iter().sum();
                             batch.scale_factor(r, mass as f64);
                             match sample_weighted(&masked, rng) {
@@ -327,14 +357,15 @@ fn estimate_batch_until<R: Rng>(
                             }
                         }
                         StepRule::WeightBySampled(w) => {
-                            let code = sample_weighted(batch.p_row(trie, r, d), rng).unwrap_or(0);
+                            let code = sample_weighted(batch.p_row(r, d), rng).unwrap_or(0);
                             batch.scale_factor(r, w[code] as f64);
                             code
                         }
                     };
-                    batch.advance(trie, model, i, r, code as u32);
+                    batch.advance(model, i, r, code as u32);
                 }
             }
+            batch.descend(&mut lock(trie), d);
         }
 
         for slot in &slots {
@@ -494,7 +525,7 @@ mod tests {
 
         let mut capped = Estimator {
             model: model.clone(),
-            trie: PrefixTrie::with_node_cap(2),
+            trie: Arc::new(Mutex::new(PrefixTrie::with_node_cap(2))),
             batch: SampleBatch::new(),
         };
         let mut default = Estimator::new(model);
@@ -530,6 +561,103 @@ mod tests {
         for seed in 0..4 {
             let a = abandoned.estimate(&q, 256, &mut StdRng::seed_from_u64(seed));
             let b = fresh.estimate(&q, 256, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits(), "seed {seed}");
+        }
+    }
+
+    /// Clones of one estimator on two threads, on a trie that fills after
+    /// a few passes: every answer has the bits of a lone fresh estimator.
+    #[test]
+    fn clones_on_two_threads_answer_with_a_lone_estimators_bits() {
+        let model = figure3_model();
+        let queries = [
+            Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]),
+            Query::join(
+                vec!["A".into(), "B".into()],
+                vec![Predicate::compare("A", "a", CompareOp::Eq, Value::str("n"))],
+            ),
+            Query::single("A", vec![]),
+            Query::join(
+                vec!["A".into(), "B".into(), "C".into()],
+                vec![Predicate::compare("B", "b", CompareOp::Le, Value::str("b"))],
+            ),
+        ];
+        let request = |k: usize| (&queries[k % queries.len()], 16 + k % 40, k as u64);
+        let lone = |k: usize| {
+            let (q, n, seed) = request(k);
+            Estimator::new(model.clone())
+                .estimate(q, n, &mut StdRng::seed_from_u64(seed))
+                .unwrap()
+                .to_bits()
+        };
+        let shared = Estimator {
+            model: model.clone(),
+            trie: Arc::new(Mutex::new(PrefixTrie::with_node_cap(64))),
+            batch: SampleBatch::new(),
+        };
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let mut clone = shared.clone();
+                scope.spawn(move || {
+                    for k in (t..96).step_by(2) {
+                        let (q, n, seed) = request(k);
+                        let got = clone.estimate(q, n, &mut StdRng::seed_from_u64(seed));
+                        assert_eq!(got.unwrap().to_bits(), lone(k), "request {k}");
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.trie.lock().unwrap().len(), 64, "the trie filled");
+    }
+
+    /// A clone whose pass panics (a network whose column domains are not
+    /// its schema's, so a sampled code indexes past a fanout weight row)
+    /// leaves the shared trie serving every later pass with the same bits.
+    #[test]
+    fn a_panicked_pass_leaves_its_clones_estimates_bit_identical() {
+        use sam_storage::{ColumnDef, DataType, Database, Table, TableSchema};
+        let columns = (0..7)
+            .map(|c| ColumnDef::content(format!("c{c}"), DataType::Int))
+            .collect();
+        let rows: Vec<Vec<Value>> = (0..64i64)
+            .map(|r| (0..7).map(|_| Value::Int(r % 50)).collect())
+            .collect();
+        let wide =
+            Database::single(Table::from_rows(TableSchema::new("W", columns), &rows).unwrap());
+        let stats = DatabaseStats::from_database(&wide);
+        let wide_schema =
+            ArSchema::build(wide.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
+        let config = ArModelConfig {
+            hidden: vec![16],
+            seed: 1,
+            residual: false,
+        };
+        let broken = FrozenModel {
+            schema: figure3_model().schema,
+            net: ArModel::new(wide_schema, &config).freeze().net,
+        };
+        // `A` alone scales by the fanouts of `B` and `C`; the full join
+        // does not.
+        let scaled = Query::single("A", vec![]);
+        let join = Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]);
+
+        let shared = Estimator::new(broken.clone());
+        let mut panicking = shared.clone();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            panicking.estimate(&scaled, 64, &mut StdRng::seed_from_u64(1))
+        }));
+        assert!(panicked.is_err(), "the mismatched network must panic");
+        drop(panicking);
+        assert!(
+            shared.trie.lock().unwrap().len() > 1,
+            "the pass cached nodes"
+        );
+
+        let mut later = shared.clone();
+        let mut fresh = Estimator::new(broken);
+        for seed in 0..4 {
+            let a = later.estimate(&join, 64, &mut StdRng::seed_from_u64(seed));
+            let b = fresh.estimate(&join, 64, &mut StdRng::seed_from_u64(seed));
             assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits(), "seed {seed}");
         }
     }

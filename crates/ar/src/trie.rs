@@ -8,8 +8,8 @@
 //! 1. **Within a batch**: paths holding identical prefixes land on the same
 //!    trie node, so the batch runs one forward row per *distinct* uncached
 //!    node (subsuming the exact-prefix hash dedup the estimator used to do).
-//! 2. **Across batches**: an [`Estimator`](crate::Estimator) keeps its
-//!    trie between calls, and the trie caches each node's
+//! 2. **Across batches**: an [`Estimator`](crate::Estimator) and its clones
+//!    share one trie between calls, and the trie caches each node's
 //!    conditional-probability row the first time it is computed, so later
 //!    batches that revisit a prefix skip its forward row entirely. This is
 //!    what makes a long-lived estimator *strictly cheaper* than per-batch
@@ -76,6 +76,12 @@ impl PrefixTrie {
         Self::ROOT
     }
 
+    /// Nodes on the trie, the root included.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Step from `node` along `code`, creating the child if the cap allows;
     /// `OFF_TRIE` when the path falls off the trie.
     pub(crate) fn child(&mut self, node: usize, code: u32) -> usize {
@@ -135,6 +141,7 @@ impl PrefixTrie {
             summary.any_live = true;
             if self.probs(node[r]).is_some() {
                 masks.cached[r] = true;
+                masks.rep[r] = r;
                 summary.cached_hits += 1;
                 continue;
             }
@@ -165,12 +172,12 @@ pub(crate) struct ColumnMasks {
     /// `fresh[r]`: row `r` represents its prefix group this column and
     /// takes a forward row.
     pub(crate) fresh: Vec<bool>,
-    /// `cached[r]`: row `r` reads conditionals an earlier batch cached on
+    /// `cached[r]`: row `r` reads conditionals an earlier pass cached on
     /// its trie node.
     pub(crate) cached: Vec<bool>,
-    /// `rep[r]`: the batch row whose freshly computed conditionals row `r`
-    /// reads (`rep[r] == r` for representatives; meaningful only for live,
-    /// uncached rows).
+    /// `rep[r]`: the batch row whose conditionals row `r` reads (`rep[r] ==
+    /// r` for representatives and cached rows; meaningful only for live
+    /// rows).
     pub(crate) rep: Vec<usize>,
 }
 

@@ -4,17 +4,18 @@
 //! release the lock, so in-flight estimates keep using the model version they
 //! resolved even while a reload swaps the slot underneath them. Versions are
 //! per-name and bump on every swap, letting clients detect reloads. Every
-//! entry owns one [`Estimator`] built from its own model, so a swap is the
-//! only invalidation the estimator's prefix trie ever needs.
+//! entry owns one [`Estimator`] built from its own model, and its clones
+//! share its prefix trie, so a swap is the only invalidation that trie ever
+//! needs.
 
 use crate::error::ServeError;
-use crate::sync::{Checkout, RwLock};
+use crate::sync::{Lock, RwLock};
 use sam_ar::{Estimator, TrainReport};
 use sam_core::{Sam, TrainedSam};
 use sam_storage::{csv::read_csv, Database, Table};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One registered model version.
 pub struct ModelEntry {
@@ -25,11 +26,15 @@ pub struct ModelEntry {
     /// The trained pipeline (shared with in-flight requests and jobs).
     pub trained: Arc<TrainedSam>,
     /// The estimator for this exact model version. Each `/estimate` runs
-    /// through it on its own connection thread, one at a time, so requests
-    /// reuse conditionals cached by earlier ones and steady-state serving
-    /// allocates no activation matrices. A waiter gives up at its deadline.
-    /// Living on the entry means a hot swap starts a fresh estimator.
-    pub estimator: Checkout<Estimator>,
+    /// on its own connection thread through a clone of it
+    /// ([`estimator_for_pass`](Self::estimator_for_pass)), so requests run side by side, reuse
+    /// conditionals cached by every earlier one, and in steady state
+    /// allocate no activation matrices. Living on the entry means a hot
+    /// swap starts a fresh estimator.
+    pub estimator: Estimator,
+    /// Clones of [`estimator`](Self::estimator) between passes, at most
+    /// one per core.
+    idle: Lock<Vec<Estimator>>,
     /// The relations this model was trained to represent, when the
     /// operator attached them (the `data` field of `POST /models`, or the
     /// third part of a `--models name=path=datadir` spec). Only a model
@@ -49,10 +54,29 @@ impl ModelEntry {
         Arc::new(ModelEntry {
             name: name.to_string(),
             version,
-            estimator: Checkout::new(Estimator::new(trained.model().clone())),
+            estimator: Estimator::new(trained.model().clone()),
+            idle: Lock::default(),
             trained,
             reference,
         })
+    }
+
+    /// A clone of the estimator for one pass: an idle one, or a new one
+    /// when every clone is running. Never waits.
+    pub fn estimator_for_pass(&self) -> Estimator {
+        let idle = self.idle.lock().pop();
+        idle.unwrap_or_else(|| self.estimator.clone())
+    }
+
+    /// Hand back a clone after its pass, keeping at most one per core.
+    pub fn return_estimator(&self, estimator: Estimator) {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let mut idle = self.idle.lock();
+        if idle.len() < cores {
+            idle.push(estimator);
+        }
     }
 
     /// Table names of the model's target schema.

@@ -15,9 +15,10 @@
 //! export from persisted CSVs, interrupted ones re-run from their recorded
 //! RNG seed. See [`crate::journal`].
 //!
-//! An estimate runs on the connection thread that parsed it, under its
-//! model's estimator ([`ModelEntry::estimator`]); the deadline bounds both
-//! the wait for the estimator and the pass itself.
+//! An estimate runs on the connection thread that parsed it, through a
+//! clone of its model's estimator ([`ModelEntry::estimator`]) that shares
+//! the version's prefix trie; it waits for no other request, and the
+//! deadline bounds its own pass.
 //!
 //! Shutdown order matters: stop accepting, join connection handlers (which
 //! finishes every in-flight estimate), then join all background jobs (drain
@@ -59,8 +60,8 @@ const MAX_FOJ_SAMPLES: usize = 5_000_000;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Estimates admitted at once, waiting for their model or computing;
-    /// one more is answered 429.
+    /// Estimates computing at once, each on its own connection thread; one
+    /// more is answered 429.
     pub queue_capacity: usize,
     /// Progressive-sampling paths when the request omits `samples`.
     pub default_samples: usize,
@@ -1183,7 +1184,7 @@ impl Drop for Admitted<'_> {
 }
 
 /// Admit one more estimate, or answer 429 when `queue_capacity` are already
-/// waiting for their model or computing.
+/// computing.
 fn admit(state: &ServerState) -> Result<Admitted<'_>, ServeError> {
     let admitted = Admitted(&state.in_flight);
     if state.in_flight.fetch_add(1, Ordering::AcqRel) >= state.config.queue_capacity.max(1) {
@@ -1192,11 +1193,12 @@ fn admit(state: &ServerState) -> Result<Admitted<'_>, ServeError> {
     Ok(admitted)
 }
 
-/// Run one estimate on this thread under the entry's estimator. The
-/// deadline ends the wait for the estimator and the pass alike (504). A
-/// panic inside the pass is contained: it answers 500, counts in
-/// `worker_panics`, dumps the flight recorder, and the entry gets a fresh
-/// estimator, since the panicked pass may have left its trie half-written.
+/// Run one estimate on this thread through a clone of the entry's
+/// estimator; it waits for no other request's pass, and the deadline ends
+/// the pass (504). A panic inside the pass is contained: it answers 500,
+/// counts in `worker_panics`, dumps the flight recorder, and drops the
+/// clone with its half-written sample buffers. The shared trie stays: it is
+/// written only by whole steps, so it holds exact conditionals only.
 fn compute_estimate(
     state: &ServerState,
     entry: &ModelEntry,
@@ -1205,14 +1207,14 @@ fn compute_estimate(
     seed: u64,
     deadline: Instant,
 ) -> Result<f64, ServeError> {
-    let mut estimator = entry
-        .estimator
-        .take_before(deadline)
-        .ok_or(ServeError::DeadlineExceeded)?;
+    let mut estimator = entry.estimator_for_pass();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut rng = StdRng::seed_from_u64(seed);
         estimator.estimate_before(query, samples, &mut rng, deadline)
     }));
+    if result.is_ok() {
+        entry.return_estimator(estimator);
+    }
     match result {
         Ok(Ok(estimate)) => {
             let metrics = &state.metrics;
@@ -1224,7 +1226,6 @@ fn compute_estimate(
         Ok(Err(sam_ar::ArError::DeadlineExceeded)) => Err(ServeError::DeadlineExceeded),
         Ok(Err(e)) => Err(ServeError::BadRequest(e.to_string())),
         Err(payload) => {
-            *estimator = sam_ar::Estimator::new(entry.trained.model().clone());
             state.metrics.worker_panics.inc();
             let msg = crate::sync::panic_message(payload.as_ref());
             // The requests leading up to a crash are the context a

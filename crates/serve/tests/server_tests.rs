@@ -486,11 +486,12 @@ fn wide_server() -> (Server, u64) {
     }
 }
 
-/// The deadline ends the work as well as the wait. A pass sized to compute
-/// for seconds answers 504 at its deadline, and the model's next request
-/// does not wait for the abandoned pass; a request waiting for the model
-/// behind a long pass answers 504 by its own deadline, not when the pass
-/// ahead of it ends.
+/// The deadline ends the work, and no request waits for another's pass. A
+/// pass sized to compute for seconds answers 504 at its deadline, and the
+/// model's next request does not wait for the abandoned pass; a request
+/// sent while a long pass computes, whose one path dies at its first
+/// column, is answered inside its own deadline, and the long pass still
+/// ends at its own.
 #[test]
 fn the_deadline_ends_the_work_as_well_as_the_wait() {
     let (server, samples) = wide_server();
@@ -517,10 +518,12 @@ fn the_deadline_ends_the_work_as_well_as_the_wait() {
     });
     std::thread::sleep(Duration::from_millis(300));
     let started = Instant::now();
-    let (status, body) = http(addr, "POST", "/estimate", &wide_estimate(1, 4, 200));
+    let empty = r#"{"model": "wide", "sql": "SELECT COUNT(*) FROM W WHERE W.c0 < 0", "samples": 1, "timeout_ms": 200}"#;
+    let (status, body) = http(addr, "POST", "/estimate", empty);
     let took = started.elapsed();
-    assert_eq!(status, 504, "{body:?}");
-    assert!(took < Duration::from_millis(700), "504 after {took:?}");
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body.get("estimate").and_then(Value::as_f64), Some(0.0));
+    assert!(took < Duration::from_millis(150), "200 after {took:?}");
     let (status, took) = long.join().unwrap();
     assert_eq!(status, 504, "{samples} samples finished inside 3 s");
     assert!(
@@ -531,7 +534,7 @@ fn the_deadline_ends_the_work_as_well_as_the_wait() {
     let (_, metrics) = http(addr, "GET", "/metrics", "");
     assert_eq!(
         metrics.get("deadline_exceeded").and_then(Value::as_u64),
-        Some(3)
+        Some(2)
     );
     server.shutdown();
 }
