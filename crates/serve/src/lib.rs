@@ -10,9 +10,10 @@
 //!   disturb in-flight requests.
 //! * Estimates — `POST /estimate` runs progressive sampling
 //!   ([`sam_ar::Estimator::estimate_before`]) on the connection thread that
-//!   parsed it, under the model version's one estimator; at most
-//!   [`ServeConfig::queue_capacity`] run or wait at once (one more is 429),
-//!   and the deadline ends the wait and the pass alike (504).
+//!   parsed it, through a clone of the model version's estimator that
+//!   shares its prefix trie, so no request waits for another's pass; at
+//!   most [`ServeConfig::queue_capacity`] run at once (one more is 429),
+//!   and the deadline ends the request's own pass (504).
 //! * [`JobRegistry`] — the one table of background jobs, generation and
 //!   training alike: stage/progress polling, cooperative cancellation
 //!   ([`sam_core::JobControl`]), one thread wrapper, one status document.

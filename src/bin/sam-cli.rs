@@ -246,7 +246,7 @@ const COMMANDS: &[Command] = &[
         ("listener", &[
             ADDR,
             Flag("models", "SPEC,SPEC", "", "preload models: name=model.json or name=model.json=datadir"),
-            Flag("queue", "N", "64", "estimates waiting or computing at once; one more answers 429"),
+            Flag("queue", "N", "64", "estimates computing at once; one more answers 429"),
             Flag("samples", "N", "200", "default progressive-sampling count"),
             Flag("timeout-ms", "N", "10000", "per-request deadline"),
             Flag("cache", "N", "1024", "estimate cache entries"),
