@@ -20,14 +20,10 @@
 //! serving tier keeps idle clones per model version), and the generation
 //! pipeline keeps one per rayon worker, so in steady state the batch
 //! reallocates none of its buffers.
-//!
-//! A column of an estimate touches the trie twice, in two short steps, so
-//! passes on clones of one estimator run side by side:
-//! [`classify_column`](SampleBatch::classify_column) reads it (masks, plus
-//! a copy of each cached row's conditionals into the batch's own buffer) and
-//! [`descend`](SampleBatch::descend) writes it (the fresh rows'
-//! conditionals, then each row's step along the code it drew). The forward,
-//! the softmax and the sampling in between read only the batch.
+//! An estimate's column reads the trie once, in
+//! [`classify_column`](SampleBatch::classify_column), and writes it once, in
+//! [`descend`](SampleBatch::descend); the forward and the sampling between
+//! read only the batch, so clones of one estimator run them side by side.
 //!
 //! Everything here is value-preserving: a carried sum has the bits of the
 //! first layer's axpy over the path's one-hot row, and per-row forward
@@ -54,23 +50,19 @@ pub struct SampleBatch {
     /// written (masked rows keep stale values that are never read).
     logits: Matrix,
     /// Conditionals of the current column's fresh representative rows and
-    /// of its cached rows (copied from the trie), in the leading
-    /// `domain_size` columns of each row.
+    /// of its rows copied from the trie, in each row's leading
+    /// `domain_size` columns.
     probs: Matrix,
-    /// Row masks of the current column (fresh / cached / representative).
+    /// Row masks of the current column (fresh / representative).
     masks: ColumnMasks,
     /// Per-path factor product; `0.0` marks a dead path.
     factors: Vec<f64>,
     /// Each path's trie node (depth == column index), or `OFF_TRIE`.
     node: Vec<usize>,
-    /// The code each path drew at the current column (`NO_CODE` for a
-    /// dead path), until [`descend`](SampleBatch::descend) steps the trie
-    /// along it.
+    /// The code each live path drew at the current column, for
+    /// [`descend`](SampleBatch::descend).
     code: Vec<u32>,
 }
-
-/// [`SampleBatch::code`] of a path that drew no code this column.
-const NO_CODE: u32 = u32::MAX;
 
 impl Default for SampleBatch {
     fn default() -> Self {
@@ -109,26 +101,15 @@ impl SampleBatch {
         self.factors.resize(rows, 1.0);
         self.node.clear();
         self.node.resize(rows, PrefixTrie::ROOT); // every path starts at the root
-        self.code.clear();
-        self.code.resize(rows, NO_CODE);
+        self.code.resize(rows, 0);
     }
 
-    /// Classify the rows of a column against `trie` into masks, and copy
-    /// each cached row's conditionals (`d` = the column's domain size) into
-    /// the batch's own buffer, so the rest of the column reads no trie.
-    /// Returns the classification counts (the caller folds them into
-    /// process metrics).
-    pub(crate) fn classify_column(&mut self, trie: &PrefixTrie, d: usize) -> ColumnSummary {
-        let summary = trie.classify_column(&self.factors, &self.node, &mut self.masks);
-        if summary.cached_hits > 0 {
-            for r in 0..self.rows {
-                if self.masks.cached[r] {
-                    let cached = trie.probs(self.node[r]).expect("classified as cached");
-                    self.probs.row_mut(r)[..d].copy_from_slice(cached);
-                }
-            }
-        }
-        summary
+    /// Classify the rows of a column against `trie` into masks, copying the
+    /// cached rows' conditionals into the batch, so the rest of the column
+    /// reads no trie. Returns the classification counts (the caller folds
+    /// them into process metrics).
+    pub(crate) fn classify_column(&mut self, trie: &PrefixTrie) -> ColumnSummary {
+        trie.classify_column(&self.factors, &self.node, &mut self.masks, &mut self.probs)
     }
 
     /// Forward column `i`'s logit block for the fresh rows, the only logits
@@ -165,16 +146,15 @@ impl SampleBatch {
     }
 
     /// End a sampled column on `trie`: cache the fresh rows' conditionals
-    /// (`d` = the column's domain size) and step every row that drew a code
-    /// to its child node.
+    /// (`d` = the column's domain size) and step every live row along the
+    /// code it drew. A row that died this column never reads its node again.
     pub(crate) fn descend(&mut self, trie: &mut PrefixTrie, d: usize) {
         for r in 0..self.rows {
             if self.masks.fresh[r] {
                 trie.set_probs(self.node[r], &self.probs.row(r)[..d]);
             }
-            let code = std::mem::replace(&mut self.code[r], NO_CODE);
-            if code != NO_CODE {
-                self.node[r] = trie.child(self.node[r], code);
+            if self.is_live(r) {
+                self.node[r] = trie.child(self.node[r], self.code[r]);
             }
         }
     }
@@ -275,13 +255,13 @@ mod tests {
         let model = figure3_model();
         let mut batch = SampleBatch::new();
         batch.reset(&model, 8);
-        batch.classify_column(trie, model.net.domain_size(0));
+        batch.classify_column(trie);
         batch.forward_fresh(&model, 0);
         for r in 0..8 {
             batch.advance(&model, 0, r, 0);
         }
         batch.descend(trie, model.net.domain_size(0));
-        batch.classify_column(trie, model.net.domain_size(1))
+        batch.classify_column(trie)
     }
 
     #[test]

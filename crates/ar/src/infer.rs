@@ -323,7 +323,7 @@ fn estimate_batch_until<R: Rng>(
             // The trie is locked only to classify and to descend; passes on
             // clones forward and sample side by side in between.
             let d = model.net.domain_size(i);
-            let summary = batch.classify_column(&lock(trie), d);
+            let summary = batch.classify_column(&lock(trie));
             obs.dedup_hits.add(summary.dedup_hits);
             obs.trie_hits.add(summary.cached_hits);
             if !summary.any_live {

@@ -23,6 +23,7 @@
 //! Memory is bounded by a node cap: once reached, paths fall off the trie
 //! (`OFF_TRIE`), and each such path takes a forward row of its own.
 
+use sam_nn::Matrix;
 use std::collections::HashMap;
 
 /// Sentinel node id for paths that fell off the trie (node cap reached).
@@ -119,17 +120,18 @@ impl PrefixTrie {
     /// Classify every live batch row for one column in a single pass,
     /// expressing trie hits and within-batch dedup as row masks over the
     /// batch (see [`ColumnMasks`]) instead of scatter/gather index vectors.
-    /// Rows whose node already carries cached conditionals are marked
-    /// `cached`; the first live row of each remaining prefix group becomes
-    /// its `fresh` representative (taking the forward row), and every later
-    /// member points at it through `rep`. Groups key by node id; a row off
-    /// the trie is a group of its own. The summary carries the counts back
-    /// to the caller for process-wide metrics.
+    /// A row whose node already carries cached conditionals gets a copy of
+    /// them in its own row of `probs`; the first live row of each remaining
+    /// prefix group becomes its `fresh` representative (taking the forward
+    /// row), and every later member points at it through `rep`. Groups key
+    /// by node id; a row off the trie is a group of its own. The summary
+    /// carries the counts back to the caller for process-wide metrics.
     pub(crate) fn classify_column(
         &self,
         factors: &[f64],
         node: &[usize],
         masks: &mut ColumnMasks,
+        probs: &mut Matrix,
     ) -> ColumnSummary {
         masks.reset(factors.len());
         let mut uniq_node: HashMap<usize, usize> = HashMap::new();
@@ -139,8 +141,8 @@ impl PrefixTrie {
                 continue;
             }
             summary.any_live = true;
-            if self.probs(node[r]).is_some() {
-                masks.cached[r] = true;
+            if let Some(cached) = self.probs(node[r]) {
+                probs.row_mut(r)[..cached.len()].copy_from_slice(cached);
                 masks.rep[r] = r;
                 summary.cached_hits += 1;
                 continue;
@@ -172,12 +174,9 @@ pub(crate) struct ColumnMasks {
     /// `fresh[r]`: row `r` represents its prefix group this column and
     /// takes a forward row.
     pub(crate) fresh: Vec<bool>,
-    /// `cached[r]`: row `r` reads conditionals an earlier pass cached on
-    /// its trie node.
-    pub(crate) cached: Vec<bool>,
     /// `rep[r]`: the batch row whose conditionals row `r` reads (`rep[r] ==
-    /// r` for representatives and cached rows; meaningful only for live
-    /// rows).
+    /// r` for representatives and for rows an earlier pass cached;
+    /// meaningful only for live rows).
     pub(crate) rep: Vec<usize>,
 }
 
@@ -185,8 +184,6 @@ impl ColumnMasks {
     fn reset(&mut self, rows: usize) {
         self.fresh.clear();
         self.fresh.resize(rows, false);
-        self.cached.clear();
-        self.cached.resize(rows, false);
         self.rep.clear();
         self.rep.resize(rows, 0);
     }
