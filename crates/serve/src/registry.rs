@@ -27,13 +27,12 @@ pub struct ModelEntry {
     pub trained: Arc<TrainedSam>,
     /// The estimator for this exact model version. Each `/estimate` runs
     /// on its own connection thread through a clone of it
-    /// ([`estimator_for_pass`](Self::estimator_for_pass)), so requests run side by side, reuse
-    /// conditionals cached by every earlier one, and in steady state
-    /// allocate no activation matrices. Living on the entry means a hot
-    /// swap starts a fresh estimator.
-    pub estimator: Estimator,
-    /// Clones of [`estimator`](Self::estimator) between passes, at most
-    /// one per core.
+    /// ([`estimator_for_pass`](Self::estimator_for_pass)), so requests run
+    /// side by side, reuse conditionals cached by every earlier one, and in
+    /// steady state allocate no activation matrices. Living on the entry
+    /// means a hot swap starts a fresh estimator.
+    estimator: Estimator,
+    /// Clones of `estimator` between passes, at most one per core.
     idle: Lock<Vec<Estimator>>,
     /// The relations this model was trained to represent, when the
     /// operator attached them (the `data` field of `POST /models`, or the
@@ -63,13 +62,13 @@ impl ModelEntry {
 
     /// A clone of the estimator for one pass: an idle one, or a new one
     /// when every clone is running. Never waits.
-    pub fn estimator_for_pass(&self) -> Estimator {
+    pub(crate) fn estimator_for_pass(&self) -> Estimator {
         let idle = self.idle.lock().pop();
         idle.unwrap_or_else(|| self.estimator.clone())
     }
 
     /// Hand back a clone after its pass, keeping at most one per core.
-    pub fn return_estimator(&self, estimator: Estimator) {
+    pub(crate) fn return_estimator(&self, estimator: Estimator) {
         static CORES: OnceLock<usize> = OnceLock::new();
         let cores =
             *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));

@@ -16,7 +16,7 @@
 //! RNG seed. See [`crate::journal`].
 //!
 //! An estimate runs on the connection thread that parsed it, through a
-//! clone of its model's estimator ([`ModelEntry::estimator`]) that shares
+//! clone of its model's estimator (kept on its [`ModelEntry`]) that shares
 //! the version's prefix trie; it waits for no other request, and the
 //! deadline bounds its own pass.
 //!
