@@ -520,8 +520,6 @@ mod tests {
                 vec![Predicate::compare("A", "a", CompareOp::Eq, Value::str("n"))],
             ),
         ];
-        let requests: Vec<(&Query, usize)> = queries.iter().map(|q| (q, 24)).collect();
-        let rngs = || -> Vec<StdRng> { (5..7).map(StdRng::seed_from_u64).collect() };
 
         let mut capped = Estimator {
             model: model.clone(),
@@ -531,10 +529,10 @@ mod tests {
         let mut default = Estimator::new(model);
         // Twice each: the second round runs on whatever the first cached.
         for _ in 0..2 {
-            let a = capped.estimate_batch(&requests, &mut rngs());
-            let b = default.estimate_batch(&requests, &mut rngs());
-            for (a, b) in a.iter().zip(&b) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            for (q, seed) in queries.iter().zip(5..) {
+                let a = capped.estimate(q, 24, &mut StdRng::seed_from_u64(seed));
+                let b = default.estimate(q, 24, &mut StdRng::seed_from_u64(seed));
+                let (a, b) = (a.unwrap(), b.unwrap());
                 assert_eq!(a.to_bits(), b.to_bits(), "capped trie changed an estimate");
             }
         }

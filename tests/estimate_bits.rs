@@ -5,12 +5,10 @@
 //! epochs at a fixed seed on a 24×24 residual MADE, and again at the
 //! benchmark's model shape, `SamConfig::default()` (MADE 64×64, no
 //! residual). One long-lived `Estimator` per model answers a fixed query
-//! set twice in
-//! small micro-batches (the second pass on other seeds, so its paths mix
-//! trie hits with fresh prefixes), then once in a single call whose sample
-//! paths put more than 64 fresh rows into a column (the parallel forward
-//! branch of the sample batch). The `to_bits` of every estimate are hashed
-//! with FNV-1a and compared with recorded constants. A one-ulp change of any
+//! set twice, one request per call (the second pass on other seeds, so its
+//! paths mix trie hits with fresh prefixes), then eight of the queries again
+//! with 160 paths each on fresh seeds. The `to_bits` of every estimate are
+//! hashed with FNV-1a and compared with recorded constants. A one-ulp change of any
 //! logit the estimator reads moves a conditional mass, hence an estimate's
 //! bits, so this guards the estimate path the way the per-logit
 //! `backend_parity` guards the kernels.
@@ -101,29 +99,25 @@ fn default_config() -> SamConfig {
 /// folded into one hash.
 fn estimate_hash(estimator: &mut Estimator, queries: &[Query]) -> u64 {
     let mut hash = FNV_OFFSET;
-    let mut fold = |results: Vec<Result<f64, sam::ar::ArError>>| {
-        for r in results {
-            let bits = r.expect("every held-out query resolves").to_bits();
-            hash = fnv1a(hash, &bits.to_le_bytes());
-        }
+    let mut estimate = |q: &Query, n_samples: usize, seed: u64| {
+        let bits = estimator
+            .estimate(q, n_samples, &mut StdRng::seed_from_u64(seed))
+            .expect("every held-out query resolves")
+            .to_bits();
+        hash = fnv1a(hash, &bits.to_le_bytes());
     };
-    // Small micro-batches, twice over: cold, then warm on other seeds.
+    // Groups of three, twice over: cold, then warm on other seeds.
     for pass in 0..2u64 {
         for (c, chunk) in queries.chunks(3).enumerate() {
-            let requests: Vec<(&Query, usize)> = chunk.iter().map(|q| (q, 24)).collect();
-            let mut rngs: Vec<StdRng> = (0..chunk.len())
-                .map(|j| StdRng::seed_from_u64(1_000 * pass + 10 * c as u64 + j as u64))
-                .collect();
-            fold(estimator.estimate_batch(&requests, &mut rngs));
+            for (j, q) in chunk.iter().enumerate() {
+                estimate(q, 24, 1_000 * pass + 10 * c as u64 + j as u64);
+            }
         }
     }
-    // One call with 8 × 160 paths on fresh seeds: its columns forward well
-    // over 64 fresh rows at once.
-    let requests: Vec<(&Query, usize)> = queries.iter().take(8).map(|q| (q, 160)).collect();
-    let mut rngs: Vec<StdRng> = (0..requests.len())
-        .map(|j| StdRng::seed_from_u64(7_000 + j as u64))
-        .collect();
-    fold(estimator.estimate_batch(&requests, &mut rngs));
+    // Eight longer requests, 160 paths each, on fresh seeds.
+    for (j, q) in queries.iter().take(8).enumerate() {
+        estimate(q, 160, 7_000 + j as u64);
+    }
     hash
 }
 

@@ -1,6 +1,8 @@
 //! Acceptance lock for the estimator's prefix trie: estimating a workload
 //! on an estimator that already saw it must be *strictly cheaper* than
-//! per-batch exact-prefix dedup, while returning bit-identical estimates.
+//! per-pass exact-prefix dedup, while returning bit-identical estimates.
+//! Each request runs in a pass of its own, so requests share forward rows
+//! only through the trie.
 //!
 //! This is the only test in this binary on purpose: it asserts on the
 //! process-global `sam_obs` counters, which other tests would contaminate.
@@ -25,33 +27,45 @@ fn shared_trie_strictly_reduces_forward_count() {
     ];
     let counts = [16usize, 48, 7];
     let seeds = [101u64, 7, 3];
-    let requests: Vec<(&Query, usize)> = queries.iter().zip(counts).collect();
-    let fresh_rngs =
-        || -> Vec<StdRng> { seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect() };
+    let estimate = |estimator: &mut Estimator, k: usize| {
+        estimator
+            .estimate(&queries[k], counts[k], &mut StdRng::seed_from_u64(seeds[k]))
+            .unwrap()
+    };
 
     let forward_counter = sam::obs::counter("sam_forward_total");
     let trie_hit_counter = sam::obs::counter("sam_trie_hits_total");
     let mut estimator = Estimator::new(model);
 
-    // Round 1: cold trie — every distinct prefix pays a forward row.
+    // Round 1: cold trie — every distinct prefix pays a forward row. The
+    // first pass finds nothing cached; the later passes read what the
+    // passes before them cached (every path starts at the root).
     let before = forward_counter.get();
     let hits_before = trie_hit_counter.get();
-    let first = estimator.estimate_batch(&requests, &mut fresh_rngs());
-    let cold_forwards = forward_counter.get() - before;
-    assert!(cold_forwards > 0, "cold batch must run forward passes");
+    let mut first = vec![estimate(&mut estimator, 0)];
     assert_eq!(
         trie_hit_counter.get() - hits_before,
         0,
-        "nothing cached before round 1"
+        "nothing cached before round 1's first pass"
+    );
+    let hits_before = trie_hit_counter.get();
+    first.extend((1..queries.len()).map(|k| estimate(&mut estimator, k)));
+    let cold_forwards = forward_counter.get() - before;
+    assert!(cold_forwards > 0, "cold passes must run forward passes");
+    assert!(
+        trie_hit_counter.get() > hits_before,
+        "round 1's later passes must share rows through the trie"
     );
 
     // Round 2, same workload and seeds on the warm trie: identical sample
     // paths, so every conditional is served from the cache — zero forwards,
-    // a strict reduction over within-batch dedup (which would pay
+    // a strict reduction over per-pass dedup (which would pay
     // `cold_forwards` again).
     let before = forward_counter.get();
     let hits_before = trie_hit_counter.get();
-    let second = estimator.estimate_batch(&requests, &mut fresh_rngs());
+    let second: Vec<f64> = (0..queries.len())
+        .map(|k| estimate(&mut estimator, k))
+        .collect();
     let warm_forwards = forward_counter.get() - before;
     assert!(
         warm_forwards < cold_forwards,
@@ -70,10 +84,6 @@ fn shared_trie_strictly_reduces_forward_count() {
     // Cached conditionals are bit-preserving: identical RNG streams over a
     // warm trie reproduce the cold estimates exactly.
     for (a, b) in first.iter().zip(&second) {
-        assert_eq!(
-            a.as_ref().unwrap().to_bits(),
-            b.as_ref().unwrap().to_bits(),
-            "warm-trie estimate diverged"
-        );
+        assert_eq!(a.to_bits(), b.to_bits(), "warm-trie estimate diverged");
     }
 }
