@@ -29,7 +29,7 @@
 //! first layer's axpy over the path's one-hot row, and per-row forward
 //! arithmetic is row-independent, so masked batch-major forwards are
 //! bit-identical, row for row, to the compact per-column forwards they
-//! replace (locked by `batched_estimates_are_bit_identical_to_sequential`,
+//! replace (locked by `capped_trie_falls_back_without_changing_estimates`,
 //! the estimate-bits test and the determinism tests in [`crate::sample`]).
 
 use crate::model::FrozenModel;
@@ -174,9 +174,9 @@ impl SampleBatch {
         self.factors[r] = 0.0;
     }
 
-    /// Mean factor over the row window `[start, start + rows)`.
-    pub(crate) fn mean_factor(&self, start: usize, rows: usize) -> f64 {
-        self.factors[start..start + rows].iter().sum::<f64>() / rows as f64
+    /// Mean factor over every path of the pass.
+    pub(crate) fn mean_factor(&self) -> f64 {
+        self.factors.iter().sum::<f64>() / self.rows as f64
     }
 
     // ------------------------------------------------- dense (no-trie) path

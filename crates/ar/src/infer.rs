@@ -18,6 +18,7 @@ use crate::error::ArError;
 use crate::model::FrozenModel;
 use crate::model_schema::StepRule;
 use crate::trie::PrefixTrie;
+use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use sam_query::{DnfQuery, Query};
@@ -98,9 +99,15 @@ impl Estimator {
         n_samples: usize,
         rng: &mut impl Rng,
     ) -> Result<f64, ArError> {
-        self.estimate_batch(&[(query, n_samples)], std::slice::from_mut(rng))
-            .pop()
-            .expect("exactly one result for one request")
+        estimate_until(
+            &self.model,
+            query,
+            n_samples,
+            rng,
+            &self.trie,
+            &mut self.batch,
+            None,
+        )
     }
 
     /// [`estimate`](Self::estimate), abandoned with
@@ -115,41 +122,14 @@ impl Estimator {
         rng: &mut impl Rng,
         deadline: Instant,
     ) -> Result<f64, ArError> {
-        estimate_batch_until(
+        estimate_until(
             &self.model,
-            &[(query, n_samples)],
-            std::slice::from_mut(rng),
+            query,
+            n_samples,
+            rng,
             &self.trie,
             &mut self.batch,
             Some(deadline),
-        )
-        .pop()
-        .expect("exactly one result for one request")
-    }
-
-    /// Estimate several queries in one batch, sharing each column's
-    /// forward pass across every request's sample paths.
-    ///
-    /// `rngs[j]` drives request `j` alone, and rows are visited per request
-    /// in ascending order within each column, so every request consumes its
-    /// RNG stream exactly as a lone [`estimate`](Self::estimate) call would
-    /// and the estimates are bit-identical to sequential ones. The forward pass is row-independent, so
-    /// stacking requests changes throughput, not values.
-    ///
-    /// Requests whose predicates fail to resolve against the model schema
-    /// get their own `Err` slot without affecting the rest of the batch.
-    pub fn estimate_batch<R: Rng>(
-        &mut self,
-        requests: &[(&Query, usize)],
-        rngs: &mut [R],
-    ) -> Vec<Result<f64, ArError>> {
-        estimate_batch_until(
-            &self.model,
-            requests,
-            rngs,
-            &self.trie,
-            &mut self.batch,
-            None,
         )
     }
 
@@ -160,23 +140,19 @@ impl Estimator {
     ///
     /// Term `k` runs on an RNG seeded by the `k`-th draw from `rng`, so its
     /// estimate is what [`estimate`](Self::estimate) returns on that stream.
-    /// All terms go through one batch: they differ only in which predicates
-    /// constrain them, so their sample paths overlap and share forward rows.
+    /// The terms differ only in which predicates constrain them, so their
+    /// sample paths overlap, and a later term reads the conditionals an
+    /// earlier one cached on the trie.
     pub fn estimate_dnf(
         &mut self,
         dnf: &DnfQuery,
         n_samples: usize,
         rng: &mut impl Rng,
     ) -> Result<f64, ArError> {
-        let terms = dnf.inclusion_exclusion_terms();
-        let mut rngs: Vec<rand::rngs::StdRng> = terms
-            .iter()
-            .map(|_| rand::rngs::StdRng::seed_from_u64(rng.gen()))
-            .collect();
-        let requests: Vec<(&Query, usize)> = terms.iter().map(|(_, q)| (q, n_samples)).collect();
         let mut total = 0.0f64;
-        for ((sign, _), est) in terms.iter().zip(self.estimate_batch(&requests, &mut rngs)) {
-            total += *sign as f64 * est?;
+        for (sign, term) in dnf.inclusion_exclusion_terms() {
+            let mut term_rng = StdRng::seed_from_u64(rng.gen());
+            total += sign as f64 * self.estimate(&term, n_samples, &mut term_rng)?;
         }
         Ok(total.max(0.0))
     }
@@ -196,12 +172,12 @@ pub fn estimate_cardinality(
 }
 
 /// Inference counters on the global [`sam_obs::Registry`], resolved once.
-/// `forwards` counts column forwards, `requests`/`batch_rows` the requests
-/// and sample paths of each pass, `dedup_hits` the rows that skipped their
-/// forward row because an earlier row of the pass sat on the same uncached
-/// trie node (off-trie rows never merge), and `trie_hits` the rows served
-/// from conditionals an *earlier* pass, on the estimator or a clone, cached
-/// on their trie.
+/// `forwards` counts column forwards, `requests`/`batch_rows` the passes
+/// (one request each) and their sample paths, `dedup_hits` the rows that
+/// skipped their forward row because an earlier row of the pass sat on the
+/// same uncached trie node (off-trie rows never merge), and `trie_hits` the
+/// rows served from conditionals an *earlier* pass, on the estimator or a
+/// clone, cached on their trie.
 struct ObsCounters {
     forwards: std::sync::Arc<sam_obs::Counter>,
     requests: std::sync::Arc<sam_obs::Counter>,
@@ -221,19 +197,10 @@ fn obs_counters() -> &'static ObsCounters {
     })
 }
 
-/// Per-request state of one sampling pass: resolved step rules plus the
-/// request's row window inside the stacked sample batch.
-struct BatchSlot {
-    request: usize,
-    rules: Vec<StepRule>,
-    start: usize,
-    rows: usize,
-}
-
-/// The progressive-sampling loop behind [`Estimator::estimate_batch`] on a
-/// trie of the caller's: `trie` and `batch` must belong to `model`. Public
-/// only because the harness under `benchmark/` builds against this name
-/// with parts it keeps itself; every other caller uses [`Estimator`].
+/// Estimates for `requests`, `rngs[j]` driving request `j`, one pass each
+/// on a trie of the caller's: `trie` and `batch` must belong to `model`.
+/// Public only because the harness under `benchmark/` builds against this
+/// name with parts it keeps itself; every other caller uses [`Estimator`].
 #[doc(hidden)]
 pub fn estimate_cardinality_batch_with<R: Rng>(
     model: &FrozenModel,
@@ -243,7 +210,13 @@ pub fn estimate_cardinality_batch_with<R: Rng>(
     batch: &mut SampleBatch,
 ) -> Vec<Result<f64, ArError>> {
     let shared = Mutex::new(std::mem::take(trie));
-    let results = estimate_batch_until(model, requests, rngs, &shared, batch, None);
+    let results = requests
+        .iter()
+        .zip(rngs)
+        .map(|(&(query, n_samples), rng)| {
+            estimate_until(model, query, n_samples, rng, &shared, batch, None)
+        })
+        .collect();
     *trie = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     results
 }
@@ -255,132 +228,88 @@ fn lock(trie: &Mutex<PrefixTrie>) -> MutexGuard<'_, PrefixTrie> {
     trie.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Estimator::estimate_batch`] with an optional deadline, checked before
-/// each column: once it has passed, every request still sampling gets
-/// [`ArError::DeadlineExceeded`]. Conditionals reach the trie only from a
-/// finished forward, so the abandoned pass leaves none half-written.
-fn estimate_batch_until<R: Rng>(
+/// One progressive-sampling pass over `n_samples` paths of `query`, with an
+/// optional deadline checked before each column: once it has passed, the
+/// pass ends with [`ArError::DeadlineExceeded`]. Conditionals reach the
+/// trie only from a finished forward, so an abandoned pass leaves none
+/// half-written.
+fn estimate_until(
     model: &FrozenModel,
-    requests: &[(&Query, usize)],
-    rngs: &mut [R],
+    query: &Query,
+    n_samples: usize,
+    rng: &mut impl Rng,
     trie: &Mutex<PrefixTrie>,
     batch: &mut SampleBatch,
     deadline: Option<Instant>,
-) -> Vec<Result<f64, ArError>> {
-    assert_eq!(
-        requests.len(),
-        rngs.len(),
-        "one RNG per batched request (got {} requests, {} rngs)",
-        requests.len(),
-        rngs.len()
-    );
-    let n_cols = model.net.num_columns();
+) -> Result<f64, ArError> {
+    let rules = model.schema.query_rules(query)?;
+    let rows = n_samples.max(1);
+    let obs = obs_counters();
+    obs.requests.inc();
+    obs.batch_rows.add(rows as u64);
+    batch.reset(model, rows);
+    // A constrained step's in-range conditional, reused across rows.
+    let mut masked: Vec<f32> = Vec::new();
 
-    let mut results: Vec<Option<Result<f64, ArError>>> = Vec::with_capacity(requests.len());
-    let mut slots: Vec<BatchSlot> = Vec::with_capacity(requests.len());
-    let mut total_rows = 0usize;
-    for (request, (query, n_samples)) in requests.iter().enumerate() {
-        match model.schema.query_rules(query) {
-            Ok(rules) => {
-                let rows = (*n_samples).max(1);
-                slots.push(BatchSlot {
-                    request,
-                    rules,
-                    start: total_rows,
-                    rows,
-                });
-                total_rows += rows;
-                results.push(None);
-            }
-            Err(e) => results.push(Some(Err(e))),
+    for i in 0..model.net.num_columns() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(ArError::DeadlineExceeded);
         }
-    }
+        // Paths with identical code prefixes sit on the same trie node and
+        // have identical carried first-layer sums (the same codes added in
+        // the same order), hence identical conditionals: the forward pass
+        // runs on distinct *uncached* nodes (and on paths off a full trie)
+        // only, selected by a batch row mask. Every path starts at the root
+        // and a query's paths stay overlapped for several columns, and
+        // prefixes cached by earlier passes on the trie skip the forward
+        // entirely. Values are unchanged either way: each path reads the
+        // same conditionals a per-path forward would give. The trie is
+        // locked only to classify and to descend; passes on clones forward
+        // and sample side by side in between.
+        let d = model.net.domain_size(i);
+        let summary = batch.classify_column(&lock(trie));
+        obs.dedup_hits.add(summary.dedup_hits);
+        obs.trie_hits.add(summary.cached_hits);
+        if !summary.any_live {
+            // Every path died on an empty range; the estimate is 0.
+            break;
+        }
+        if summary.fresh_rows > 0 {
+            obs.forwards.inc();
+            batch.forward_fresh(model, i);
+        }
 
-    if !slots.is_empty() {
-        let obs = obs_counters();
-        obs.requests.add(slots.len() as u64);
-        obs.batch_rows.add(total_rows as u64);
-        batch.reset(model, total_rows);
-        // A constrained step's in-range conditional, reused across rows.
-        let mut masked: Vec<f32> = Vec::new();
-        let mut expired = false;
-
-        for i in 0..n_cols {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                expired = true;
-                break;
+        for r in 0..rows {
+            if !batch.is_live(r) {
+                continue;
             }
-            // Paths with identical code prefixes sit on the same trie node
-            // and have identical carried first-layer sums (the same codes
-            // added in the same order), hence identical conditionals: the
-            // forward pass runs on distinct *uncached* nodes (and on paths
-            // off a full trie) only, selected by a batch row mask. Requests
-            // batched together share prefixes (every path starts empty;
-            // similar queries stay overlapped for several columns), and
-            // prefixes cached by earlier batches on the trie skip the
-            // forward entirely. Values are unchanged either way: each path
-            // reads the same conditionals a per-path forward would give.
-            // The trie is locked only to classify and to descend; passes on
-            // clones forward and sample side by side in between.
-            let d = model.net.domain_size(i);
-            let summary = batch.classify_column(&lock(trie));
-            obs.dedup_hits.add(summary.dedup_hits);
-            obs.trie_hits.add(summary.cached_hits);
-            if !summary.any_live {
-                // Every path died on an empty range; all estimates are 0.
-                break;
-            }
-            if summary.fresh_rows > 0 {
-                obs.forwards.inc();
-                batch.forward_fresh(model, i);
-            }
-
-            for slot in &slots {
-                let rng = &mut rngs[slot.request];
-                for r in slot.start..slot.start + slot.rows {
-                    if !batch.is_live(r) {
-                        continue;
+            let code = match &rules[i] {
+                StepRule::Free => sample_weighted(batch.p_row(r, d), rng).unwrap_or(0),
+                StepRule::InRange(frac) => {
+                    masked.clear();
+                    masked.extend(batch.p_row(r, d).iter().zip(frac).map(|(p, f)| p * f));
+                    let mass: f32 = masked.iter().sum();
+                    batch.scale_factor(r, mass as f64);
+                    match sample_weighted(&masked, rng) {
+                        Some(c) => c,
+                        None => {
+                            batch.kill(r);
+                            continue;
+                        }
                     }
-                    let code = match &slot.rules[i] {
-                        StepRule::Free => sample_weighted(batch.p_row(r, d), rng).unwrap_or(0),
-                        StepRule::InRange(frac) => {
-                            masked.clear();
-                            masked.extend(batch.p_row(r, d).iter().zip(frac).map(|(p, f)| p * f));
-                            let mass: f32 = masked.iter().sum();
-                            batch.scale_factor(r, mass as f64);
-                            match sample_weighted(&masked, rng) {
-                                Some(c) => c,
-                                None => {
-                                    batch.kill(r);
-                                    continue;
-                                }
-                            }
-                        }
-                        StepRule::WeightBySampled(w) => {
-                            let code = sample_weighted(batch.p_row(r, d), rng).unwrap_or(0);
-                            batch.scale_factor(r, w[code] as f64);
-                            code
-                        }
-                    };
-                    batch.advance(model, i, r, code as u32);
                 }
-            }
-            batch.descend(&mut lock(trie), d);
+                StepRule::WeightBySampled(w) => {
+                    let code = sample_weighted(batch.p_row(r, d), rng).unwrap_or(0);
+                    batch.scale_factor(r, w[code] as f64);
+                    code
+                }
+            };
+            batch.advance(model, i, r, code as u32);
         }
-
-        for slot in &slots {
-            results[slot.request] = Some(if expired {
-                Err(ArError::DeadlineExceeded)
-            } else {
-                Ok(batch.mean_factor(slot.start, slot.rows) * model.schema.normalizer())
-            });
-        }
+        batch.descend(&mut lock(trie), d);
     }
 
-    results
-        .into_iter()
-        .map(|r| r.expect("every request resolved to a result"))
-        .collect()
+    Ok(batch.mean_factor() * model.schema.normalizer())
 }
 
 #[cfg(test)]
@@ -435,44 +364,6 @@ mod tests {
             .estimate(&Query::single("A", vec![]), 32, &mut rng)
             .unwrap();
         assert!((est - 4.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn batched_estimates_are_bit_identical_to_sequential() {
-        let db = paper_example::figure3_database();
-        let stats = DatabaseStats::from_database(&db);
-        let schema =
-            ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-        let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
-
-        let queries = [
-            Query::join(vec!["A".into(), "B".into()], vec![]),
-            Query::join(vec!["A".into(), "B".into(), "C".into()], vec![]),
-            Query::single("A", vec![]),
-        ];
-        let counts = [16usize, 48, 7];
-        let seeds = [101u64, 7, 3];
-
-        let sequential: Vec<f64> = queries
-            .iter()
-            .zip(counts)
-            .zip(seeds)
-            .map(|((q, n), s)| {
-                let mut rng = StdRng::seed_from_u64(s);
-                Estimator::new(model.clone())
-                    .estimate(q, n, &mut rng)
-                    .unwrap()
-            })
-            .collect();
-
-        let requests: Vec<(&Query, usize)> = queries.iter().zip(counts).collect();
-        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let batched = Estimator::new(model).estimate_batch(&requests, &mut rngs);
-
-        for (seq, got) in sequential.iter().zip(&batched) {
-            let got = *got.as_ref().unwrap();
-            assert_eq!(*seq, got, "batched estimate diverged from sequential");
-        }
     }
 
     #[test]
@@ -658,24 +549,6 @@ mod tests {
             let b = fresh.estimate(&join, 64, &mut StdRng::seed_from_u64(seed));
             assert_eq!(a.unwrap().to_bits(), b.unwrap().to_bits(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn batched_estimate_isolates_bad_requests() {
-        let db = paper_example::figure3_database();
-        let stats = DatabaseStats::from_database(&db);
-        let schema =
-            ArSchema::build(db.schema(), &stats, &[], &EncodingOptions::default()).unwrap();
-        let model = ArModel::new(schema, &ArModelConfig::default()).freeze();
-
-        let good = Query::single("A", vec![]);
-        let bad = Query::single("no_such_table", vec![]);
-        let requests = vec![(&good, 8usize), (&bad, 8usize), (&good, 8usize)];
-        let mut rngs: Vec<StdRng> = (0..3).map(StdRng::seed_from_u64).collect();
-        let out = Estimator::new(model).estimate_batch(&requests, &mut rngs);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
-        assert!(out[2].is_ok());
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! of that prefix — the same codes always yield the same logits.
 //! The trie exploits this twice:
 //!
-//! 1. **Within a batch**: paths holding identical prefixes land on the same
-//!    trie node, so the batch runs one forward row per *distinct* uncached
-//!    node (subsuming the exact-prefix hash dedup the estimator used to do).
-//! 2. **Across batches**: an [`Estimator`](crate::Estimator) and its clones
+//! 1. **Within a pass**: one query's paths holding identical prefixes land
+//!    on the same trie node, so the pass runs one forward row per
+//!    *distinct* uncached node (subsuming the exact-prefix hash dedup the
+//!    estimator used to do).
+//! 2. **Across passes**: an [`Estimator`](crate::Estimator) and its clones
 //!    share one trie between calls, and the trie caches each node's
 //!    conditional-probability row the first time it is computed, so later
-//!    batches that revisit a prefix skip its forward row entirely. This is
-//!    what makes a long-lived estimator *strictly cheaper* than per-batch
-//!    dedup: repeated workloads (DNF inclusion–exclusion terms, serving
-//!    traffic against one model version) re-walk the hot prefixes.
+//!    passes that revisit a prefix skip its forward row entirely. This is
+//!    what makes a long-lived estimator *strictly cheaper* than per-pass
+//!    dedup, and why a pass never needs to stack several requests to share
+//!    their rows: repeated workloads (DNF inclusion–exclusion terms, mined
+//!    mutants, serving traffic against one model version) re-walk the hot
+//!    prefixes.
 //!
 //! Because per-row forward arithmetic is row-independent,
 //! a cached row is bit-identical to the row a fresh forward would produce —
@@ -29,8 +32,11 @@ use std::collections::HashMap;
 /// Sentinel node id for paths that fell off the trie (node cap reached).
 pub(crate) const OFF_TRIE: usize = usize::MAX;
 
-/// Default maximum node count (~a few hundred MB worst case at serving
-/// domain sizes; real workloads share prefixes heavily and stay far below).
+/// Default maximum node count. Distinct traffic reaches it: estimates
+/// shaped like the `serve_distinct` benchmark's filled it after 187–211
+/// distinct requests (EXPERIMENTS.md, "PR 52"). A full trie never evicts,
+/// so every later new prefix goes off it; see ROADMAP.md, "A trie that
+/// keeps serving after it fills".
 pub(crate) const DEFAULT_NODE_CAP: usize = 1 << 17;
 
 #[derive(Debug, Default)]

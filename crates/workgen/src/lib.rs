@@ -10,7 +10,7 @@
 //!    interchange format `sam-ar` training consumes.
 //! 2. **Mining** ([`miner`]): adversarial mutate-and-climb over predicate
 //!    bounds, guided by measured Q-Error against a trained model via the
-//!    batched estimation path — surfaces the queries a model is worst at.
+//!    trie-shared estimation path — surfaces the queries a model is worst at.
 //! 3. **Load** ([`load`]): an open-loop trace-replaying HTTP client that
 //!    drives `sam-serve` at a target offered rate over keep-alive
 //!    connections, recording coordinated-omission-free latency into the

@@ -4,9 +4,9 @@
 //! Mutate-and-climb over predicate bounds, guided by *measured* Q-Error:
 //! each round keeps the current worst pool, mutates every member a few ways
 //! (shift a literal along the sorted domain, swap the comparison operator,
-//! grow / shrink an IN list), scores all fresh mutants in one batched
-//! estimator call (one [`Estimator`] across rounds, so its prefix trie is
-//! shared exactly like the serving path's), and merges survivors back by
+//! grow / shrink an IN list), scores every fresh mutant with an estimate of
+//! its own (one [`Estimator`] across rounds, so its prefix trie is shared
+//! exactly like the serving path's), and merges survivors back by
 //! Q-Error. Seeds are scored first, so the mined worst set can only be as
 //! bad or worse than the synthesized baseline — the kth-worst Q-Error is
 //! monotone nondecreasing in the round number by construction.
@@ -194,7 +194,8 @@ fn mutate(q: &Query, domains: &DomainMap, rng: &mut SplitMix64) -> Option<Query>
 }
 
 /// Score a batch: model estimate via the run's estimator, truth via exact
-/// evaluation. Queries the estimator rejects are dropped.
+/// evaluation. Each query takes the next estimator seed, and queries the
+/// estimator rejects are dropped.
 fn score_batch(
     estimator: &mut Estimator,
     db: &Database,
@@ -202,20 +203,11 @@ fn score_batch(
     samples: usize,
     rng_seed: &mut u64,
 ) -> Result<Vec<MinedQuery>, WorkgenError> {
-    if queries.is_empty() {
-        return Ok(Vec::new());
-    }
-    let requests: Vec<(&Query, usize)> = queries.iter().map(|q| (q, samples)).collect();
-    let mut rngs: Vec<StdRng> = (0..queries.len())
-        .map(|_| {
-            *rng_seed = rng_seed.wrapping_add(1);
-            StdRng::seed_from_u64(*rng_seed)
-        })
-        .collect();
-    let estimates = estimator.estimate_batch(&requests, &mut rngs);
     let mut out = Vec::with_capacity(queries.len());
-    for (q, est) in queries.into_iter().zip(estimates) {
-        let Ok(estimate) = est else {
+    for q in queries {
+        *rng_seed = rng_seed.wrapping_add(1);
+        let mut rng = StdRng::seed_from_u64(*rng_seed);
+        let Ok(estimate) = estimator.estimate(&q, samples, &mut rng) else {
             continue; // e.g. a table the model was not trained on
         };
         let truth = evaluate_cardinality(db, &q).map_err(|e| WorkgenError::Eval(e.to_string()))?;
@@ -418,6 +410,36 @@ mod tests {
         let db = paper_example::figure3_database();
         let trained = tiny_model(&db);
         let err = mine_hard_queries(trained.model(), &db, &[], &MinerConfig::default());
+        assert!(matches!(err, Err(WorkgenError::Eval(_))));
+    }
+
+    #[test]
+    fn seeds_the_model_cannot_resolve_are_dropped() {
+        let db = paper_example::figure3_database();
+        let trained = tiny_model(&db);
+        let good = seeds(&db, 4);
+        let unknown = Query::single("no_such_table", vec![]);
+        let config = MinerConfig {
+            rounds: 0,
+            samples: 8,
+            ..MinerConfig::default()
+        };
+        let mut mixed = good.clone();
+        mixed.insert(1, unknown.clone());
+        let report = mine_hard_queries(trained.model(), &db, &mixed, &config).unwrap();
+        assert_eq!(report.evaluated, good.len() as u64);
+        // With no rounds the worst set is every scored seed.
+        let mut scored: Vec<String> = report
+            .worst
+            .iter()
+            .map(|m| m.query.canonical_string())
+            .collect();
+        let mut expected: Vec<String> = good.iter().map(Query::canonical_string).collect();
+        scored.sort();
+        expected.sort();
+        assert_eq!(scored, expected);
+
+        let err = mine_hard_queries(trained.model(), &db, &[unknown.clone(), unknown], &config);
         assert!(matches!(err, Err(WorkgenError::Eval(_))));
     }
 

@@ -20,8 +20,9 @@ const ROUNDS: usize = 5;
 const MAX_RELATIVE_OVERHEAD: f64 = 0.02;
 /// Absolute epsilon so a sub-100µs estimate path doesn't fail the gate on
 /// scheduler noise: on a single-core runner the background quality scorer
-/// competes with the inference worker for the same CPU, which shows up as
-/// a few µs of jitter that a purely relative budget cannot absorb.
+/// competes with the request's own estimate pass for the same CPU, which
+/// shows up as a few µs of jitter that a purely relative budget cannot
+/// absorb.
 /// Measured overhead is 1–4µs; a real synchronous stall still fails.
 const EPSILON: Duration = Duration::from_micros(25);
 
