@@ -259,10 +259,9 @@ fn estimate_until(
         // have identical carried first-layer sums (the same codes added in
         // the same order), hence identical conditionals: the forward pass
         // runs on distinct *uncached* nodes (and on paths off a full trie)
-        // only, selected by a batch row mask. Every path starts at the root
-        // and a query's paths stay overlapped for several columns, and
-        // prefixes cached by earlier passes on the trie skip the forward
-        // entirely. Values are unchanged either way: each path reads the
+        // only, selected by a batch row mask. A query's paths all start at
+        // the root and overlap for several columns; prefixes cached by
+        // earlier passes on the trie skip the forward entirely. Values are unchanged either way: each path reads the
         // same conditionals a per-path forward would give. The trie is
         // locked only to classify and to descend; passes on clones forward
         // and sample side by side in between.
